@@ -20,8 +20,10 @@ import numpy as np
 from . import __version__, bounds, depletion, optimize, protocol, verify
 from .errors import (DomainError, NumericError, RamanPulseError,
                      ValidationError)
-from .model import EmitterParams, RawRates, ghz, params_from_dict
-from .pulse import CosineSeriesPulse, load_pulse, sin2_pulse, write_samples
+from .model import (EmitterParams, RawRates, ghz, params_from_dict,
+                    read_json_object)
+from .pulse import (CosineSeriesPulse, load_pulse, sin2_pulse, write_csv,
+                    write_samples)
 from .trajectory import (ClosedFormSolution, InitialState,
                          closed_form_trajectory, max_efficiency)
 
@@ -43,8 +45,7 @@ DECOHERENCE_SETS = ((0.0, 0.0), (0.01, 0.005), (0.0, 0.1), (0.1, 0.0),
 
 def _load_params(args) -> tuple[EmitterParams, RawRates, dict]:
     if getattr(args, "params", None):
-        with open(args.params, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+        data = read_json_object(args.params, "parameter file")
     else:
         data = dict(DEFAULT_PARAMS)
     p, raw = params_from_dict(data)
@@ -86,8 +87,7 @@ def _set_params(p: EmitterParams, frac1: float, frac2: float) -> EmitterParams:
 def cmd_bound(args) -> int:
     p, raw, data = _load_params(args)
     out = _out_dir(args)
-    T_values = np.geomspace(args.T_min, args.T_max, args.T_samples) \
-        if args.log_T else np.linspace(args.T_min, args.T_max, args.T_samples)
+    T_values = np.geomspace(args.T_min, args.T_max, args.T_samples)
     summary = {}
     for frac1, frac2 in DECOHERENCE_SETS:
         ps = _set_params(p, frac1, frac2)
@@ -110,14 +110,13 @@ def cmd_bound(args) -> int:
         i_worst = int(np.argmax(arr[:, 1]))
         i_avg = int(np.argmax(arr[:, 4]))
         name = f"bound_G1_{frac1:g}_G2_{frac2:g}.csv"
-        with open(out / name, "w", encoding="utf-8") as fh:
-            fh.write(f"# {_provenance(data, f'(Gamma1,Gamma2)/gamma_tilde=({frac1:g},{frac2:g})')}\n")
-            fh.write("T_ns,F_worst_exact,F_worst_simplified,F_worst_slow,"
-                     "F_avg_exact,F_avg_simplified,F_avg_slow,"
-                     "f_worst_peak,f_avg_peak\n")
-            for k, row in enumerate(rows):
-                flags = f",{1 if k == i_worst else 0},{1 if k == i_avg else 0}"
-                fh.write(",".join(f"{x:.12g}" for x in row) + flags + "\n")
+        write_csv(out / name,
+                  ("T_ns", "F_worst_exact", "F_worst_simplified", "F_worst_slow",
+                   "F_avg_exact", "F_avg_simplified", "F_avg_slow",
+                   "f_worst_peak", "f_avg_peak"),
+                  ((*row, int(k == i_worst), int(k == i_avg))
+                   for k, row in enumerate(rows)),
+                  _provenance(data, f"(Gamma1,Gamma2)/gamma_tilde=({frac1:g},{frac2:g})"))
         print(f"wrote {out / name}")
         summary[f"({frac1:g},{frac2:g})"] = {
             "T_opt_worst_ns": float(arr[i_worst, 0]),
@@ -159,11 +158,9 @@ def cmd_optimize(args) -> int:
     grid = np.linspace(0.0, result.pulse.T, args.samples)
     om = np.asarray(cf.Omega(grid))
     drive_path = out / f"optimize_{tag}_drive.csv"
-    with open(drive_path, "w", encoding="utf-8") as fh:
-        fh.write(f"# {_provenance(data, f'drive at E={E:.8g} (s={args.s:g})')}\n")
-        fh.write("t_ns,re_Omega,im_Omega,abs_Omega\n")
-        for t, o in zip(grid, om):
-            fh.write(f"{t:.12g},{o.real:.12g},{o.imag:.12g},{abs(o):.12g}\n")
+    write_csv(drive_path, ("t_ns", "re_Omega", "im_Omega", "abs_Omega"),
+              ((t, o.real, o.imag, abs(o)) for t, o in zip(grid, om)),
+              _provenance(data, f"drive at E={E:.8g} (s={args.s:g})"))
     print(f"wrote {drive_path}")
     print(f"optimum {tag}: T={result.pulse.T:.4f} ns, E_max={result.E_max:.4f}, "
           f"F_worst={result.F_worst:.4f}")
@@ -218,8 +215,12 @@ def cmd_trajectory(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_verify(args) -> int:
-    with open(args.synthesis, "r", encoding="utf-8") as fh:
-        syn = json.load(fh)
+    syn = read_json_object(args.synthesis, "synthesis file")
+    missing = [key for key in ("params", "pulse", "efficiency", "alpha0", "beta0")
+               if key not in syn]
+    if missing:
+        raise ValidationError(
+            f"synthesis file {args.synthesis} lacks {', '.join(missing)}")
     p, raw = params_from_dict(syn["params"])
     pl = CosineSeriesPulse.from_dict(syn["pulse"]).normalize()
     E = float(syn["efficiency"])
@@ -279,8 +280,7 @@ def cmd_figures(args) -> int:
 
     # bound curves per decoherence set
     bound_args = argparse.Namespace(params=args.params, out=str(out / "bounds"),
-                                    T_min=0.04, T_max=12.0, T_samples=160,
-                                    log_T=True)
+                                    T_min=0.04, T_max=12.0, T_samples=160)
     cmd_bound(bound_args)
 
     # integrated depletion curves for a few durations
@@ -289,35 +289,34 @@ def cmd_figures(args) -> int:
     for frac1, frac2 in DECOHERENCE_SETS:
         ps = _set_params(p, frac1, frac2)
         name = dep_dir / f"depletion_G1_{frac1:g}_G2_{frac2:g}.csv"
-        with open(name, "w", encoding="utf-8") as fh:
-            fh.write(f"# {_provenance(data, f'(Gamma1,Gamma2)/gamma_tilde=({frac1:g},{frac2:g})')}\n")
-            fh.write("T_ns,t_ns,d_per_ns,G,G_weighted\n")
-            for T in (0.1, 0.25, 0.44, 1.0, 3.0):
-                pl = sin2_pulse(T)
-                grid = np.linspace(0.0, T, 121)
-                profile = depletion.analytic_profile(ps, pl, grid=grid)
-                for t, d, g_val in zip(profile.grid, profile.d, profile.G):
-                    gw = math.exp(ps.Gamma2 * t) * g_val
-                    fh.write(f"{T:.12g},{t:.12g},{d:.12g},{g_val:.12g},{gw:.12g}\n")
+        rows = []
+        for T in (0.1, 0.25, 0.44, 1.0, 3.0):
+            profile = depletion.analytic_profile(
+                ps, sin2_pulse(T), grid=np.linspace(0.0, T, 121))
+            rows += [(T, t, d, g_val, math.exp(ps.Gamma2 * t) * g_val)
+                     for t, d, g_val in zip(profile.grid, profile.d, profile.G)]
+        write_csv(name, ("T_ns", "t_ns", "d_per_ns", "G", "G_weighted"), rows,
+                  _provenance(data, f"(Gamma1,Gamma2)/gamma_tilde=({frac1:g},{frac2:g})"))
         print(f"wrote {name}")
 
     # optimal duration versus ground-state decoherence
     dur_path = out / "optimal_duration.csv"
-    with open(dur_path, "w", encoding="utf-8") as fh:
-        fh.write(f"# {_provenance(data, 'duration optimization per decoherence')}\n")
-        fh.write("sweep,Gamma1_rad_ns,Gamma2_rad_ns,T_opt_ns,F_worst,E_max\n")
-        for sweep, pattern in (("Gamma1", (1, 0)), ("Gamma2", (0, 1)),
-                               ("both", (1, 1))):
-            for frac in np.geomspace(0.01, 0.5, 9):
-                ps = _set_params(p, frac * pattern[0], frac * pattern[1])
-                try:
-                    res = optimize.optimize_duration(
-                        ps, T_lo=max(1.0 / p.g, 1.0 / p.kappa),
-                        T_hi=min(20.0, 1.0 / max(ps.Gamma1, ps.Gamma2)))
-                except ValidationError:
-                    continue
-                fh.write(f"{sweep},{ps.Gamma1:.12g},{ps.Gamma2:.12g},"
-                         f"{res.pulse.T:.12g},{res.F_worst:.12g},{res.E_max:.12g}\n")
+    rows = []
+    for sweep, pattern in (("Gamma1", (1, 0)), ("Gamma2", (0, 1)),
+                           ("both", (1, 1))):
+        for frac in np.geomspace(0.01, 0.5, 9):
+            ps = _set_params(p, frac * pattern[0], frac * pattern[1])
+            try:
+                res = optimize.optimize_duration(
+                    ps, T_lo=max(1.0 / p.g, 1.0 / p.kappa),
+                    T_hi=min(20.0, 1.0 / max(ps.Gamma1, ps.Gamma2)))
+            except ValidationError:
+                continue
+            rows.append((sweep, ps.Gamma1, ps.Gamma2, res.pulse.T, res.F_worst,
+                         res.E_max))
+    write_csv(dur_path, ("sweep", "Gamma1_rad_ns", "Gamma2_rad_ns", "T_opt_ns",
+                         "F_worst", "E_max"), rows,
+              _provenance(data, "duration optimization per decoherence"))
     print(f"wrote {dur_path}")
 
     # shape optimization table and optimal envelopes / drives
@@ -344,17 +343,17 @@ def cmd_figures(args) -> int:
     # drive for the single-term optimum at several efficiency fractions
     best = optimize.optimize_shape(p, factory(1, refine=False))
     drive_path = out / "drive_vs_efficiency.csv"
-    with open(drive_path, "w", encoding="utf-8") as fh:
-        fh.write(f"# {_provenance(data, 'drive for the optimal single-term pulse')}\n")
-        fh.write("s,t_ns,re_Omega,im_Omega,abs_Omega,abs_alpha\n")
-        grid = np.linspace(0.0, best.pulse.T, 241)
-        for s in (float(x) for x in args.s_list.split(",")):
-            cf = ClosedFormSolution(p, best.pulse, s * best.E_max)
-            om = np.asarray(cf.Omega(grid))
-            al = np.abs(np.asarray(cf.alpha(grid)))
-            for t, o, a in zip(grid, om, al):
-                fh.write(f"{s:g},{t:.12g},{o.real:.12g},{o.imag:.12g},"
-                         f"{abs(o):.12g},{a:.12g}\n")
+    grid = np.linspace(0.0, best.pulse.T, 241)
+    rows = []
+    for s in (float(x) for x in args.s_list.split(",")):
+        cf = ClosedFormSolution(p, best.pulse, s * best.E_max)
+        om = np.asarray(cf.Omega(grid))
+        al = np.abs(np.asarray(cf.alpha(grid)))
+        rows += [(f"{s:g}", t, o.real, o.imag, abs(o), a)
+                 for t, o, a in zip(grid, om, al)]
+    write_csv(drive_path, ("s", "t_ns", "re_Omega", "im_Omega", "abs_Omega",
+                           "abs_alpha"), rows,
+              _provenance(data, "drive for the optimal single-term pulse"))
     print(f"wrote {drive_path}")
 
     if args.check:
@@ -471,7 +470,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--T-min", type=float, default=0.04)
     sp.add_argument("--T-max", type=float, default=12.0)
     sp.add_argument("--T-samples", type=int, default=200)
-    sp.add_argument("--log-T", action="store_true", default=True)
     sp.set_defaults(func=cmd_bound)
 
     sp = sub.add_parser("optimize", help="grid-optimize the photon envelope")

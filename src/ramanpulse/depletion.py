@@ -11,7 +11,8 @@ detuning and of the target efficiency E. G(t) = int_0^t d is available on
 two routes: adaptive quadrature of d for arbitrary envelopes, and exact
 term-wise integrals for the real cosine series. The running maximum of G
 sets the efficiency bound, so it is located with a grid scan plus
-golden-section refinement.
+golden-section refinement. The drive phase phi(t) is integrated together
+with G in one ODE pass, solve_g_phi.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from scipy.integrate import quad, solve_ivp
 
 from .errors import DomainError, NumericError, UnsupportedError, ValidationError
 from .model import EmitterParams
-from .pulse import CosineSeriesPulse, as_envelope
+from .pulse import CosineSeriesPulse, as_envelope, write_csv
 
 TWO_PI = 2.0 * math.pi
 
@@ -54,13 +55,10 @@ class DepletionProfile:
         integral are written since either can be the quantity of interest.
         """
         phi = self.phi if self.phi is not None else np.zeros_like(self.grid)
-        with open(path, "w", encoding="utf-8") as fh:
-            if header:
-                fh.write(f"# {header}\n")
-            fh.write("t_ns,d_per_ns,G,G_weighted,phi_rad\n")
-            for t, d, g, q in zip(self.grid, self.d, self.G, phi):
-                gw = math.exp(gamma2 * t) * g
-                fh.write(f"{t:.12g},{d:.12g},{g:.12g},{gw:.12g},{q:.12g}\n")
+        write_csv(path, ("t_ns", "d_per_ns", "G", "G_weighted", "phi_rad"),
+                  ((t, d, g, math.exp(gamma2 * t) * g, q)
+                   for t, d, g, q in zip(self.grid, self.d, self.G, phi)),
+                  header)
 
 
 def _rate_weights(p: EmitterParams):
@@ -254,14 +252,15 @@ def _golden_max(fun, lo: float, hi: float, tol: float):
     return mid, fun(mid)
 
 
-def _refine_max(g_fun, T: float, n_grid: int = 1001):
-    """Grid scan plus golden-section refinement of max_t G on [0, T]."""
-    ts = np.linspace(0.0, T, n_grid)
-    vals = np.asarray(g_fun(ts))
+def _refine_max(ts, vals, g_from):
+    """Golden-section refinement of the maximum of G sampled on grid ts.
+
+    g_from(j, s) evaluates G(s) for s in the bracket starting at ts[j].
+    """
     i = int(np.argmax(vals))
-    lo = ts[max(i - 1, 0)]
-    hi = ts[min(i + 1, n_grid - 1)]
-    t_ref, v_ref = _golden_max(lambda s: float(g_fun(s)), lo, hi, tol=1e-6 * T)
+    j = max(i - 1, 0)
+    t_ref, v_ref = _golden_max(lambda s: g_from(j, s), ts[j],
+                               ts[min(i + 1, ts.size - 1)], tol=1e-6 * ts[-1])
     if v_ref >= vals[i]:
         return float(v_ref), float(t_ref)
     return float(vals[i]), float(ts[i])
@@ -275,8 +274,10 @@ def analytic_profile(p: EmitterParams, pulse: CosineSeriesPulse,
     grid = np.asarray(grid, dtype=float)
     G = np.atleast_1d(integrated_depletion_analytic(p, pulse, grid))
     d = np.atleast_1d(depletion_rate(p, pulse.envelope(), grid))
+    ts = np.linspace(0.0, pulse.T, n_search)
     gmax, targ = _refine_max(
-        lambda s: integrated_depletion_analytic(p, pulse, s), pulse.T, n_search)
+        ts, np.asarray(integrated_depletion_analytic(p, pulse, ts)),
+        lambda j, s: float(integrated_depletion_analytic(p, pulse, s)))
     gmax = max(gmax, float(G.max()))
     return DepletionProfile(grid=grid, d=d, G=G, G_max=gmax, argmax_t=targ)
 
@@ -286,11 +287,11 @@ def integrated_depletion_numeric(p: EmitterParams, env, t_grid,
                                  n_search: int = 1001) -> DepletionProfile:
     """G by adaptive quadrature of d; works for any envelope, chirped or not.
 
-    Integrates interval by interval over the supplied grid, each to an
-    estimated absolute error of 1e-9 (scaled up when G itself is large).
-    The maximum search runs on an internal uniform grid with golden-section
-    refinement; disable it with refine_max=False when only samples of G are
-    needed.
+    Integrates interval by interval, each to an estimated absolute error of
+    1e-9 (scaled up when G itself is large), in one pass over the supplied
+    grid merged with the maximum search's internal uniform grid. The search
+    refines the grid maximum by golden section; disable it with
+    refine_max=False when only samples of G are needed.
     """
     env = as_envelope(env)
     grid = np.asarray(t_grid, dtype=float)
@@ -314,31 +315,16 @@ def integrated_depletion_numeric(p: EmitterParams, env, t_grid,
                 f"estimated error {err:.3e}")
         return val
 
-    G = np.empty_like(grid)
-    prev_t = 0.0
-    acc = 0.0
-    for i, t in enumerate(grid):
-        acc += segment(prev_t, t)
-        G[i] = acc
-        prev_t = t
+    ts = np.linspace(0.0, env.T, n_search) if refine_max else np.empty(0)
+    nodes = np.union1d(grid, ts)
+    G_nodes = np.cumsum([segment(a, b)
+                         for a, b in zip(np.r_[0.0, nodes[:-1]], nodes)])
+    G = G_nodes[np.searchsorted(nodes, grid)]
     d_samples = np.atleast_1d(depletion_rate(p, env, grid))
 
     if refine_max:
-        ts = np.linspace(0.0, env.T, n_search)
-        Gs = np.empty_like(ts)
-        acc2 = 0.0
-        prev = 0.0
-        for i, t in enumerate(ts):
-            acc2 += segment(prev, t)
-            Gs[i] = acc2
-            prev = t
-        i = int(np.argmax(Gs))
-        lo, hi = ts[max(i - 1, 0)], ts[min(i + 1, n_search - 1)]
-        base_t, base_G = ts[max(i - 1, 0)], Gs[max(i - 1, 0)]
-        targ, gmax = _golden_max(lambda s: base_G + segment(base_t, s), lo, hi,
-                                 tol=1e-6 * env.T)
-        if Gs[i] > gmax:
-            gmax, targ = Gs[i], ts[i]
+        Gs = G_nodes[np.searchsorted(nodes, ts)]
+        gmax, targ = _refine_max(ts, Gs, lambda j, s: Gs[j] + segment(ts[j], s))
         gmax = max(gmax, float(G.max()))
     else:
         i = int(np.argmax(G))
@@ -347,35 +333,31 @@ def integrated_depletion_numeric(p: EmitterParams, env, t_grid,
                             argmax_t=float(targ))
 
 
-def phase_evolution(p: EmitterParams, env, E: float, t_grid,
-                    rtol: float = 1e-11, atol: float = 1e-13) -> np.ndarray:
-    """Drive phase phi(t) accumulated by the ground-state amplitude.
+def solve_g_phi(p: EmitterParams, env, E: float, t_end: float):
+    """Integrate G(t) and the drive phase phi(t) together over [0, t_end].
 
     phi solves phidot = E^2 exp((Gamma1-Gamma2) t) Phi(t) / (g^2 r^2) with
-    r^2 = 1 - E^2 G(t); G is integrated alongside. Identically zero for a
-    resonant cavity and a constant envelope phase, and proportional to E^2,
-    so it vanishes in the weak-extraction limit.
+    r^2 = 1 - E^2 G(t), while Gdot = d(t). One DOP853 pass (rtol 1e-11,
+    atol 1e-13); returns the dense solution, whose value at t is the pair
+    (G(t), phi(t)). phi is identically zero at E = 0.
     """
     env = as_envelope(env)
-    grid = np.asarray(t_grid, dtype=float)
-    if grid.ndim != 1 or np.any(np.diff(grid) < 0):
-        raise ValidationError("t_grid must be a sorted one-dimensional array")
-    if E < 0:
-        raise ValidationError("efficiency E must be >= 0")
-    if E == 0.0:
-        return np.zeros_like(grid)
-
     x = 1.0 + p.kappa_tilde / p.kappa
     g2 = p.g ** 2
     gamma = p.Gamma1 - p.Gamma2
     Delta = p.Delta
 
-    def integrands(t):
-        f = np.asarray(env.f(t))
-        df = np.asarray(env.df(t))
-        d2f = np.asarray(env.d2f(t))
-        dth = np.asarray(env.dtheta(t))
-        d2th = np.asarray(env.d2theta(t))
+    def rhs(t, y):
+        r2 = 1.0 - E * E * y[0]
+        if r2 <= 0.0:
+            raise DomainError(
+                "r^2 = 1 - E^2 G(t) reached zero: requested efficiency exceeds "
+                "the bound for this envelope")
+        f = float(env.f(t))
+        df = float(env.df(t))
+        d2f = float(env.d2f(t))
+        dth = float(env.dtheta(t))
+        d2th = float(env.d2theta(t))
         phi_num = (
             (x * (Delta + dth) + d2th / p.kappa) * f * df
             + (Delta + 2.0 * dth) / p.kappa * df ** 2
@@ -383,26 +365,29 @@ def phase_evolution(p: EmitterParams, env, E: float, t_grid,
             + (p.kappa * x * x * (Delta + dth) / 4.0 + x * d2th / 2.0
                + (Delta * dth ** 2 - g2 * dth + dth ** 3) / p.kappa) * f ** 2
         )
-        d_val = depletion_rate(p, env, t)
-        return d_val, phi_num
+        dphi = E * E * math.exp(gamma * t) * phi_num / (g2 * r2)
+        return [float(depletion_rate(p, env, t)), dphi]
 
-    def rhs(t, y):
-        G, _ = y
-        r2 = 1.0 - E * E * G
-        if r2 <= 0.0:
-            raise DomainError(
-                "r^2 = 1 - E^2 G(t) reached zero: requested efficiency exceeds "
-                "the bound for this envelope")
-        d_val, phi_num = integrands(t)
-        dphi = E * E * math.exp(gamma * t) * float(phi_num) / (g2 * r2)
-        return [float(d_val), dphi]
-
-    t_end = grid[-1] if grid.size else env.T
-    if t_end == 0.0:
-        return np.zeros_like(grid)
     sol = solve_ivp(rhs, (0.0, t_end), [0.0, 0.0], method="DOP853",
-                    rtol=rtol, atol=atol, dense_output=True)
+                    rtol=1e-11, atol=1e-13, dense_output=True)
     if not sol.success:
         raise NumericError(f"phase integration failed: {sol.message}")
-    phi = sol.sol(grid)[1]
-    return phi
+    return sol.sol
+
+
+def phase_evolution(p: EmitterParams, env, E: float, t_grid) -> np.ndarray:
+    """Drive phase phi(t) accumulated by the ground-state amplitude.
+
+    Samples solve_g_phi, integrated up to the last grid point, on t_grid.
+    Identically zero for a resonant cavity and a constant envelope phase,
+    and proportional to E^2, so it vanishes in the weak-extraction limit.
+    """
+    env = as_envelope(env)
+    grid = np.asarray(t_grid, dtype=float)
+    if grid.ndim != 1 or np.any(np.diff(grid) < 0):
+        raise ValidationError("t_grid must be a sorted one-dimensional array")
+    if E < 0:
+        raise ValidationError("efficiency E must be >= 0")
+    if E == 0.0 or grid.size == 0 or grid[-1] == 0.0:
+        return np.zeros_like(grid)
+    return solve_g_phi(p, env, E, grid[-1])(grid)[1]

@@ -183,13 +183,20 @@ def params_from_dict(data: dict) -> tuple[EmitterParams, RawRates]:
     return p, raw
 
 
+def read_json_object(path: str | Path, what: str = "parameter file") -> dict:
+    """Read a JSON file that must hold an object; ValidationError otherwise."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"malformed {what} {path}: {exc}") from exc
+    except OSError as exc:
+        raise ValidationError(f"cannot read {what} {path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ValidationError(f"{what} {path} must hold a JSON object")
+    return data
+
+
 def load_params(path: str | Path) -> tuple[EmitterParams, RawRates]:
     """Read a JSON parameter file, see params_from_dict for the schema."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"malformed parameter file {path}: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ValidationError(f"parameter file {path} must hold a JSON object")
-    return params_from_dict(data)
+    return params_from_dict(read_json_object(path))

@@ -262,18 +262,26 @@ def constrained_series(odd_coeffs, T: float, chirp: float = 0.0) -> CosineSeries
     return CosineSeriesPulse(T, tuple(coeffs), chirp)
 
 
+def write_csv(path: str | Path, columns, rows, header: str = ""):
+    """Write a CSV file: a "# header" line if given, the column names, rows.
+
+    Numbers are formatted as %.12g; strings are written as given.
+    """
+    with open(path, "w", encoding="utf-8") as fh:
+        if header:
+            fh.write(f"# {header}\n")
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            fh.write(",".join(x if isinstance(x, str) else f"{x:.12g}"
+                              for x in row) + "\n")
+
+
 def write_samples(env, path: str | Path, n: int = 501, header: str = ""):
     """Sample an envelope to CSV with columns t_ns, f, theta."""
     env = as_envelope(env)
     ts = np.linspace(0.0, env.T, n)
-    fs = np.asarray(env.f(ts))
-    th = np.asarray(env.theta(ts))
-    with open(path, "w", encoding="utf-8") as fh:
-        if header:
-            fh.write(f"# {header}\n")
-        fh.write("t_ns,f,theta\n")
-        for t, f, q in zip(ts, fs, th):
-            fh.write(f"{t:.12g},{f:.12g},{q:.12g}\n")
+    write_csv(path, ("t_ns", "f", "theta"),
+              zip(ts, np.asarray(env.f(ts)), np.asarray(env.theta(ts))), header)
 
 
 def save_pulse(pulse: CosineSeriesPulse, path: str | Path):

@@ -15,12 +15,11 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from . import bounds, depletion
-from .errors import (DomainError, NumericError, PoleError, ValidationError)
+from .errors import DomainError, PoleError, ValidationError
 from .model import EmitterParams
-from .pulse import CosineSeriesPulse, as_envelope
+from .pulse import CosineSeriesPulse, as_envelope, write_csv
 
 
 @dataclass(frozen=True)
@@ -60,21 +59,13 @@ class Trajectory:
         return float(abs(amp) ** 2)
 
     def to_csv(self, path: str | Path, header: str = ""):
-        cols = ["t_ns"]
-        for name in ("alpha", "beta", "zeta", "eta", "lambda", "Omega"):
-            cols += [f"re_{name}", f"im_{name}"]
-        cols.append("p_e")
-        arrays = [self.alpha, self.beta, self.zeta, self.eta, self.lam, self.Omega]
-        with open(path, "w", encoding="utf-8") as fh:
-            if header:
-                fh.write(f"# {header}\n")
-            fh.write(",".join(cols) + "\n")
-            for i, t in enumerate(self.grid):
-                row = [f"{t:.12g}"]
-                for arr in arrays:
-                    row += [f"{arr[i].real:.12g}", f"{arr[i].imag:.12g}"]
-                row.append(f"{self.p_e[i]:.12g}")
-                fh.write(",".join(row) + "\n")
+        names = ("alpha", "beta", "zeta", "eta", "lambda", "Omega")
+        arrays = (self.alpha, self.beta, self.zeta, self.eta, self.lam, self.Omega)
+        cols = (["t_ns"] + [f"{part}_{name}" for name in names
+                            for part in ("re", "im")] + ["p_e"])
+        parts = [part for arr in arrays for part in (arr.real, arr.imag)]
+        write_csv(path, cols, np.column_stack([self.grid, *parts, self.p_e]),
+                  header)
 
 
 def max_efficiency(p: EmitterParams, env) -> float:
@@ -114,69 +105,24 @@ class ClosedFormSolution:
                 f"target efficiency {E:.6g} exceeds the bound {self.E_max:.6g}")
         self._setup_g_phi()
 
-    # -- G(t) and phi(t) providers ------------------------------------------
+    # -- G(t) and phi(t): exact for a real series, else one ODE pass ---------
 
     def _setup_g_phi(self):
-        p, env = self.p, self.env
+        p, T = self.p, self.env.T
         analytic = self.pulse is not None and self.pulse.is_real
         if analytic:
-            self._G = lambda t: depletion.integrated_depletion_analytic(
+            self.G = lambda t: depletion.integrated_depletion_analytic(
                 p, self.pulse, t)
-        if analytic and p.Delta == 0.0:
-            self._phi = lambda t: np.zeros_like(np.asarray(t, dtype=float))[()]
-            return
-        if self.E == 0.0:
-            # phase accumulates proportionally to E^2
-            if not analytic:
-                prof = depletion.integrated_depletion_numeric(
-                    p, env, np.linspace(0.0, env.T, 257), refine_max=False)
-                from scipy.interpolate import CubicSpline
-                gs = CubicSpline(prof.grid, prof.G)
-                self._G = lambda t: gs(np.clip(t, 0.0, env.T))[()]
-            self._phi = lambda t: np.zeros_like(np.asarray(t, dtype=float))[()]
-            return
-
-        E = self.E
-        gamma = p.Gamma1 - p.Gamma2
-        x = 1.0 + p.kappa_tilde / p.kappa
-        g2 = p.g ** 2
-
-        def rhs(t, y):
-            G = y[0]
-            r2 = 1.0 - E * E * G
-            if r2 <= 0.0:
-                raise DomainError("1 - E^2 G reached zero during phase integration")
-            f = float(env.f(t))
-            df = float(env.df(t))
-            d2f = float(env.d2f(t))
-            dth = float(env.dtheta(t))
-            d2th = float(env.d2theta(t))
-            num = ((x * (p.Delta + dth) + d2th / p.kappa) * f * df
-                   + (p.Delta + 2.0 * dth) / p.kappa * df ** 2
-                   - dth / p.kappa * f * d2f
-                   + (p.kappa * x * x * (p.Delta + dth) / 4.0 + x * d2th / 2.0
-                      + (p.Delta * dth ** 2 - g2 * dth + dth ** 3) / p.kappa) * f ** 2)
-            dG = float(depletion.depletion_rate(p, env, t))
-            dphi = E * E * math.exp(gamma * t) * num / (g2 * r2)
-            return [dG, dphi]
-
-        sol = solve_ivp(rhs, (0.0, env.T), [0.0, 0.0], method="DOP853",
-                        rtol=1e-11, atol=1e-13, dense_output=True)
-        if not sol.success:
-            raise NumericError(f"phase integration failed: {sol.message}")
-        dense = sol.sol
-
+            if p.Delta == 0.0 or self.E == 0.0:
+                # no phase source on resonance; the phase grows as E^2
+                self.phi = lambda t: np.zeros_like(np.asarray(t, dtype=float))[()]
+                return
+        dense = depletion.solve_g_phi(p, self.env, self.E, T)
         if not analytic:
-            self._G = lambda t: dense(np.clip(t, 0.0, env.T))[0][()]
-        self._phi = lambda t: dense(np.clip(t, 0.0, env.T))[1][()]
+            self.G = lambda t: dense(np.clip(t, 0.0, T))[0][()]
+        self.phi = lambda t: dense(np.clip(t, 0.0, T))[1][()]
 
     # -- amplitudes with alpha0 divided out ----------------------------------
-
-    def G(self, t):
-        return self._G(t)
-
-    def phi(self, t):
-        return self._phi(t)
 
     def r2(self, t):
         return np.maximum(1.0 - self.E ** 2 * np.asarray(self.G(t)), 0.0)[()]

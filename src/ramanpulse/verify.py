@@ -231,23 +231,18 @@ class LindbladResult:
 
 
 def _static_dissipators(raw: RawRates) -> list[np.ndarray]:
-    ops = []
-    if raw.gamma > 0:
-        ops.append(math.sqrt(raw.gamma) * math.cos(raw.xi)
-                   * _kron3(_mat("1", "e"), _I2, _I2))
-        ops.append(math.sqrt(raw.gamma) * math.sin(raw.xi)
-                   * _kron3(_mat("0", "e"), _I2, _I2))
-    if raw.gamma_ph_1 > 0:
-        ops.append(math.sqrt(raw.gamma_ph_1) * _kron3(_mat("1", "1"), _I2, _I2))
-    if raw.gamma_ph_e > 0:
-        ops.append(math.sqrt(raw.gamma_ph_e) * _P_E)
-    if raw.gamma_0to1 > 0:
-        ops.append(math.sqrt(raw.gamma_0to1) * _kron3(_mat("1", "0"), _I2, _I2))
-    if raw.gamma_1to0 > 0:
-        ops.append(math.sqrt(raw.gamma_1to0) * _kron3(_mat("0", "1"), _I2, _I2))
-    if raw.kappa_tilde > 0:
-        ops.append(math.sqrt(raw.kappa_tilde) * OP_C)
-    return ops
+    """Emitter and cavity jump operators; zero-weight ones are left out."""
+    decay = math.sqrt(raw.gamma)
+    weighted = (
+        (decay * math.cos(raw.xi), _kron3(_mat("1", "e"), _I2, _I2)),
+        (decay * math.sin(raw.xi), _kron3(_mat("0", "e"), _I2, _I2)),
+        (math.sqrt(raw.gamma_ph_1), _kron3(_mat("1", "1"), _I2, _I2)),
+        (math.sqrt(raw.gamma_ph_e), _P_E),
+        (math.sqrt(raw.gamma_0to1), _kron3(_mat("1", "0"), _I2, _I2)),
+        (math.sqrt(raw.gamma_1to0), _kron3(_mat("0", "1"), _I2, _I2)),
+        (math.sqrt(raw.kappa_tilde), OP_C),
+    )
+    return [w * op for w, op in weighted if w > 0]
 
 
 # Blocks of the stacked state evolved by lindblad_simulate. Every block

@@ -99,3 +99,24 @@ def test_figures_subcommand(tmp_path):
     assert row["E_max"] == pytest.approx(0.988, abs=1e-3)
     assert (tmp_path / "drive_vs_efficiency.csv").exists()
     assert (tmp_path / "shapes" / "envelope_L3_con.csv").exists()
+
+
+@pytest.mark.parametrize("text", ["{not json", "5"])
+def test_unreadable_params_exit_code(tmp_path, capsys, text):
+    bad = tmp_path / "params.json"
+    bad.write_text(text)
+    rc = main(["bound", "--params", str(bad), "--out", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+def test_verify_incomplete_synthesis_exit_code(tmp_path, capsys):
+    syn = tmp_path / "synthesis.json"
+    syn.write_text(json.dumps({"params": {"g_GHz": 6, "kappa_GHz": 30}}))
+    rc = main(["verify", "--synthesis", str(syn), "--out", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "efficiency" in err and "pulse" in err

@@ -6,7 +6,8 @@ import pytest
 from scipy.integrate import quad
 
 from ramanpulse import (CosineSeriesPulse, DomainError, EmitterParams,
-                        Envelope, UnsupportedError, ValidationError,
+                        Envelope, NumericError, UnsupportedError,
+                        ValidationError,
                         cooperativity, ghz, sin2_pulse)
 from ramanpulse import depletion, bounds
 from ramanpulse.depletion import (analytic_profile, depletion_rate,
@@ -214,6 +215,23 @@ def test_phase_domain_error(siv_params):
     pl = sin2_pulse(0.44).envelope()
     with pytest.raises(DomainError):
         phase_evolution(siv_params, pl, E=1.5, t_grid=np.linspace(0, 0.44, 9))
+
+
+def test_phase_on_grid_ending_before_pulse_end():
+    # the phase is integrated only up to the last requested time, so a grid
+    # that stops before 1 - E^2 G reaches zero still gets a phase
+    p = EmitterParams(g=ghz(6), kappa=ghz(30), gamma_tilde=ghz(0.1),
+                      Delta=ghz(1.0))
+    env = sin2_pulse(0.44).envelope()
+    grid = np.linspace(0, 0.44, 45)
+    full = phase_evolution(p, env, E=0.9, t_grid=grid)
+    head = phase_evolution(p, env, E=0.9, t_grid=grid[:20])
+    assert np.max(np.abs(head - full[:20])) < 1e-9
+    # at E = 1.5, E^2 G(t) passes 1 at t = 0.18 ns
+    early = phase_evolution(p, env, E=1.5, t_grid=grid[:16])
+    assert np.all(np.isfinite(early)) and early[-1] > 0.0
+    with pytest.raises((DomainError, NumericError)):
+        phase_evolution(p, env, E=1.5, t_grid=grid)
 
 
 def test_chirp_raises_integrated_depletion(siv_params):

@@ -8,6 +8,7 @@ from scipy.integrate import quad
 from ramanpulse import (CosineSeriesPulse, Envelope, ValidationError,
                         constrained_series, load_pulse, save_pulse,
                         sin2_pulse, write_samples)
+from ramanpulse.pulse import write_csv
 
 TWO_PI = 2.0 * math.pi
 
@@ -177,3 +178,18 @@ def test_write_samples(tmp_path):
     assert lines[0] == "# unit test"
     assert lines[1] == "t_ns,f,theta"
     assert len(lines) == 13
+
+
+def test_write_csv_format(tmp_path):
+    path = tmp_path / "rows.csv"
+    write_csv(path, ("name", "x", "n"),
+              [("Gamma1", 1.0 / 3.0, 2), (f"{0.25:g}", np.float64(1e-20), 0)],
+              header="provenance")
+    assert path.read_text().splitlines() == [
+        "# provenance",
+        "name,x,n",
+        "Gamma1,0.333333333333,2",
+        "0.25,1e-20,0",
+    ]
+    write_csv(path, ("x",), [(1.5,)])
+    assert path.read_text() == "x\n1.5\n"

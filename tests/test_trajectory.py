@@ -162,3 +162,14 @@ def test_trajectory_csv(tmp_path, setup):
     assert lines[0] == "# check"
     assert lines[1].startswith("t_ns,re_alpha,im_alpha")
     assert len(lines) == 7
+
+
+def test_zero_efficiency_chirped_G_matches_quadrature(siv_params):
+    # at E = 0 the (G, phi) ODE carries G alone and leaves phi exactly zero
+    pl = CosineSeriesPulse(0.5, (1.0, 0.1), chirp=2.5).normalize()
+    grid = np.linspace(0.0, pl.T, 401)
+    cf = ClosedFormSolution(siv_params, pl, 0.0)
+    quad_G = depletion.integrated_depletion_numeric(
+        siv_params, pl, grid, refine_max=False).G
+    assert np.max(np.abs(np.asarray(cf.G(grid)) - quad_G)) < 1e-10
+    assert np.all(np.asarray(cf.phi(grid)) == 0.0)

@@ -219,3 +219,13 @@ def test_lindblad_rejects_inconsistent_rates(siv_params):
     with pytest.raises(ValidationError):
         lindblad_simulate(raw, siv_params, pl, lambda t: 0.0,
                           InitialState(1.0, 0.0))
+
+
+def test_static_dissipators_drop_zero_operators():
+    ops = verify._static_dissipators(
+        RawRates(gamma=ghz(0.1), gamma_1to0=ghz(0.01), gamma_0to1=ghz(0.01)))
+    assert len(ops) == 3
+    assert all(np.any(op != 0.0) for op in ops)
+    ops = verify._static_dissipators(RawRates(gamma=ghz(0.1), xi=math.pi / 4))
+    assert len(ops) == 2
+    assert all(np.any(op != 0.0) for op in ops)
