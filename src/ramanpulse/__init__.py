@@ -18,7 +18,7 @@ from .depletion import (AnalyticGTerms, DepletionProfile, analytic_profile,
                         integrated_depletion_numeric, phase_evolution)
 from .errors import (DomainError, LayoutError, ModelError, NumericError,
                      PoleError, ProtocolError, RamanPulseError,
-                     UnsupportedError, ValidationError)
+                     ValidationError)
 from .model import (CombinedRates, EmitterParams, LabFrameParams, RawRates,
                     combine_rates, cooperativity, emitter_from_raw, ghz,
                     load_params, params_from_dict, to_lab_frame_drive,

@@ -18,14 +18,14 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, bounds, depletion, optimize, protocol, verify
-from .errors import (DomainError, NumericError, RamanPulseError,
+from .errors import (DomainError, NumericError, PoleError, RamanPulseError,
                      ValidationError)
 from .model import (EmitterParams, RawRates, ghz, params_from_dict,
                     read_json_object)
 from .pulse import (CosineSeriesPulse, load_pulse, sin2_pulse, write_csv,
                     write_samples)
 from .trajectory import (ClosedFormSolution, InitialState,
-                         closed_form_trajectory, max_efficiency)
+                         closed_form_trajectory, drive_omega, max_efficiency)
 
 # Cavity-QED numbers typical of solid-state defect emitters in a one-sided
 # cavity, with equal ground-state decoherence at a tenth of the optical
@@ -154,9 +154,8 @@ def cmd_optimize(args) -> int:
     print(f"wrote {out / f'optimize_{tag}_envelope.csv'}")
 
     E = args.s * result.E_max
-    cf = ClosedFormSolution(p, result.pulse, E)
     grid = np.linspace(0.0, result.pulse.T, args.samples)
-    om = np.asarray(cf.Omega(grid))
+    om = drive_omega(p, result.pulse, E, grid)
     drive_path = out / f"optimize_{tag}_drive.csv"
     write_csv(drive_path, ("t_ns", "re_Omega", "im_Omega", "abs_Omega"),
               ((t, o.real, o.imag, abs(o)) for t, o in zip(grid, om)),
@@ -193,6 +192,10 @@ def cmd_trajectory(args) -> int:
     E = args.s * E_max
     grid = np.linspace(0.0, pl.T, args.samples)
     traj = closed_form_trajectory(p, pl, E, init, grid)
+    if not (traj.drive_valid or traj.drive_irrelevant):
+        raise PoleError(
+            f"no finite drive at E = {args.s:g} E_max: the ground state "
+            "empties at the depletion maximum; use --s below 1")
     traj.to_csv(out / "trajectory.csv",
                 header=_provenance(data, f"E={E:.8g} alpha0={args.alpha0} beta0={args.beta0}"))
     print(f"wrote {out / 'trajectory.csv'}")

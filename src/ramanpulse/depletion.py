@@ -9,7 +9,8 @@ with a depletion rate d(t) that is a closed-form expression in f, theta,
 their first two derivatives, and the system rates. d is independent of the
 detuning and of the target efficiency E. G(t) = int_0^t d is available on
 two routes: adaptive quadrature of d for arbitrary envelopes, and exact
-term-wise integrals for the real cosine series. The running maximum of G
+term-wise integrals for the cosine series, whose linear chirp only shifts
+two of the five weights of d. The running maximum of G
 sets the efficiency bound, so it is located with a grid scan plus
 golden-section refinement. The drive phase phi(t) is integrated together
 with G in one ODE pass, solve_g_phi.
@@ -24,13 +25,17 @@ from pathlib import Path
 import numpy as np
 from scipy.integrate import quad, solve_ivp
 
-from .errors import DomainError, NumericError, UnsupportedError, ValidationError
+from .errors import DomainError, NumericError, ValidationError
 from .model import EmitterParams
 from .pulse import CosineSeriesPulse, as_envelope, write_csv
 
 TWO_PI = 2.0 * math.pi
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+# r^2 = 1 - E^2 G below this counts as an emptied ground state: the drive
+# diverges there and the phase integration cannot proceed.
+R2_FLOOR = 1e-10
 
 
 @dataclass
@@ -61,8 +66,12 @@ class DepletionProfile:
                   header)
 
 
-def _rate_weights(p: EmitterParams):
-    """Constant prefactors of the five quadratic envelope terms in d(t)."""
+def _rate_weights(p: EmitterParams, dth=0.0, d2th=0.0):
+    """Prefactors of the five quadratic envelope terms in d(t).
+
+    dth and d2th are the first two derivatives of the envelope phase,
+    scalars or arrays; only the f^2 and f f' weights depend on them.
+    """
     if p.g <= 0:
         raise DomainError("depletion rate undefined for g = 0")
     if p.kappa <= 0:
@@ -70,12 +79,14 @@ def _rate_weights(p: EmitterParams):
     x = 1.0 + p.kappa_tilde / p.kappa
     gp = p.gamma_tilde - p.Gamma2
     g2 = p.g ** 2
-    w_ff = x + gp * p.kappa * x * x / (4.0 * g2)
+    w_ff = (x + gp * p.kappa * x * x / (4.0 * g2)
+            + (gp * dth ** 2 + 2.0 * d2th * dth) / (g2 * p.kappa))
     w_dfdf = x / g2 + gp / (p.kappa * g2)
-    w_fdf = 2.0 / p.kappa + p.kappa * x * x / (2.0 * g2) + gp * x / g2
+    w_fdf = (2.0 / p.kappa + p.kappa * x * x / (2.0 * g2) + gp * x / g2
+             + 2.0 * dth ** 2 / (p.kappa * g2))
     w_fddf = x / g2
     w_dfddf = 2.0 / (p.kappa * g2)
-    return x, gp, w_ff, w_fdf, w_dfdf, w_fddf, w_dfddf
+    return w_ff, w_fdf, w_dfdf, w_fddf, w_dfddf
 
 
 def depletion_rate(p: EmitterParams, env, t):
@@ -85,24 +96,15 @@ def depletion_rate(p: EmitterParams, env, t):
     exp((Gamma1 - Gamma2) t) when the two ground-state rates differ.
     """
     env = as_envelope(env)
-    x, gp, w_ff, w_fdf, w_dfdf, w_fddf, w_dfddf = _rate_weights(p)
-    g2 = p.g ** 2
     t = np.asarray(t, dtype=float)
+    w_ff, w_fdf, w_dfdf, w_fddf, w_dfddf = _rate_weights(
+        p, np.asarray(env.dtheta(t)), np.asarray(env.d2theta(t)))
     f = np.asarray(env.f(t))
     df = np.asarray(env.df(t))
     d2f = np.asarray(env.d2f(t))
-    dth = np.asarray(env.dtheta(t))
-    d2th = np.asarray(env.d2theta(t))
-    gamma = p.Gamma1 - p.Gamma2
-    base = (
-        (w_ff + gp * dth ** 2 / (g2 * p.kappa)
-         + 2.0 * d2th * dth / (p.kappa * g2)) * f ** 2
-        + w_fddf * f * d2f
-        + w_dfddf * df * d2f
-        + (w_fdf + 2.0 * dth ** 2 / (p.kappa * g2)) * f * df
-        + w_dfdf * df ** 2
-    )
-    return (np.exp(gamma * t) * base)[()]
+    base = (w_ff * f ** 2 + w_fddf * f * d2f + w_dfddf * df * d2f
+            + w_fdf * f * df + w_dfdf * df ** 2)
+    return (np.exp((p.Gamma1 - p.Gamma2) * t) * base)[()]
 
 
 # ---------------------------------------------------------------------------
@@ -205,29 +207,28 @@ def family_integrals(T: float, Gamma: float, order: int, t) -> AnalyticGTerms:
                           H=H, U=U)
 
 
-def g_matrix(p: EmitterParams, T: float, order: int, t) -> np.ndarray:
-    """Quadratic form X with G(t) = v . X(t) . v for a real series pulse.
+def g_matrix(p: EmitterParams, T: float, order: int, t,
+             chirp: float = 0.0) -> np.ndarray:
+    """Quadratic form X with G(t) = v . X(t) . v for a series pulse.
 
     Shape (nt, order, order). The pulse coefficients enter bilinearly, so
-    grid optimizers can reuse one X per duration for every candidate.
+    grid optimizers can reuse one X per duration for every candidate. A
+    linear chirp theta = chirp * t only shifts two of the five weights.
     """
-    x, gp, w_ff, w_fdf, w_dfdf, w_fddf, w_dfddf = _rate_weights(p)
+    w_ff, w_fdf, w_dfdf, w_fddf, w_dfddf = _rate_weights(p, chirp)
     fam = family_integrals(T, p.Gamma1 - p.Gamma2, order, t)
     return (w_ff * fam.I1 + w_fdf * fam.I2 + w_dfdf * fam.I3
             + w_fddf * fam.I4 + w_dfddf * fam.I5)
 
 
 def integrated_depletion_analytic(p: EmitterParams, pulse: CosineSeriesPulse, t):
-    """G(t) by the exact term-wise route; real series pulses only."""
+    """G(t) by the exact term-wise route, chirped or not."""
     if not isinstance(pulse, CosineSeriesPulse):
         raise ValidationError("analytic G needs a CosineSeriesPulse")
-    if not pulse.is_real:
-        raise UnsupportedError(
-            "analytic G covers real pulses only; use integrated_depletion_numeric")
     scalar = np.ndim(t) == 0
     # d vanishes beyond the support, so clipping to [0, T] freezes G there
     tt = np.clip(np.atleast_1d(np.asarray(t, dtype=float)), 0.0, pulse.T)
-    X = g_matrix(p, pulse.T, pulse.order, tt)
+    X = g_matrix(p, pulse.T, pulse.order, tt, pulse.chirp)
     v = np.asarray(pulse.coeffs)
     out = np.einsum("tnm,n,m->t", X, v, v)
     return out[0] if scalar else out
@@ -268,7 +269,7 @@ def _refine_max(ts, vals, g_from):
 
 def analytic_profile(p: EmitterParams, pulse: CosineSeriesPulse,
                      grid=None, n_search: int = 1001) -> DepletionProfile:
-    """DepletionProfile through the closed-form route (real series pulse)."""
+    """DepletionProfile through the closed-form route (any series pulse)."""
     if grid is None:
         grid = np.linspace(0.0, pulse.T, n_search)
     grid = np.asarray(grid, dtype=float)
@@ -339,7 +340,8 @@ def solve_g_phi(p: EmitterParams, env, E: float, t_end: float):
     phi solves phidot = E^2 exp((Gamma1-Gamma2) t) Phi(t) / (g^2 r^2) with
     r^2 = 1 - E^2 G(t), while Gdot = d(t). One DOP853 pass (rtol 1e-11,
     atol 1e-13); returns the dense solution, whose value at t is the pair
-    (G(t), phi(t)). phi is identically zero at E = 0.
+    (G(t), phi(t)). phi is identically zero at E = 0. A terminal event stops
+    the pass with DomainError where r^2 falls to R2_FLOOR.
     """
     env = as_envelope(env)
     x = 1.0 + p.kappa_tilde / p.kappa
@@ -368,8 +370,18 @@ def solve_g_phi(p: EmitterParams, env, E: float, t_end: float):
         dphi = E * E * math.exp(gamma * t) * phi_num / (g2 * r2)
         return [float(depletion_rate(p, env, t)), dphi]
 
+    def emptied(t, y):
+        return 1.0 - E * E * y[0] - R2_FLOOR
+
+    emptied.terminal = True
+    emptied.direction = -1.0
     sol = solve_ivp(rhs, (0.0, t_end), [0.0, 0.0], method="DOP853",
-                    rtol=1e-11, atol=1e-13, dense_output=True)
+                    rtol=1e-11, atol=1e-13, dense_output=True, events=emptied)
+    if sol.status == 1:
+        raise DomainError(
+            f"r^2 = 1 - E^2 G(t) fell to {R2_FLOOR:g} at t = "
+            f"{sol.t_events[0][0]:.6g} ns: requested efficiency is at or above "
+            "the bound for this envelope")
     if not sol.success:
         raise NumericError(f"phase integration failed: {sol.message}")
     return sol.sol

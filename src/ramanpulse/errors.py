@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the input number check."""
+
+import cmath
 
 
 class RamanPulseError(Exception):
@@ -9,12 +11,19 @@ class ValidationError(RamanPulseError, ValueError):
     """Invalid arguments, configuration, or input files."""
 
 
+def finite(value, name: str, kind=float):
+    """value converted by kind (float or complex); must be a finite number."""
+    try:
+        out = kind(value)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{name} must be a number, got {value!r}") from None
+    if not cmath.isfinite(out):
+        raise ValidationError(f"{name} must be finite, got {value!r}")
+    return out
+
+
 class DomainError(RamanPulseError, ValueError):
     """Operation is mathematically undefined for the given inputs."""
-
-
-class UnsupportedError(RamanPulseError):
-    """The requested computation path does not cover these inputs."""
 
 
 class NumericError(RamanPulseError, RuntimeError):

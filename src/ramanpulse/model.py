@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DomainError, ValidationError
+from .errors import DomainError, ValidationError, finite
 
 TWO_PI = 2.0 * math.pi
 
@@ -45,6 +45,8 @@ class RawRates:
     kappa_tilde: float = 0.0
 
     def __post_init__(self):
+        for field in fields(self):
+            finite(getattr(self, field.name), field.name)
         for name in ("gamma", "gamma_ph_e", "gamma_ph_1", "gamma_1to0",
                      "gamma_0to1", "kappa_tilde"):
             if getattr(self, name) < 0:
@@ -93,6 +95,8 @@ class EmitterParams:
     Delta: float = 0.0
 
     def __post_init__(self):
+        for field in fields(self):
+            finite(getattr(self, field.name), field.name)
         if self.g <= 0:
             raise ValidationError("coupling g must be > 0")
         if self.kappa <= 0:
@@ -100,8 +104,6 @@ class EmitterParams:
         for name in ("kappa_tilde", "gamma_tilde", "Gamma1", "Gamma2"):
             if getattr(self, name) < 0:
                 raise ValidationError(f"rate {name} must be >= 0")
-        if not math.isfinite(self.Delta):
-            raise ValidationError("detuning Delta must be finite")
 
 
 def emitter_from_raw(raw: RawRates, g: float, kappa: float, Delta: float = 0.0,
@@ -163,6 +165,8 @@ def params_from_dict(data: dict) -> tuple[EmitterParams, RawRates]:
     for key in ("g_GHz", "kappa_GHz"):
         if key not in data:
             raise ValidationError(f"missing required parameter {key}")
+    for key, value in data.items():
+        finite(value, f"parameter {key}")
     raw = RawRates(
         gamma=ghz(data.get("gamma_GHz", 0.0)),
         xi=float(data.get("xi_rad", 0.0)),

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, finite
 
 TWO_PI = 2.0 * math.pi
 
@@ -36,9 +36,11 @@ class CosineSeriesPulse:
     chirp: float = 0.0
 
     def __post_init__(self):
+        finite(self.T, "pulse duration T")
+        finite(self.chirp, "pulse chirp")
         if self.T <= 0:
             raise ValidationError("pulse duration T must be > 0")
-        coeffs = tuple(float(c) for c in self.coeffs)
+        coeffs = tuple(finite(c, "series coefficient") for c in self.coeffs)
         if len(coeffs) < 1:
             raise ValidationError("need at least one series coefficient")
         object.__setattr__(self, "coeffs", coeffs)
@@ -46,10 +48,6 @@ class CosineSeriesPulse:
     @property
     def order(self) -> int:
         return len(self.coeffs)
-
-    @property
-    def is_real(self) -> bool:
-        return self.chirp == 0.0
 
     def _eval(self, t, deriv: int):
         t = np.asarray(t, dtype=float)
@@ -175,9 +173,9 @@ class Envelope:
 
     def __init__(self, T, f, theta=None, df=None, d2f=None, dtheta=None,
                  d2theta=None, fd_step=None, _cumnorm=None):
-        if T <= 0:
+        self.T = finite(T, "envelope support T")
+        if self.T <= 0:
             raise ValidationError("envelope support T must be > 0")
-        self.T = float(T)
         h = fd_step if fd_step is not None else self.T * 1e-6
         self.f = f
         self.df = df if df is not None else self._fd1(f, h)

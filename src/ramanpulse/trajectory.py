@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bounds, depletion
-from .errors import DomainError, PoleError, ValidationError
+from .errors import DomainError, PoleError, ValidationError, finite
 from .model import EmitterParams
 from .pulse import CosineSeriesPulse, as_envelope, write_csv
 
@@ -30,7 +30,8 @@ class InitialState:
     beta0: complex = 0.0
 
     def __post_init__(self):
-        norm = abs(self.alpha0) ** 2 + abs(self.beta0) ** 2
+        norm = (abs(finite(self.alpha0, "alpha0", complex)) ** 2
+                + abs(finite(self.beta0, "beta0", complex)) ** 2)
         if abs(norm - 1.0) > 1e-9:
             raise ValidationError(
                 f"initial state must be normalized, got |a|^2+|b|^2 = {norm!r}")
@@ -70,7 +71,7 @@ class Trajectory:
 
 def max_efficiency(p: EmitterParams, env) -> float:
     """Efficiency bound for this envelope, via the fastest valid route."""
-    if isinstance(env, CosineSeriesPulse) and env.is_real:
+    if isinstance(env, CosineSeriesPulse):
         profile = depletion.analytic_profile(p, env)
     else:
         e = as_envelope(env)
@@ -84,15 +85,16 @@ class ClosedFormSolution:
 
     Exposes the amplitudes with the initial |1> amplitude divided out, plus
     the drive Omega(t); those are what the verification integrators need.
-    For a real series pulse G(t) is exact and, on resonance, so is the
-    phase, which makes the synthesized drive itself exact.
+    For a series pulse G(t) is exact and, with no phase source (resonant
+    cavity, zero chirp), so is the phase, which makes the synthesized drive
+    itself exact.
     """
 
     def __init__(self, p: EmitterParams, env, E: float):
         self.p = p
         self.pulse = env if isinstance(env, CosineSeriesPulse) else None
         self.env = as_envelope(env)
-        if E < 0:
+        if finite(E, "efficiency E") < 0:
             raise ValidationError("efficiency E must be >= 0")
         norm = float(self.env.cumulative_norm(self.env.T))
         if abs(norm - 1.0) > 1e-6:
@@ -105,22 +107,24 @@ class ClosedFormSolution:
                 f"target efficiency {E:.6g} exceeds the bound {self.E_max:.6g}")
         self._setup_g_phi()
 
-    # -- G(t) and phi(t): exact for a real series, else one ODE pass ---------
+    # -- G(t) and phi(t): exact for a series, else one ODE pass -------------
 
     def _setup_g_phi(self):
-        p, T = self.p, self.env.T
-        analytic = self.pulse is not None and self.pulse.is_real
-        if analytic:
-            self.G = lambda t: depletion.integrated_depletion_analytic(
-                p, self.pulse, t)
-            if p.Delta == 0.0 or self.E == 0.0:
-                # no phase source on resonance; the phase grows as E^2
+        p, T, pulse = self.p, self.env.T, self.pulse
+        if pulse is not None:
+            self.G = lambda t: depletion.integrated_depletion_analytic(p, pulse, t)
+            if self.E == 0.0 or (p.Delta == 0.0 and pulse.chirp == 0.0):
+                # no phase source; the phase grows as E^2
                 self.phi = lambda t: np.zeros_like(np.asarray(t, dtype=float))[()]
                 return
         dense = depletion.solve_g_phi(p, self.env, self.E, T)
-        if not analytic:
+        if pulse is None:
             self.G = lambda t: dense(np.clip(t, 0.0, T))[0][()]
         self.phi = lambda t: dense(np.clip(t, 0.0, T))[1][()]
+
+    def r2_min(self) -> float:
+        """Exact minimum of r^2, reached at the depletion maximum."""
+        return 1.0 - (self.E / self.E_max) ** 2
 
     # -- amplitudes with alpha0 divided out ----------------------------------
 
@@ -218,8 +222,7 @@ def closed_form_trajectory(p: EmitterParams, env, E: float,
     drive_valid = not drive_irrelevant
     Omega = np.zeros_like(grid, dtype=complex)
     if not drive_irrelevant:
-        r2min = float(np.min(np.asarray(cf.r2(grid))))
-        if r2min < 1e-10:
+        if cf.r2_min() < depletion.R2_FLOOR:
             drive_valid = False
         else:
             Omega = np.asarray(cf.Omega(grid), dtype=complex)
@@ -236,8 +239,7 @@ def drive_omega(p: EmitterParams, env, E: float, grid) -> np.ndarray:
     """Synthesized drive samples; raises PoleError too close to the bound."""
     grid = np.asarray(grid, dtype=float)
     cf = ClosedFormSolution(p, env, E)
-    r2min = float(np.min(np.asarray(cf.r2(grid)))) if grid.size else 1.0
-    if r2min < 1e-10:
+    if cf.r2_min() < depletion.R2_FLOOR:
         raise PoleError(
             "requested efficiency leaves no ground-state amplitude at the "
             "depletion maximum; reduce E relative to E_max")

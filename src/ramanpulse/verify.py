@@ -198,9 +198,6 @@ class DensityMatrix:
     def trace(self) -> float:
         return float(np.trace(self.matrix).real)
 
-    def herm_deviation(self) -> float:
-        return float(np.max(np.abs(self.matrix - self.matrix.conj().T)))
-
     def min_eigenvalue(self) -> float:
         return float(np.linalg.eigvalsh(0.5 * (self.matrix + self.matrix.conj().T))[0])
 

@@ -120,3 +120,28 @@ def test_verify_incomplete_synthesis_exit_code(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "efficiency" in err and "pulse" in err
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param('{"g_GHz": "six", "kappa_GHz": 30}', id="text"),
+    pytest.param('{"g_GHz": null, "kappa_GHz": 30}', id="null"),
+    pytest.param('{"g_GHz": 6, "kappa_GHz": Infinity}', id="infinity"),
+])
+def test_non_finite_params_exit_code(tmp_path, capsys, text):
+    bad = tmp_path / "params.json"
+    bad.write_text(text)
+    out = tmp_path / "out"
+    rc = main(["trajectory", "--params", str(bad), "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+    assert not (out / "trajectory.csv").exists()
+
+
+def test_trajectory_at_the_bound_exit_code(tmp_path, capsys):
+    # the 801-point grid misses the depletion maximum, where the drive diverges
+    rc = main(["trajectory", "--s", "1.0", "--out", str(tmp_path)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / "trajectory.csv").exists()

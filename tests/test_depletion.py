@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from hypothesis import given, settings, strategies as st
+
 from ramanpulse import (CosineSeriesPulse, DomainError, EmitterParams,
-                        Envelope, NumericError, UnsupportedError,
-                        ValidationError,
+                        Envelope, NumericError, ValidationError,
                         cooperativity, ghz, sin2_pulse)
 from ramanpulse import depletion, bounds
+from ramanpulse.trajectory import max_efficiency
 from ramanpulse.depletion import (analytic_profile, depletion_rate,
                                   family_integrals, h_integral,
                                   integrated_depletion_analytic,
@@ -190,10 +192,20 @@ def test_numeric_grid_validation(siv_params):
                                      np.array([0.1, 0.3]))
 
 
-def test_analytic_rejects_chirp(siv_params):
-    pl = CosineSeriesPulse(0.44, (1.0,), chirp=1.0)
-    with pytest.raises(UnsupportedError):
-        integrated_depletion_analytic(siv_params, pl, 0.2)
+def test_analytic_chirped_matches_quadrature():
+    # detuned, with unequal ground-state rates: a linear chirp only shifts two
+    # weights of d, so the closed form covers it exactly
+    p = EmitterParams(g=ghz(6), kappa=ghz(30), kappa_tilde=ghz(1.0),
+                      gamma_tilde=ghz(0.1), Gamma1=ghz(0.02), Gamma2=ghz(0.005),
+                      Delta=ghz(1.0))
+    for coeffs, chirp in (((1.0,), -7.0), ((1.0, 0.2), 2.5),
+                          ((1.0, -0.1, 0.05), 100.0)):
+        pl = CosineSeriesPulse(0.5, coeffs, chirp=chirp).normalize()
+        ts = np.linspace(0.0, pl.T, 21)[1:]
+        ana = integrated_depletion_analytic(p, pl, ts)
+        num = integrated_depletion_numeric(p, pl.envelope(), ts,
+                                           refine_max=False).G
+        assert np.max(np.abs(ana - num) / np.abs(num)) < 1e-10
 
 
 def test_phase_zero_on_resonance(siv_params):
@@ -253,6 +265,47 @@ def test_chirp_raises_integrated_depletion(siv_params):
             (siv_params.gamma_tilde - siv_params.Gamma1) * decay_int + boundary)
         expected.append(extra)
     assert np.max(np.abs((G1 - G0) - np.array(expected))) < 1e-8
+
+
+def test_phase_above_bound_detuned_domain_error():
+    # 1 - E^2 G reaches zero inside the grid: the solver's floor event stops
+    # the integration with DomainError instead of stalling into NumericError
+    p = EmitterParams(g=ghz(6), kappa=ghz(30), gamma_tilde=ghz(0.1),
+                      Delta=ghz(1.0))
+    env = sin2_pulse(0.44).envelope()
+    with pytest.raises(DomainError):
+        phase_evolution(p, env, E=1.5, t_grid=np.linspace(0, 0.44, 45))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(g=st.floats(2.0, 10.0), kappa=st.floats(5.0, 60.0),
+       gamma_tilde=st.floats(0.01, 1.0), gamma1_frac=st.floats(0.0, 1.0),
+       Gamma2=st.floats(0.0, 0.5), Delta=st.floats(-2.0, 2.0),
+       T=st.floats(0.1, 1.5),
+       ratios=st.lists(st.floats(-0.5, 0.5), min_size=0, max_size=2),
+       chirp=st.floats(-100.0, 100.0), frac=st.floats(0.05, 1.0))
+def test_chirp_adds_depletion(g, kappa, gamma_tilde, gamma1_frac, Gamma2,
+                              Delta, T, ratios, chirp, frac):
+    # for gamma_tilde >= Gamma1 a chirp only adds depletion, by the
+    # partial-integration identity of test_chirp_raises_integrated_depletion
+    p = EmitterParams(g=ghz(g), kappa=ghz(kappa), gamma_tilde=ghz(gamma_tilde),
+                      Gamma1=gamma1_frac * ghz(gamma_tilde), Gamma2=ghz(Gamma2),
+                      Delta=ghz(Delta))
+    real = CosineSeriesPulse(T, (1.0, *ratios)).normalize()
+    chirped = CosineSeriesPulse(T, real.coeffs, chirp=chirp)
+    t = frac * T
+    G0 = float(integrated_depletion_analytic(p, real, t))
+    G1 = float(integrated_depletion_analytic(p, chirped, t))
+    gamma = p.Gamma1 - p.Gamma2
+    decay_int, _ = quad(lambda x: math.exp(gamma * x) * real.f(x) ** 2, 0, t,
+                        epsabs=1e-13, epsrel=1e-12)
+    extra = (chirp ** 2 / (p.kappa * p.g ** 2)) * (
+        (p.gamma_tilde - p.Gamma1) * decay_int
+        + math.exp(gamma * t) * real.f(t) ** 2)
+    # rounding allowances only matter for chirps near zero
+    assert G1 - G0 >= -1e-13 * abs(G0)
+    assert abs((G1 - G0) - extra) <= 1e-9 * max(1.0, extra)
+    assert max_efficiency(p, chirped) <= max_efficiency(p, real) * (1 + 1e-12)
 
 
 def test_chirp_lowers_efficiency_bound(siv_params):

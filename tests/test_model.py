@@ -4,11 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from ramanpulse import (EmitterParams, LabFrameParams, RawRates,
+from ramanpulse import (CosineSeriesPulse, EmitterParams, Envelope,
+                        InitialState, LabFrameParams, RawRates,
                         ValidationError, DomainError, combine_rates,
                         cooperativity, emitter_from_raw, ghz, load_params,
                         params_from_dict, to_lab_frame_drive,
-                        to_rotating_frame_drive)
+                        sin2_pulse, to_rotating_frame_drive)
+from ramanpulse.trajectory import ClosedFormSolution
 
 
 def test_combine_identity():
@@ -140,3 +142,38 @@ def test_emitter_from_raw_matches_combination(siv_raw):
     assert p.gamma_tilde == comb.gamma_tilde
     assert p.Gamma1 == comb.Gamma1
     assert p.Gamma2 == comb.Gamma2
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: EmitterParams(g=NAN, kappa=1.0), id="params-g-nan"),
+    pytest.param(lambda: EmitterParams(g=1.0, kappa=INF), id="params-kappa-inf"),
+    pytest.param(lambda: EmitterParams(g=1.0, kappa=1.0, Gamma1=INF),
+                 id="params-Gamma1-inf"),
+    pytest.param(lambda: EmitterParams(g=1.0, kappa=1.0, Delta=NAN),
+                 id="params-Delta-nan"),
+    pytest.param(lambda: EmitterParams(g="six", kappa=1.0), id="params-g-text"),
+    pytest.param(lambda: EmitterParams(g=None, kappa=1.0), id="params-g-none"),
+    pytest.param(lambda: RawRates(gamma=INF), id="raw-gamma-inf"),
+    pytest.param(lambda: RawRates(kappa_tilde=NAN), id="raw-kappa_tilde-nan"),
+    pytest.param(lambda: CosineSeriesPulse(INF, (1.0,)), id="pulse-T-inf"),
+    pytest.param(lambda: CosineSeriesPulse(NAN, (1.0,)), id="pulse-T-nan"),
+    pytest.param(lambda: CosineSeriesPulse(0.5, (1.0, NAN)), id="pulse-coeff-nan"),
+    pytest.param(lambda: CosineSeriesPulse(0.5, ("one",)), id="pulse-coeff-text"),
+    pytest.param(lambda: CosineSeriesPulse(0.5, (1.0,), chirp=INF),
+                 id="pulse-chirp-inf"),
+    pytest.param(lambda: Envelope(T=INF, f=np.sin), id="envelope-T-inf"),
+    pytest.param(lambda: Envelope(T=NAN, f=np.sin), id="envelope-T-nan"),
+    pytest.param(lambda: InitialState(NAN, 0.0), id="state-alpha0-nan"),
+    pytest.param(lambda: InitialState(1.0, complex(0.0, INF)),
+                 id="state-beta0-inf"),
+    pytest.param(lambda: InitialState(None), id="state-alpha0-none"),
+    pytest.param(lambda: ClosedFormSolution(EmitterParams(g=1.0, kappa=1.0),
+                                            sin2_pulse(0.5), NAN),
+                 id="synthesis-E-nan"),
+])
+def test_non_finite_input_rejected(build):
+    with pytest.raises(ValidationError):
+        build()

@@ -93,6 +93,19 @@ def test_pole_error_at_the_bound(setup):
         drive_omega(p, pl, E_max, grid)
 
 
+def test_drive_invalid_at_the_bound_off_grid(setup):
+    # r^2 is checked at the depletion maximum, not only on the sampled grid
+    p, pl, E_max, _ = setup
+    prof = depletion.analytic_profile(p, pl)
+    grid = np.linspace(0.0, 0.44, 801)
+    assert np.min(np.abs(grid - prof.argmax_t)) > 0.0
+    traj = closed_form_trajectory(p, pl, E_max, InitialState(1.0), grid)
+    assert not traj.drive_valid
+    assert np.all(traj.Omega == 0.0)
+    with pytest.raises(PoleError):
+        drive_omega(p, pl, E_max, grid)
+
+
 def test_efficiency_above_bound_rejected(setup):
     p, pl, E_max, grid = setup
     with pytest.raises(DomainError):
@@ -165,7 +178,7 @@ def test_trajectory_csv(tmp_path, setup):
 
 
 def test_zero_efficiency_chirped_G_matches_quadrature(siv_params):
-    # at E = 0 the (G, phi) ODE carries G alone and leaves phi exactly zero
+    # G is closed-form for a chirped series, and phi is exactly zero at E = 0
     pl = CosineSeriesPulse(0.5, (1.0, 0.1), chirp=2.5).normalize()
     grid = np.linspace(0.0, pl.T, 401)
     cf = ClosedFormSolution(siv_params, pl, 0.0)
