@@ -217,6 +217,16 @@ def cmd_trajectory(args) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
+def _complex_pair(value, name: str) -> complex:
+    """A complex number stored as a [re, im] list of two numbers."""
+    if not (isinstance(value, list) and len(value) == 2
+            and all(isinstance(x, (int, float)) and not isinstance(x, bool)
+                    for x in value)):
+        raise ValidationError(
+            f"synthesis {name} must be a [re, im] pair of numbers, got {value!r}")
+    return complex(*value)
+
+
 def cmd_verify(args) -> int:
     syn = read_json_object(args.synthesis, "synthesis file")
     missing = [key for key in ("params", "pulse", "efficiency", "alpha0", "beta0")
@@ -227,8 +237,8 @@ def cmd_verify(args) -> int:
     p, raw = params_from_dict(syn["params"])
     pl = CosineSeriesPulse.from_dict(syn["pulse"]).normalize()
     E = float(syn["efficiency"])
-    a0 = complex(*syn["alpha0"])
-    b0 = complex(*syn["beta0"])
+    a0 = _complex_pair(syn["alpha0"], "alpha0")
+    b0 = _complex_pair(syn["beta0"], "beta0")
     init = InitialState(a0, b0)
     out = _out_dir(args)
 

@@ -8,8 +8,8 @@ v = exp(i theta) f turns the ground-state dynamics into
 with a depletion rate d(t) that is a closed-form expression in f, theta,
 their first two derivatives, and the system rates. d is independent of the
 detuning and of the target efficiency E. G(t) = int_0^t d is available on
-two routes: adaptive quadrature of d for arbitrary envelopes, and exact
-term-wise integrals for the cosine series, whose linear chirp only shifts
+two routes: adaptive quadrature of d for arbitrary envelopes, and an exact
+sum over harmonics for the cosine series, whose linear chirp only shifts
 two of the five weights of d. The running maximum of G
 sets the efficiency bound, so it is located with a grid scan plus
 golden-section refinement. The drive phase phi(t) is integrated together
@@ -97,14 +97,17 @@ def depletion_rate(p: EmitterParams, env, t):
     """
     env = as_envelope(env)
     t = np.asarray(t, dtype=float)
-    w_ff, w_fdf, w_dfdf, w_fddf, w_dfddf = _rate_weights(
-        p, np.asarray(env.dtheta(t)), np.asarray(env.d2theta(t)))
-    f = np.asarray(env.f(t))
-    df = np.asarray(env.df(t))
-    d2f = np.asarray(env.d2f(t))
+    f, df, d2f = (np.asarray(x) for x in env.evaluate(t))
+    return _rate(p, t, f, df, d2f, np.asarray(env.dtheta(t)),
+                 np.asarray(env.d2theta(t)))[()]
+
+
+def _rate(p: EmitterParams, t, f, df, d2f, dth, d2th):
+    """d(t) from the envelope amplitude and phase derivatives at t."""
+    w_ff, w_fdf, w_dfdf, w_fddf, w_dfddf = _rate_weights(p, dth, d2th)
     base = (w_ff * f ** 2 + w_fddf * f * d2f + w_dfddf * df * d2f
             + w_fdf * f * df + w_dfdf * df ** 2)
-    return (np.exp((p.Gamma1 - p.Gamma2) * t) * base)[()]
+    return np.exp((p.Gamma1 - p.Gamma2) * t) * base
 
 
 # ---------------------------------------------------------------------------
@@ -117,33 +120,33 @@ def depletion_rate(p: EmitterParams, env, t):
 # h is even and u odd in the frequency index; h_0 is the plain exponential
 # integral. The five families below were re-derived from the product-to-sum
 # identities and are cross-checked against quadrature in the test suite.
+# Each family is a fixed linear combination of the rows h_k, u_k, so a pulse
+# contracts the combinations with its weights and coefficients once, and
+# G(t) = sum_k A_k h_k(t) + B_k u_k(t) costs one row of h and u per time.
 # ---------------------------------------------------------------------------
+
+
+def _helper_integrals(omega, t, Gamma: float):
+    """h + i u at every frequency of the 1-d array omega and every time t.
+
+    h + i u = int_0^t e^(z tau) dtau = expm1(z t) / z with z = Gamma + i omega,
+    and t itself at z = 0. Complex, of shape omega.shape + t.shape.
+    """
+    z = Gamma + 1j * np.asarray(omega, dtype=float)
+    t = np.asarray(t, dtype=float)
+    z = z.reshape(z.shape + (1,) * t.ndim)
+    pole = z == 0.0
+    return np.where(pole, t, np.expm1(z * t) / np.where(pole, 1.0, z))
 
 
 def h_integral(omega: float, t, Gamma: float):
     """h(omega, t) = int_0^t exp(Gamma tau) cos(omega tau) dtau."""
-    t = np.asarray(t, dtype=float)
-    if Gamma == 0.0:
-        if omega == 0.0:
-            return t.copy()[()]
-        return (np.sin(omega * t) / omega)[()]
-    if omega == 0.0:
-        return (np.expm1(Gamma * t) / Gamma)[()]
-    den = Gamma * Gamma + omega * omega
-    eg = np.exp(Gamma * t)
-    return ((eg * (omega * np.sin(omega * t) + Gamma * np.cos(omega * t)) - Gamma) / den)[()]
+    return _helper_integrals([omega], t, Gamma)[0].real[()]
 
 
 def u_integral(omega: float, t, Gamma: float):
     """u(omega, t) = int_0^t exp(Gamma tau) sin(omega tau) dtau."""
-    t = np.asarray(t, dtype=float)
-    if omega == 0.0:
-        return np.zeros_like(t)[()]
-    if Gamma == 0.0:
-        return ((1.0 - np.cos(omega * t)) / omega)[()]
-    den = Gamma * Gamma + omega * omega
-    eg = np.exp(Gamma * t)
-    return ((omega + eg * (Gamma * np.sin(omega * t) - omega * np.cos(omega * t))) / den)[()]
+    return _helper_integrals([omega], t, Gamma)[0].imag[()]
 
 
 @dataclass
@@ -167,44 +170,51 @@ class AnalyticGTerms:
     U: np.ndarray
 
 
+def _harmonic_coefficients(T: float, order: int, weights) -> np.ndarray:
+    """The weighted sum of the five families on the helper integrals.
+
+    For the weights (w1..w5) of I1..I5 returns C of shape
+    (order, order, 2K), K = 2 order + 1, with
+    sum_f w_f I_f(t)[n, m] = sum_k C[n, m, k] h_k(t) + C[n, m, K + k] u_k(t).
+    By the product-to-sum identities
+        I1 = h_0 - h_n - h_m + (h_|m-n| + h_(m+n)) / 2
+        I2 = w_m (u_m - u_(m+n) / 2 - sgn(m - n) u_|m-n| / 2)
+        I3 = w_n w_m (h_|m-n| - h_(m+n)) / 2
+        I4 = w_m^2 (2 h_m - h_|m-n| - h_(m+n)) / 2
+        I5 = w_n w_m^2 (u_(m+n) - sgn(m - n) u_|m-n|) / 2
+    (u is odd in the frequency, h even), collected per helper integral.
+    """
+    w1, w2, w3, w4, w5 = weights
+    K = 2 * order + 1
+    n, m = np.indices((order, order)) + 1
+    wn, wm = TWO_PI * n / T, TWO_PI * m / T
+    dk, sk = np.abs(m - n), m + n
+    a, b, c = np.full(n.shape, w1), 0.5 * w3 * wn * wm, 0.5 * w4 * wm * wm
+    du, su = 0.5 * w2 * wm, 0.5 * w5 * wn * wm * wm
+    columns = (0 * n, n, m, dk, sk, K + m, K + sk, K + dk)
+    values = (a, -a, 2.0 * c - a, 0.5 * a + b - c, 0.5 * a - b - c,
+              2.0 * du, su - du, -np.sign(m - n) * (du + su))
+    rows = 2 * K * np.arange(order * order).reshape(order, order)
+    C = np.bincount((rows + np.stack(columns)).ravel(),
+                    np.stack(values).ravel(),
+                    order * order * 2 * K)
+    return C.reshape(order, order, 2 * K)
+
+
+def _helper_rows(T: float, Gamma: float, order: int, t) -> np.ndarray:
+    """h_0..h_2L stacked over u_0..u_2L at the 1-d times t: (2 (2L + 1), nt)."""
+    hu = _helper_integrals(TWO_PI * np.arange(2 * order + 1) / T,
+                           np.atleast_1d(t), Gamma)
+    return np.concatenate([hu.real, hu.imag])
+
+
 def family_integrals(T: float, Gamma: float, order: int, t) -> AnalyticGTerms:
     """Evaluate the five integral families on a time array."""
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    nt = t.size
-    kmax = 2 * order
-    H = np.empty((kmax + 1, nt))
-    U = np.empty((kmax + 1, nt))
-    for k in range(kmax + 1):
-        w = TWO_PI * k / T
-        H[k] = np.atleast_1d(h_integral(w, t, Gamma))
-        U[k] = np.atleast_1d(u_integral(w, t, Gamma))
-
-    def w_of(k):
-        return TWO_PI * k / T
-
-    I1 = np.empty((nt, order, order))
-    I2 = np.empty_like(I1)
-    I3 = np.empty_like(I1)
-    I4 = np.empty_like(I1)
-    I5 = np.empty_like(I1)
-    E0 = H[0]
-    for i in range(order):
-        n = i + 1
-        for j in range(order):
-            m = j + 1
-            wn, wm = w_of(n), w_of(m)
-            dk = abs(m - n)
-            sgn = float(np.sign(m - n))
-            sk = m + n
-            # u at the difference frequency is odd, h is even
-            u_diff = sgn * U[dk]
-            I1[:, i, j] = E0 - H[n] - H[m] + 0.5 * (H[dk] + H[sk])
-            I2[:, i, j] = wm * (U[m] - 0.5 * U[sk] - 0.5 * u_diff)
-            I3[:, i, j] = 0.5 * wn * wm * (H[dk] - H[sk])
-            I4[:, i, j] = 0.5 * wm * wm * (2.0 * H[m] - H[dk] - H[sk])
-            I5[:, i, j] = 0.5 * wn * wm * wm * (U[sk] - u_diff)
-    return AnalyticGTerms(T=T, Gamma=Gamma, I1=I1, I2=I2, I3=I3, I4=I4, I5=I5,
-                          H=H, U=U)
+    HU = _helper_rows(T, Gamma, order, t)
+    C = np.stack([_harmonic_coefficients(T, order, unit) for unit in np.eye(5)])
+    fams = np.moveaxis(C @ HU, -1, 1)
+    H, U = np.split(HU, 2)
+    return AnalyticGTerms(T, Gamma, *fams, H=H, U=U)
 
 
 def g_matrix(p: EmitterParams, T: float, order: int, t,
@@ -215,23 +225,39 @@ def g_matrix(p: EmitterParams, T: float, order: int, t,
     grid optimizers can reuse one X per duration for every candidate. A
     linear chirp theta = chirp * t only shifts two of the five weights.
     """
-    w_ff, w_fdf, w_dfdf, w_fddf, w_dfddf = _rate_weights(p, chirp)
-    fam = family_integrals(T, p.Gamma1 - p.Gamma2, order, t)
-    return (w_ff * fam.I1 + w_fdf * fam.I2 + w_dfdf * fam.I3
-            + w_fddf * fam.I4 + w_dfddf * fam.I5)
+    C = _harmonic_coefficients(T, order, _rate_weights(p, chirp))
+    HU = _helper_rows(T, p.Gamma1 - p.Gamma2, order, t)
+    return (HU.T @ C.reshape(order * order, -1).T).reshape(-1, order, order)
+
+
+def series_g(p: EmitterParams, pulse: CosineSeriesPulse):
+    """G(t) of one series pulse as the callable sum_k A_k h_k(t) + B_k u_k(t).
+
+    The weights, the family coefficients and v x v are contracted here,
+    once, into the 2 (2L + 1) coefficients (A, B); each call then costs one
+    row of helper integrals. t is clipped to [0, T]: d vanishes beyond the
+    support, so G stays constant there.
+    """
+    if not isinstance(pulse, CosineSeriesPulse):
+        raise ValidationError("analytic G needs a CosineSeriesPulse")
+    v = np.asarray(pulse.coeffs)
+    C = _harmonic_coefficients(pulse.T, pulse.order, _rate_weights(p, pulse.chirp))
+    A, B = np.split(np.einsum("n,nmk,m->k", v, C, v), 2)
+    coeffs = A - 1j * B  # A h + B u = Re[(A - i B)(h + i u)]
+    omega = TWO_PI * np.arange(A.size) / pulse.T
+    gamma = p.Gamma1 - p.Gamma2
+
+    def G(t):
+        tt = np.clip(np.asarray(t, dtype=float), 0.0, pulse.T)
+        hu = _helper_integrals(omega, tt.ravel(), gamma)
+        return (coeffs @ hu).real.reshape(tt.shape)[()]
+
+    return G
 
 
 def integrated_depletion_analytic(p: EmitterParams, pulse: CosineSeriesPulse, t):
-    """G(t) by the exact term-wise route, chirped or not."""
-    if not isinstance(pulse, CosineSeriesPulse):
-        raise ValidationError("analytic G needs a CosineSeriesPulse")
-    scalar = np.ndim(t) == 0
-    # d vanishes beyond the support, so clipping to [0, T] freezes G there
-    tt = np.clip(np.atleast_1d(np.asarray(t, dtype=float)), 0.0, pulse.T)
-    X = g_matrix(p, pulse.T, pulse.order, tt, pulse.chirp)
-    v = np.asarray(pulse.coeffs)
-    out = np.einsum("tnm,n,m->t", X, v, v)
-    return out[0] if scalar else out
+    """G(t) by the exact per-harmonic route, chirped or not."""
+    return series_g(p, pulse)(t)
 
 
 def _golden_max(fun, lo: float, hi: float, tol: float):
@@ -273,12 +299,11 @@ def analytic_profile(p: EmitterParams, pulse: CosineSeriesPulse,
     if grid is None:
         grid = np.linspace(0.0, pulse.T, n_search)
     grid = np.asarray(grid, dtype=float)
-    G = np.atleast_1d(integrated_depletion_analytic(p, pulse, grid))
+    G_of = series_g(p, pulse)
+    G = np.atleast_1d(G_of(grid))
     d = np.atleast_1d(depletion_rate(p, pulse.envelope(), grid))
     ts = np.linspace(0.0, pulse.T, n_search)
-    gmax, targ = _refine_max(
-        ts, np.asarray(integrated_depletion_analytic(p, pulse, ts)),
-        lambda j, s: float(integrated_depletion_analytic(p, pulse, s)))
+    gmax, targ = _refine_max(ts, G_of(ts), lambda j, s: float(G_of(s)))
     gmax = max(gmax, float(G.max()))
     return DepletionProfile(grid=grid, d=d, G=G, G_max=gmax, argmax_t=targ)
 
@@ -317,6 +342,14 @@ def integrated_depletion_numeric(p: EmitterParams, env, t_grid,
         return val
 
     ts = np.linspace(0.0, env.T, n_search) if refine_max else np.empty(0)
+    if ts.size:
+        # a search node within 1e-9 T of an output node (such as i T/100
+        # and 10 i T/1000, an ulp apart) is that node: one quad call per time
+        right = np.clip(np.searchsorted(grid, ts), 0, grid.size - 1)
+        left = np.maximum(right - 1, 0)
+        near = np.where(np.abs(grid[left] - ts) < np.abs(grid[right] - ts),
+                        grid[left], grid[right])
+        ts = np.where(np.abs(near - ts) <= 1e-9 * env.T, near, ts)
     nodes = np.union1d(grid, ts)
     G_nodes = np.cumsum([segment(a, b)
                          for a, b in zip(np.r_[0.0, nodes[:-1]], nodes)])
@@ -355,9 +388,7 @@ def solve_g_phi(p: EmitterParams, env, E: float, t_end: float):
             raise DomainError(
                 "r^2 = 1 - E^2 G(t) reached zero: requested efficiency exceeds "
                 "the bound for this envelope")
-        f = float(env.f(t))
-        df = float(env.df(t))
-        d2f = float(env.d2f(t))
+        f, df, d2f = (float(x) for x in env.evaluate(t))
         dth = float(env.dtheta(t))
         d2th = float(env.d2theta(t))
         phi_num = (
@@ -368,7 +399,7 @@ def solve_g_phi(p: EmitterParams, env, E: float, t_end: float):
                + (Delta * dth ** 2 - g2 * dth + dth ** 3) / p.kappa) * f ** 2
         )
         dphi = E * E * math.exp(gamma * t) * phi_num / (g2 * r2)
-        return [float(depletion_rate(p, env, t)), dphi]
+        return [float(_rate(p, t, f, df, d2f, dth, d2th)), dphi]
 
     def emptied(t, y):
         return 1.0 - E * E * y[0] - R2_FLOOR

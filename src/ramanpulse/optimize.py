@@ -130,13 +130,16 @@ def _scan(p: EmitterParams, T_values, ratio_axes, constrained: bool,
     sums = V.sum(axis=1)
     squares = (V ** 2).sum(axis=1)
     tau = np.linspace(0.0, 1.0, n_grid)
+    path = None  # every duration has the same shapes: one contraction path
     for T in T_values:
         if (max_candidates is not None
                 and state["evaluations"] + ncand > max_candidates):
             state["partial"] = True
             return
         X = depletion.g_matrix(p, T, ncoef, tau * T)
-        raw_G = np.einsum("tnm,cn,cm->ct", X, V, V, optimize=True)
+        if path is None:
+            path = np.einsum_path("tnm,cn,cm->ct", X, V, V, optimize=True)[0]
+        raw_G = np.einsum("tnm,cn,cm->ct", X, V, V, optimize=path)
         norms = T * (sums ** 2 + 0.5 * squares)
         gmax = raw_G.max(axis=1) / norms
         obj = 1.0 / (np.exp(p.Gamma2 * T) * gmax)

@@ -44,39 +44,57 @@ class CosineSeriesPulse:
         if len(coeffs) < 1:
             raise ValidationError("need at least one series coefficient")
         object.__setattr__(self, "coeffs", coeffs)
+        # per-pulse constants, not dataclass fields: the harmonic frequencies
+        # w_k = 2 pi k / T, k = 1..2L; the weights v_n, v_n w_n and v_n w_n^2
+        # of f, f' and f'' (see _eval); and c_0, c_k / w_k of int_0^t f^2,
+        # from f_n f_m = 1 - cos w_n t - cos w_m t
+        #                + (cos w_|n-m| t + cos w_(n+m) t) / 2
+        L = len(coeffs)
+        v = np.asarray(coeffs)
+        w = TWO_PI * np.arange(1, 2 * L + 1) / self.T
+        vw = v * w[:L]
+        n = np.arange(1, L + 1)
+        pair = 0.5 * np.outer(v, v).ravel()
+        c = (np.bincount(np.abs(n[:, None] - n).ravel(), pair, 2 * L + 1)
+             + np.bincount((n[:, None] + n).ravel(), pair, 2 * L + 1))
+        c[0] += v.sum() ** 2
+        c[1:L + 1] -= 2.0 * v * v.sum()
+        object.__setattr__(self, "_w", w)
+        object.__setattr__(self, "_jet_weights", (v, vw, vw * w[:L]))
+        object.__setattr__(self, "_norm_weights", (c[0], c[1:] / w))
 
     @property
     def order(self) -> int:
         return len(self.coeffs)
 
-    def _eval(self, t, deriv: int):
+    def _eval(self, t):
+        """f, f' and f'' at t in one pass over the harmonics.
+
+        Zeros outside [0, T]. The derivatives of 1 - cos(w t) are w sin(w t)
+        and w^2 cos(w t); f itself uses the half-angle identity
+        1 - cos x = 2 sin^2(x / 2), stable for small w t.
+        """
         t = np.asarray(t, dtype=float)
         inside = (t >= 0.0) & (t <= self.T)
-        tt = np.where(inside, t, 0.0)
-        out = np.zeros_like(tt)
-        for n, v in enumerate(self.coeffs, start=1):
-            w = TWO_PI * n / self.T
-            if deriv == 0:
-                # 1 - cos via the half-angle identity, stable for small w*t
-                out += v * 2.0 * np.sin(0.5 * w * tt) ** 2
-            elif deriv == 1:
-                out += v * w * np.sin(w * tt)
-            else:
-                out += v * w * w * np.cos(w * tt)
-        return np.where(inside, out, 0.0)[()]
+        wt = np.multiply.outer(np.where(inside, t, 0.0), self._w[:self.order])
+        half = np.sin(0.5 * wt)
+        v, vw, vw2 = self._jet_weights
+        f, df, d2f = np.where(inside, (2.0 * (half * half) @ v, np.sin(wt) @ vw,
+                                       np.cos(wt) @ vw2), 0.0)
+        return f[()], df[()], d2f[()]
 
     def f(self, t):
-        return self._eval(t, 0)
+        return self._eval(t)[0]
 
     def df(self, t):
-        return self._eval(t, 1)
+        return self._eval(t)[1]
 
     def d2f(self, t):
-        return self._eval(t, 2)
+        return self._eval(t)[2]
 
     def evaluate(self, t):
         """Amplitude and its first two derivatives at t (zeros outside [0, T])."""
-        return self.f(t), self.df(t), self.d2f(t)
+        return self._eval(t)
 
     def theta(self, t):
         return self.chirp * np.asarray(t, dtype=float)[()]
@@ -104,29 +122,20 @@ class CosineSeriesPulse:
     def cumulative_norm(self, t):
         """int_0^t f(tau)^2 dtau, exact; constant for t beyond T.
 
-        The closed form loses all significant digits for w_max t << 1
-        (the integral scales as t^5 against terms of size t), so a power
-        series in t takes over there.
+        The product-to-sum identities turn f^2 into a sum over the
+        harmonics k = 0..2L, so the integral is c_0 t plus a sum of
+        c_k sin(w_k t) / w_k. That closed form loses all significant digits
+        for w_max t << 1 (the integral scales as t^5 against terms of size
+        t), so a power series in t takes over there.
         """
         t = np.asarray(t, dtype=float)
         tt = np.clip(t, 0.0, self.T)
+        c0, weights = self._norm_weights
+        total = c0 * tt + np.sin(np.multiply.outer(tt, self._w)) @ weights
 
-        def sint(k):
-            if k == 0:
-                return tt.copy() if isinstance(tt, np.ndarray) else tt
-            w = TWO_PI * k / self.T
-            return np.sin(w * tt) / w
-
-        total = np.zeros_like(tt)
-        for n, vn in enumerate(self.coeffs, start=1):
-            for m, vm in enumerate(self.coeffs, start=1):
-                term = tt - sint(n) - sint(m) + 0.5 * (sint(abs(m - n)) + sint(m + n))
-                total = total + vn * vm * term
-
-        w_max = TWO_PI * len(self.coeffs) / self.T
-        small = tt * w_max < 0.05
+        ws = self._w[:self.order]
+        small = tt * ws[-1] < 0.05
         if np.any(small):
-            ws = TWO_PI * np.arange(1, len(self.coeffs) + 1) / self.T
             v = np.asarray(self.coeffs)
             a = float(np.sum(v * ws ** 2)) / 2.0
             b = -float(np.sum(v * ws ** 4)) / 24.0
@@ -140,7 +149,8 @@ class CosineSeriesPulse:
     def envelope(self) -> "Envelope":
         return Envelope(T=self.T, f=self.f, df=self.df, d2f=self.d2f,
                         theta=self.theta, dtheta=self.dtheta,
-                        d2theta=self.d2theta, _cumnorm=self.cumulative_norm)
+                        d2theta=self.d2theta, _cumnorm=self.cumulative_norm,
+                        _evaluate=self._eval)
 
     def to_dict(self) -> dict:
         theta = {"type": "none"} if self.chirp == 0.0 else \
@@ -172,7 +182,7 @@ class Envelope:
     """
 
     def __init__(self, T, f, theta=None, df=None, d2f=None, dtheta=None,
-                 d2theta=None, fd_step=None, _cumnorm=None):
+                 d2theta=None, fd_step=None, _cumnorm=None, _evaluate=None):
         self.T = finite(T, "envelope support T")
         if self.T <= 0:
             raise ValidationError("envelope support T must be > 0")
@@ -189,6 +199,7 @@ class Envelope:
             self.dtheta = dtheta if dtheta is not None else self._fd1(theta, h)
             self.d2theta = d2theta if d2theta is not None else self._fd2(theta, h)
         self._cumnorm = _cumnorm
+        self._evaluate = _evaluate
 
     @staticmethod
     def _fd1(fun, h):
@@ -203,6 +214,12 @@ class Envelope:
             t = np.asarray(t, dtype=float)
             return ((fun(t + h) - 2.0 * fun(t) + fun(t - h)) / (h * h))[()]
         return deriv
+
+    def evaluate(self, t):
+        """f, f' and f'' at t; one pass for a series, else three calls."""
+        if self._evaluate is not None:
+            return self._evaluate(t)
+        return self.f(t), self.df(t), self.d2f(t)
 
     def v(self, t):
         """Complex envelope exp(i theta) f."""

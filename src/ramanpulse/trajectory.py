@@ -112,7 +112,7 @@ class ClosedFormSolution:
     def _setup_g_phi(self):
         p, T, pulse = self.p, self.env.T, self.pulse
         if pulse is not None:
-            self.G = lambda t: depletion.integrated_depletion_analytic(p, pulse, t)
+            self.G = depletion.series_g(p, pulse)
             if self.E == 0.0 or (p.Delta == 0.0 and pulse.chirp == 0.0):
                 # no phase source; the phase grows as E^2
                 self.phi = lambda t: np.zeros_like(np.asarray(t, dtype=float))[()]
@@ -129,40 +129,41 @@ class ClosedFormSolution:
     # -- amplitudes with alpha0 divided out ----------------------------------
 
     def r2(self, t):
-        return np.maximum(1.0 - self.E ** 2 * np.asarray(self.G(t)), 0.0)[()]
+        return np.maximum(1.0 - self.E ** 2 * self.G(t), 0.0)[()]
 
-    def _v(self, t, deriv=0):
+    def _v(self, t):
+        """v, v' and v'' at t from one evaluation of the envelope."""
         env = self.env
-        f = np.asarray(env.f(t))
-        th = np.asarray(env.theta(t))
-        ph = np.exp(1j * th)
-        if deriv == 0:
-            return ph * f
-        df = np.asarray(env.df(t))
-        dth = np.asarray(env.dtheta(t))
-        if deriv == 1:
-            return ph * (df + 1j * dth * f)
-        d2f = np.asarray(env.d2f(t))
-        d2th = np.asarray(env.d2theta(t))
-        return ph * (d2f + 2j * dth * df + 1j * d2th * f - dth ** 2 * f)
+        f, df, d2f = env.evaluate(t)
+        ph = np.exp(1j * env.theta(t))
+        dth, d2th = env.dtheta(t), env.d2theta(t)
+        return (ph * f, ph * (df + 1j * dth * f),
+                ph * (d2f + 2j * dth * df + 1j * d2th * f - dth ** 2 * f))
+
+    def _eta_jet(self, t):
+        """eta, eta' and eta''."""
+        p = self.p
+        v, dv, d2v = self._v(t)
+        scale = (self.E * np.exp(-0.5 * p.Gamma2 * np.asarray(t, dtype=float))
+                 / math.sqrt(p.kappa))
+        return (scale * v, scale * (dv - 0.5 * p.Gamma2 * v),
+                scale * (d2v - p.Gamma2 * dv + 0.25 * p.Gamma2 ** 2 * v))
+
+    def _zeta_jet(self, t):
+        """eta, zeta and zeta'."""
+        p = self.p
+        eta, deta, d2eta = self._eta_jet(t)
+        a = (p.Gamma2 + p.kappa + p.kappa_tilde) / (2.0 * p.g)
+        return eta, a * eta + deta / p.g, a * deta + d2eta / p.g
 
     def eta(self, t):
-        p = self.p
-        decay = np.exp(-0.5 * p.Gamma2 * np.asarray(t, dtype=float))
-        return (self.E * decay * self._v(t) / math.sqrt(p.kappa))[()]
+        return self._eta_jet(t)[0][()]
 
     def deta(self, t):
-        p = self.p
-        decay = np.exp(-0.5 * p.Gamma2 * np.asarray(t, dtype=float))
-        return (self.E * decay * (self._v(t, 1) - 0.5 * p.Gamma2 * self._v(t))
-                / math.sqrt(p.kappa))[()]
+        return self._eta_jet(t)[1][()]
 
     def d2eta(self, t):
-        p = self.p
-        decay = np.exp(-0.5 * p.Gamma2 * np.asarray(t, dtype=float))
-        core = (self._v(t, 2) - p.Gamma2 * self._v(t, 1)
-                + 0.25 * p.Gamma2 ** 2 * self._v(t))
-        return (self.E * decay * core / math.sqrt(p.kappa))[()]
+        return self._eta_jet(t)[2][()]
 
     def lam(self, t):
         p = self.p
@@ -171,27 +172,23 @@ class ClosedFormSolution:
         return (self.E * decay * cum)[()]
 
     def zeta(self, t):
-        p = self.p
-        a = (p.Gamma2 + p.kappa + p.kappa_tilde) / (2.0 * p.g)
-        return (a * np.asarray(self.eta(t)) + np.asarray(self.deta(t)) / p.g)[()]
+        return self._zeta_jet(t)[1][()]
 
     def dzeta(self, t):
-        p = self.p
-        a = (p.Gamma2 + p.kappa + p.kappa_tilde) / (2.0 * p.g)
-        return (a * np.asarray(self.deta(t)) + np.asarray(self.d2eta(t)) / p.g)[()]
+        return self._zeta_jet(t)[2][()]
 
     def alpha(self, t):
         p = self.p
         t_arr = np.asarray(t, dtype=float)
         r = np.sqrt(self.r2(t))
-        return (np.exp(1j * np.asarray(self.phi(t)) - 0.5 * p.Gamma1 * t_arr) * r)[()]
+        return (np.exp(1j * self.phi(t) - 0.5 * p.Gamma1 * t_arr) * r)[()]
 
     def Omega(self, t):
         """Drive Rabi frequency; diverges where the ground state empties."""
         p = self.p
-        num = ((0.5 * p.gamma_tilde + 1j * p.Delta) * np.asarray(self.zeta(t))
-               + p.g * np.asarray(self.eta(t)) + np.asarray(self.dzeta(t)))
-        alpha = np.asarray(self.alpha(t))
+        eta, zeta, dzeta = self._zeta_jet(t)
+        num = (0.5 * p.gamma_tilde + 1j * p.Delta) * zeta + p.g * eta + dzeta
+        alpha = self.alpha(t)
         tiny = np.abs(alpha) < 1e-14
         if np.any(tiny & (np.abs(num) > 1e-12)):
             raise PoleError(
@@ -257,16 +254,13 @@ def virtual_coupling(env, t, kappa: float | None = None):
     env = as_envelope(env)
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     cum = np.atleast_1d(np.asarray(env.cumulative_norm(t_arr), dtype=float))
-    v = np.atleast_1d(env.v(t_arr))
-    out = np.zeros_like(v, dtype=complex)
     pos = cum > 0.0
-    out[pos] = -np.conj(v[pos]) / np.sqrt(cum[pos])
+    out = np.where(pos, -np.conj(env.v(t_arr)) / np.sqrt(np.where(pos, cum, 1.0)), 0.0)
     if kappa is not None:
         cap = 1e3 * math.sqrt(kappa)
-        small = pos & (cum < 1e-12)
-        mag = np.abs(out[small])
-        scale = np.where(mag > cap, cap / np.where(mag > 0, mag, 1.0), 1.0)
-        out[small] = out[small] * scale
+        mag = np.abs(out)
+        clamp = pos & (cum < 1e-12) & (mag > cap)
+        out = np.where(clamp, out * (cap / np.where(clamp, mag, 1.0)), out)
     return out[0] if np.ndim(t) == 0 else out
 
 

@@ -170,7 +170,6 @@ OP_C = _kron3(_I3, _LOWER, _I2)       # cavity annihilation
 OP_A = _kron3(_I3, _I2, _LOWER)       # virtual-mode annihilation
 _OP_DRIVE = _kron3(_mat("e", "1"), _I2, _I2)
 _OP_CAV = _kron3(_mat("0", "e"), _LOWER.conj().T, _I2)   # g c^dag |0><e|
-_OP_CTA = OP_C.conj().T @ OP_A        # c^dag a
 _P_E = _kron3(_mat("e", "e"), _I2, _I2)
 
 
@@ -242,6 +241,32 @@ def _static_dissipators(raw: RawRates) -> list[np.ndarray]:
     return [w * op for w, op in weighted if w > 0]
 
 
+def _k_parts(p: EmitterParams, static_L) -> tuple:
+    """Constant parts of K(t) = -i H(t) - (1/2) sum_k L_k^dag L_k.
+
+    With the capture operator L0 = sqrt(kappa) c + conj(g_v) a and the
+    cascaded term (i sqrt(kappa) / 2)(conj(g_v) c^dag a - g_v a^dag c) of H,
+    the conj(g_v) c^dag a terms cancel, and
+
+        K = K0 - i Omega D - i Omega* D^dag - sqrt(kappa) g_v a^dag c
+            - (1/2) |g_v|^2 a^dag a.
+
+    Returns (K0, -i D, -i D^dag, -sqrt(kappa) a^dag c, -(1/2) a^dag a).
+    """
+    H_static = p.Delta * _P_E + p.g * (_OP_CAV + _OP_CAV.conj().T)
+    M = sum((L.conj().T @ L for L in static_L), start=p.kappa * OP_C.conj().T @ OP_C)
+    return (-1j * H_static - 0.5 * M, -1j * _OP_DRIVE, -1j * _OP_DRIVE.conj().T,
+            -math.sqrt(p.kappa) * OP_A.conj().T @ OP_C,
+            -0.5 * OP_A.conj().T @ OP_A)
+
+
+def _k_matrix(parts, om: complex, gv: complex) -> np.ndarray:
+    """K(t) at drive om and virtual coupling gv, from _k_parts."""
+    K0, K_om, K_om_conj, K_gv, K_gv2 = parts
+    return (K0 + om * K_om + np.conj(om) * K_om_conj + gv * K_gv
+            + abs(gv) ** 2 * K_gv2)
+
+
 # Blocks of the stacked state evolved by lindblad_simulate. Every block
 # shares the coherent and anti-commutator terms; the capture jump feeds only
 # _TOTAL, the emitter and cavity jumps feed the blocks before _NO_JUMP.
@@ -290,27 +315,17 @@ def lindblad_simulate(p_raw: RawRates, p: EmitterParams, env, Omega,
     if forbidden_tol is None:
         forbidden_tol = 1e-8 if p_raw.gamma_0to1 == 0.0 else 0.05
 
-    H_static = (p.Delta * _P_E + p.g * (_OP_CAV + _OP_CAV.conj().T))
     static_L = _static_dissipators(p_raw)
-    M_static = sum((L.conj().T @ L for L in static_L),
-                   start=np.zeros((_DIM, _DIM), dtype=complex))
+    parts = _k_parts(p, static_L)
     # sum_k L_k rho L_k^dag as one matrix acting on the row-major flattened rho
     jump_static_T = sum((np.kron(L, L.conj()) for L in static_L),
                         start=np.zeros((_DIM ** 2, _DIM ** 2), dtype=complex)).T
-    op_cta_dag = _OP_CTA.conj().T
-
-    def gv_fun(t):
-        return complex(virtual_coupling(env, float(t), kappa=p.kappa))
 
     def rhs(t, y):
         rho = y.reshape(_N_BLOCKS, _DIM, _DIM)
-        om = complex(drive(t))
-        gv = gv_fun(t)
-        H = (H_static + om * _OP_DRIVE + np.conj(om) * _OP_DRIVE.conj().T
-             + (0.5j * sqrt_kappa)
-             * (np.conj(gv) * _OP_CTA - gv * op_cta_dag))
+        gv = complex(virtual_coupling(env, float(t), kappa=p.kappa))
+        K = _k_matrix(parts, complex(drive(t)), gv)
         L0 = np.conj(gv) * OP_A + sqrt_kappa * OP_C
-        K = -1j * H - 0.5 * (M_static + L0.conj().T @ L0)
         drho = K @ rho + rho @ K.conj().T
         drho[_TOTAL] += L0 @ rho[_TOTAL] @ L0.conj().T
         drho[:_NO_JUMP] += (rho[:_NO_JUMP].reshape(_NO_JUMP, -1)

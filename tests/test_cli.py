@@ -145,3 +145,21 @@ def test_trajectory_at_the_bound_exit_code(tmp_path, capsys):
     assert rc == 1
     assert capsys.readouterr().err.startswith("error:")
     assert not (tmp_path / "trajectory.csv").exists()
+
+
+@pytest.mark.parametrize("value", ["x", [1, 2, 3], None],
+                         ids=["text", "three_numbers", "null"])
+def test_verify_malformed_amplitude_exit_code(tmp_path, capsys, value):
+    out = tmp_path / "run"
+    assert main(["trajectory", "--out", str(out), "--samples", "101"]) == 0
+    syn = out / "synthesis.json"
+    data = json.loads(syn.read_text())
+    data["alpha0"] = value
+    syn.write_text(json.dumps(data))
+    capsys.readouterr()
+    rc = main(["verify", "--synthesis", str(syn), "--out", str(out),
+               "--samples", "101", "--skip-lindblad"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "alpha0" in err
+    assert "Traceback" not in err

@@ -328,3 +328,54 @@ def test_profile_csv(tmp_path, siv_params):
     lines = path.read_text().splitlines()
     assert lines[1] == "t_ns,d_per_ns,G,G_weighted,phi_rad"
     assert len(lines) == 7
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(g=st.floats(2.0, 10.0), kappa=st.floats(5.0, 60.0),
+       kappa_tilde=st.floats(0.1, 10.0), gamma_tilde=st.floats(0.01, 1.0),
+       Gamma1=st.floats(0.0, 0.5), dGamma=st.floats(0.01, 0.5),
+       swap=st.booleans(), Delta=st.floats(-2.0, 2.0), T=st.floats(0.1, 1.5),
+       ratios=st.lists(st.floats(-0.5, 0.5), min_size=0, max_size=3),
+       chirp=st.floats(-20.0, 20.0), frac=st.floats(0.4, 1.0))
+def test_harmonic_sum_matches_g_matrix_and_quadrature(
+        g, kappa, kappa_tilde, gamma_tilde, Gamma1, dGamma, swap, Delta, T,
+        ratios, chirp, frac):
+    # G(t) = sum_k A_k h_k(t) + B_k u_k(t) with the coefficients contracted
+    # once per pulse: the same numbers as v . X(t) . v, and as quadrature of d
+    rates = (Gamma1 + dGamma, Gamma1) if swap else (Gamma1, Gamma1 + dGamma)
+    p = EmitterParams(g=ghz(g), kappa=ghz(kappa), kappa_tilde=ghz(kappa_tilde),
+                      gamma_tilde=ghz(gamma_tilde), Gamma1=ghz(rates[0]),
+                      Gamma2=ghz(rates[1]), Delta=ghz(Delta))
+    pl = CosineSeriesPulse(T, (1.0, *ratios), chirp=chirp).normalize()
+    ts = np.array([0.5 * frac, frac]) * T
+    G = integrated_depletion_analytic(p, pl, ts)
+    v = np.asarray(pl.coeffs)
+    X = depletion.g_matrix(p, pl.T, pl.order, ts, pl.chirp)
+    contracted = np.einsum("tnm,n,m->t", X, v, v)
+    assert np.all(np.abs(G - contracted) <= 1e-13 * np.abs(contracted))
+    num = integrated_depletion_numeric(p, pl.envelope(), ts, refine_max=False).G
+    assert np.all(np.abs(G - num) <= 1e-10 * np.abs(num))
+
+
+def test_numeric_search_nodes_merge_with_output_nodes(siv_params, monkeypatch):
+    # i T/100 and 10 i T/1000 differ by an ulp: the search grid must reuse
+    # the output node instead of adding a zero-width quad segment
+    pl = CosineSeriesPulse(1.3, (1.0, 0.1)).normalize()
+    grid = np.linspace(0.0, pl.T, 101)
+    calls = []
+    plain_quad = depletion.quad
+
+    def counting_quad(fun, a, b, **kw):
+        calls.append((a, b))
+        return plain_quad(fun, a, b, **kw)
+
+    monkeypatch.setattr(depletion, "quad", counting_quad)
+    prof = integrated_depletion_numeric(siv_params, pl, grid)
+    # the pass over the nodes is one chain of segments; golden section follows
+    chain = 1
+    while chain < len(calls) and calls[chain][0] == calls[chain - 1][1]:
+        chain += 1
+    assert chain == 1000
+    exact = analytic_profile(siv_params, pl, grid)
+    assert np.allclose(prof.G, exact.G, rtol=1e-10, atol=0.0)
+    assert prof.G_max == pytest.approx(exact.G_max, rel=1e-10)

@@ -193,3 +193,34 @@ def test_write_csv_format(tmp_path):
     ]
     write_csv(path, ("x",), [(1.5,)])
     assert path.read_text() == "x\n1.5\n"
+
+
+@pytest.mark.parametrize("T, coeffs", [(0.44, (1.0,)), (0.5, (1.0, -0.3)),
+                                       (0.345, (1.0, -0.2, 0.11)),
+                                       (1.2, (0.4, 0.3, -0.2, 0.1))])
+def test_cumulative_norm_harmonic_sum_against_quadrature(T, coeffs):
+    # per-harmonic closed form above w_max t = 0.05, power series below
+    pl = CosineSeriesPulse(T, coeffs).normalize()
+    w_max = 2 * math.pi * pl.order / T
+    ts = np.r_[np.geomspace(1e-3, 0.5, 30) / w_max, np.linspace(0.0, T, 21)]
+    assert np.any(ts * w_max < 0.05) and np.any(ts * w_max > 0.05)
+    got = pl.cumulative_norm(ts)
+    for t, value in zip(ts, got):
+        ref, _ = quad(lambda x: pl.f(x) ** 2, 0.0, t, epsabs=0.0, epsrel=1e-13,
+                      limit=200)
+        assert value == pytest.approx(ref, rel=1e-6, abs=0.0)
+    assert pl.cumulative_norm(2 * T) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_series_evaluate_is_one_pass_of_f_df_d2f():
+    pl = CosineSeriesPulse(0.5, (1.0, -0.3, 0.2))
+    ts = np.linspace(-0.1, 0.6, 71)
+    f, df, d2f = pl.evaluate(ts)
+    assert np.array_equal(f, pl.f(ts))
+    assert np.array_equal(df, pl.df(ts))
+    assert np.array_equal(d2f, pl.d2f(ts))
+    env_jet = pl.envelope().evaluate(ts)
+    assert all(np.array_equal(a, b) for a, b in zip(env_jet, (f, df, d2f)))
+    generic = Envelope(T=0.5, f=pl.f, df=pl.df, d2f=pl.d2f)
+    assert all(np.array_equal(a, b)
+               for a, b in zip(generic.evaluate(ts), (f, df, d2f)))

@@ -6,7 +6,7 @@ import pytest
 from ramanpulse import (CosineSeriesPulse, DomainError, EmitterParams,
                         InitialState, PoleError, ValidationError, ghz,
                         sin2_pulse)
-from ramanpulse import depletion
+from ramanpulse import Envelope, depletion
 from ramanpulse.trajectory import (ClosedFormSolution, closed_form_trajectory,
                                    drive_omega, max_efficiency,
                                    mode_matching_coupling, virtual_coupling)
@@ -186,3 +186,34 @@ def test_zero_efficiency_chirped_G_matches_quadrature(siv_params):
         siv_params, pl, grid, refine_max=False).G
     assert np.max(np.abs(np.asarray(cf.G(grid)) - quad_G)) < 1e-10
     assert np.all(np.asarray(cf.phi(grid)) == 0.0)
+
+
+@pytest.mark.parametrize("Delta, chirp", [(0.0, 0.0), (1.0, 2.5)])
+def test_scalar_drive_matches_array_drive(siv_params, Delta, chirp):
+    p = EmitterParams(g=siv_params.g, kappa=siv_params.kappa,
+                      gamma_tilde=siv_params.gamma_tilde, Gamma1=siv_params.Gamma1,
+                      Gamma2=siv_params.Gamma2, Delta=ghz(Delta))
+    pl = CosineSeriesPulse(0.345, (1.0, -0.2, 0.11), chirp=chirp).normalize()
+    cf = ClosedFormSolution(p, pl, 0.9 * max_efficiency(p, pl))
+    grid = np.linspace(0.0, pl.T, 41)
+    drive = cf.Omega(grid)
+    scalar = np.array([cf.Omega(float(t)) for t in grid])
+    assert np.allclose(scalar, drive, rtol=1e-14, atol=1e-14 * np.max(np.abs(drive)))
+
+
+def test_series_and_generic_envelope_give_the_same_drive(siv_params):
+    # the generic envelope has neither the one-pass evaluation nor the exact
+    # norm: G, phi and int |v|^2 come from quadrature and the phase ODE
+    p = EmitterParams(g=siv_params.g, kappa=siv_params.kappa,
+                      gamma_tilde=siv_params.gamma_tilde, Gamma1=siv_params.Gamma1,
+                      Gamma2=siv_params.Gamma2, Delta=ghz(0.5))
+    pl = CosineSeriesPulse(0.44, (1.0, -0.06), chirp=1.5).normalize()
+    generic = Envelope(T=pl.T, f=pl.f, df=pl.df, d2f=pl.d2f, theta=pl.theta,
+                       dtheta=pl.dtheta, d2theta=pl.d2theta)
+    assert generic._cumnorm is None and generic._evaluate is None
+    E = 0.9 * max_efficiency(p, pl)
+    grid = np.linspace(0.0, pl.T, 81)
+    series_drive = ClosedFormSolution(p, pl, E).Omega(grid)
+    generic_drive = ClosedFormSolution(p, generic, E).Omega(grid)
+    assert np.max(np.abs(generic_drive - series_drive)) <= 1e-9 * np.max(
+        np.abs(series_drive))

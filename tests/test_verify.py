@@ -229,3 +229,25 @@ def test_static_dissipators_drop_zero_operators():
     ops = verify._static_dissipators(RawRates(gamma=ghz(0.1), xi=math.pi / 4))
     assert len(ops) == 2
     assert all(np.any(op != 0.0) for op in ops)
+
+
+def test_precomputed_generator_matches_direct_assembly(siv_raw):
+    # K = -i H - (1/2)(M_static + L0^dag L0), assembled term by term here
+    p = EmitterParams(g=ghz(6), kappa=ghz(30), kappa_tilde=ghz(0.2),
+                      gamma_tilde=ghz(0.1), Delta=ghz(0.7))
+    static_L = verify._static_dissipators(siv_raw)
+    M_static = sum(L.conj().T @ L for L in static_L)
+    parts = verify._k_parts(p, static_L)
+    dag = lambda op: op.conj().T  # noqa: E731
+    c_dag_a = dag(verify.OP_C) @ verify.OP_A
+    sqrt_kappa = math.sqrt(p.kappa)
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        om, gv = rng.normal(scale=[30.0, 30.0, 300.0, 300.0]).view(complex)
+        H = (p.Delta * verify._P_E + p.g * (verify._OP_CAV + dag(verify._OP_CAV))
+             + om * verify._OP_DRIVE + np.conj(om) * dag(verify._OP_DRIVE)
+             + 0.5j * sqrt_kappa * (np.conj(gv) * c_dag_a - gv * dag(c_dag_a)))
+        L0 = np.conj(gv) * verify.OP_A + sqrt_kappa * verify.OP_C
+        direct = -1j * H - 0.5 * (M_static + dag(L0) @ L0)
+        K = verify._k_matrix(parts, complex(om), complex(gv))
+        assert np.max(np.abs(K - direct)) <= 1e-14 * np.max(np.abs(direct))
