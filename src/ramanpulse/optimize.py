@@ -17,9 +17,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bounds, depletion
-from .errors import ValidationError
+from .errors import ValidationError, finite
 from .model import EmitterParams
-from .pulse import CosineSeriesPulse
+from .pulse import CosineSeriesPulse, series_norm_sq, slaved_series
+
+REFINE_SAMPLES = 21   # points per axis of the shape search's refinement box
+N_SEARCH_GRID = 1001  # samples of G(t) per candidate in the grid scan
 
 
 @dataclass(frozen=True)
@@ -38,8 +41,6 @@ class OptimizationConfig:
     ratio_range: tuple = (-1.0, 1.0)
     ratio_samples: int = 201
     refine: bool = True
-    refine_samples: int = 21
-    n_search_grid: int = 1001
     max_candidates: int | None = None
 
     def __post_init__(self):
@@ -47,8 +48,10 @@ class OptimizationConfig:
             raise ValidationError("series order L must be >= 1")
         if self.T_samples < 2 or self.ratio_samples < 2:
             raise ValidationError("need at least 2 samples per grid axis")
-        if self.T_range is not None and self.T_range[0] <= 0:
-            raise ValidationError("durations must be positive")
+        if self.T_range is not None:
+            ends = [finite(x, "T_range end") for x in self.T_range]
+            if len(ends) != 2 or not 0.0 < ends[0] < ends[1]:
+                raise ValidationError("T_range must be (lo, hi) with 0 < lo < hi")
         if not -1.0 <= self.ratio_range[0] < self.ratio_range[1] <= 1.0:
             raise ValidationError("ratio_range must be an interval inside [-1, 1]")
 
@@ -91,24 +94,9 @@ def default_T_range(p: EmitterParams) -> tuple:
     return lo, hi
 
 
-def _candidate_matrix(ratio_axes, constrained: bool) -> np.ndarray:
-    """All coefficient vectors of the grid, lexicographic in the ratios."""
-    if ratio_axes:
-        mesh = np.meshgrid(*ratio_axes, indexing="ij")
-        ratios = np.stack([m.reshape(-1) for m in mesh], axis=1)
-    else:
-        ratios = np.zeros((1, 0))
-    ncand = ratios.shape[0]
-    if not constrained:
-        return np.hstack([np.ones((ncand, 1)), ratios])
-    n_odd = 1 + ratios.shape[1]
-    V = np.empty((ncand, 2 * n_odd))
-    odd = np.hstack([np.ones((ncand, 1)), ratios])
-    for k in range(1, n_odd + 1):
-        slave = ((2 * k - 1) / (2 * k)) ** 2
-        V[:, 2 * k - 2] = odd[:, k - 1]
-        V[:, 2 * k - 1] = -slave * odd[:, k - 1]
-    return V
+def _merit(p: EmitterParams, T, G_max):
+    """1 / (exp(Gamma2 T) G_max): the worst-case fidelity at the bound."""
+    return 1.0 / (math.exp(p.Gamma2 * T) * G_max)
 
 
 def objective(p: EmitterParams, pulse: CosineSeriesPulse) -> float:
@@ -118,52 +106,96 @@ def objective(p: EmitterParams, pulse: CosineSeriesPulse) -> float:
     rescaling of the coefficients since normalization happens here.
     """
     pn = pulse.normalize()
-    profile = depletion.analytic_profile(p, pn)
-    return 1.0 / (math.exp(p.Gamma2 * pn.T) * profile.G_max)
+    return _merit(p, pn.T, depletion.analytic_profile(p, pn).G_max)
 
 
-def _scan(p: EmitterParams, T_values, ratio_axes, constrained: bool,
-          n_grid: int, max_candidates: int | None, state: dict):
-    """Batched grid scan; updates the running best in `state`."""
-    V = _candidate_matrix(ratio_axes, constrained)
+@dataclass
+class _Best:
+    """Running best of a search, and what the search has spent."""
+
+    objective: float = -math.inf
+    T: float | None = None
+    ratios: tuple = ()
+    coeffs: tuple = ()
+    evaluations: int = 0
+    partial: bool = False
+
+    def stage(self, name: str) -> dict:
+        return {"stage": name, "T": self.T, "ratios": list(self.ratios),
+                "objective": self.objective, "evaluations": self.evaluations}
+
+
+def _scan(p: EmitterParams, axes, constrained: bool, max_candidates, best: _Best):
+    """Score the grid axes[0] (durations) x axes[1] x ... (ratios).
+
+    One integral matrix X per duration serves every candidate: G = v.X.v
+    is the product of X with the outer products v x v. Only a strictly
+    better point replaces the incumbent, so ties keep the earlier one.
+    """
+    mesh = np.meshgrid(np.ones(1), *axes[1:], indexing="ij")
+    free = np.stack([m.ravel() for m in mesh], axis=1)  # (1, ratios...)
+    V = slaved_series(free) if constrained else free
     ncand, ncoef = V.shape
-    sums = V.sum(axis=1)
-    squares = (V ** 2).sum(axis=1)
-    tau = np.linspace(0.0, 1.0, n_grid)
-    path = None  # every duration has the same shapes: one contraction path
-    for T in T_values:
-        if (max_candidates is not None
-                and state["evaluations"] + ncand > max_candidates):
-            state["partial"] = True
+    VV = (V[:, :, None] * V[:, None, :]).reshape(ncand, -1)
+    tau = np.linspace(0.0, 1.0, N_SEARCH_GRID)
+    for T in axes[0]:
+        if max_candidates is not None and best.evaluations + ncand > max_candidates:
+            best.partial = True
             return
-        X = depletion.g_matrix(p, T, ncoef, tau * T)
-        if path is None:
-            path = np.einsum_path("tnm,cn,cm->ct", X, V, V, optimize=True)[0]
-        raw_G = np.einsum("tnm,cn,cm->ct", X, V, V, optimize=path)
-        norms = T * (sums ** 2 + 0.5 * squares)
-        gmax = raw_G.max(axis=1) / norms
-        obj = 1.0 / (np.exp(p.Gamma2 * T) * gmax)
-        state["evaluations"] += ncand
-        i = int(np.argmax(obj))
-        if obj[i] > state["best_obj"]:
-            state["best_obj"] = float(obj[i])
-            state["best_T"] = float(T)
-            state["best_coeffs"] = tuple(V[i])
-            state["best_ratios"] = tuple(
-                ax_val for ax_val in (V[i][1:1 + len(ratio_axes)]
-                                      if not constrained else
-                                      V[i][2:2 * len(ratio_axes) + 1:2]))
+        X = depletion.g_matrix(p, T, ncoef, tau * T).reshape(N_SEARCH_GRID, -1)
+        G_max = (VV @ X.T).max(axis=1) / series_norm_sq(T, V)
+        merit = _merit(p, T, G_max)
+        best.evaluations += ncand
+        i = int(np.argmax(merit))
+        if merit[i] > best.objective:
+            best.objective, best.T = float(merit[i]), float(T)
+            best.ratios, best.coeffs = tuple(free[i, 1:]), tuple(V[i])
 
 
-def _bracket(values: np.ndarray, x: float) -> tuple:
-    """Neighbors of x within a sorted axis, for the local refinement box."""
-    i = int(np.argmin(np.abs(values - x)))
-    lo = values[max(i - 1, 0)]
-    hi = values[min(i + 1, len(values) - 1)]
-    if lo == hi:
-        pad = 0.5 * abs(lo) if lo != 0 else 0.5
-        lo, hi = lo - pad, hi + pad
-    return float(lo), float(hi)
+def _search(p: EmitterParams, axes, constrained: bool, refine_samples: int,
+            max_candidates=None):
+    """Grid scan, then (refine_samples > 0) a rescan of the local box.
+
+    The box spans the grid neighbours of the optimum on each axis with
+    refine_samples points; an axis with a single value stays fixed. Returns
+    the running best and the trace of both stages.
+    """
+    best = _Best()
+    _scan(p, axes, constrained, max_candidates, best)
+    if best.T is None:
+        raise ValidationError("candidate budget too small for a single duration")
+    trace = [best.stage("grid")]
+    if refine_samples and not best.partial:
+        box = []
+        for axis, x in zip(axes, (best.T,) + best.ratios):
+            i = int(np.argmin(np.abs(axis - x)))
+            box.append(axis if len(axis) == 1 else np.linspace(
+                axis[max(i - 1, 0)], axis[min(i + 1, len(axis) - 1)], refine_samples))
+        _scan(p, box, constrained, max_candidates, best)
+        trace.append(best.stage("refine"))
+    return best, trace
+
+
+def _result(p: EmitterParams, cfg: OptimizationConfig, best: _Best,
+            trace: list) -> OptimizationResult:
+    pulse = CosineSeriesPulse(best.T, best.coeffs).normalize()
+    profile = depletion.analytic_profile(p, pulse)
+    res = bounds.compute_bounds(p, profile)
+    provenance = {
+        "config": {
+            "L": cfg.L, "constrained": cfg.constrained,
+            "T_samples": cfg.T_samples, "ratio_samples": cfg.ratio_samples,
+            "T_range": list(cfg.T_range) if cfg.T_range else None,
+            "refine": cfg.refine,
+        },
+        "trace": trace,
+        "evaluations": best.evaluations,
+        "partial": best.partial,
+    }
+    return OptimizationResult(pulse=pulse, E_max=res.E_max, F_worst=res.F_worst,
+                              F_avg=res.F_avg,
+                              objective_value=_merit(p, pulse.T, profile.G_max),
+                              provenance=provenance)
 
 
 def optimize_shape(p: EmitterParams, cfg: OptimizationConfig) -> OptimizationResult:
@@ -175,61 +207,13 @@ def optimize_shape(p: EmitterParams, cfg: OptimizationConfig) -> OptimizationRes
     rescans a local box between the grid neighbors of the optimum.
     """
     T_range = cfg.T_range if cfg.T_range is not None else default_T_range(p)
-    T_values = np.linspace(T_range[0], T_range[1], cfg.T_samples)
-    n_ratios = cfg.L - 1
-    ratio_axis = np.linspace(cfg.ratio_range[0], cfg.ratio_range[1],
-                             cfg.ratio_samples)
+    ratio_axis = np.linspace(*cfg.ratio_range, cfg.ratio_samples)
     if cfg.ratio_samples % 2 == 1 and cfg.ratio_range == (-1.0, 1.0):
         ratio_axis[cfg.ratio_samples // 2] = 0.0  # exact zero for nesting
-    ratio_axes = [ratio_axis] * n_ratios
-
-    state = {"best_obj": -np.inf, "best_T": None, "best_coeffs": None,
-             "best_ratios": (), "evaluations": 0, "partial": False}
-    _scan(p, T_values, ratio_axes, cfg.constrained, cfg.n_search_grid,
-          cfg.max_candidates, state)
-    if state["best_T"] is None:
-        raise ValidationError("candidate budget too small for a single duration")
-    trace = [{"stage": "grid", "T": state["best_T"],
-              "ratios": list(state["best_ratios"]),
-              "objective": state["best_obj"],
-              "evaluations": state["evaluations"]}]
-
-    if cfg.refine and not state["partial"]:
-        t_lo, t_hi = _bracket(T_values, state["best_T"])
-        T_fine = np.linspace(t_lo, t_hi, cfg.refine_samples)
-        fine_axes = []
-        for r in state["best_ratios"]:
-            r_lo, r_hi = _bracket(ratio_axis, r)
-            fine_axes.append(np.linspace(r_lo, r_hi, cfg.refine_samples))
-        _scan(p, T_fine, fine_axes, cfg.constrained, cfg.n_search_grid,
-              cfg.max_candidates, state)
-        trace.append({"stage": "refine", "T": state["best_T"],
-                      "ratios": list(state["best_ratios"]),
-                      "objective": state["best_obj"],
-                      "evaluations": state["evaluations"]})
-
-    best = CosineSeriesPulse(state["best_T"], state["best_coeffs"]).normalize()
-    return _finalize(p, best, cfg, trace, state)
-
-
-def _finalize(p, best_pulse, cfg, trace, state) -> OptimizationResult:
-    profile = depletion.analytic_profile(p, best_pulse)
-    res = bounds.compute_bounds(p, profile)
-    obj = 1.0 / (math.exp(p.Gamma2 * best_pulse.T) * profile.G_max)
-    provenance = {
-        "config": {
-            "L": cfg.L, "constrained": cfg.constrained,
-            "T_samples": cfg.T_samples, "ratio_samples": cfg.ratio_samples,
-            "T_range": list(cfg.T_range) if cfg.T_range else None,
-            "refine": cfg.refine,
-        },
-        "trace": trace,
-        "evaluations": state["evaluations"],
-        "partial": state["partial"],
-    }
-    return OptimizationResult(pulse=best_pulse, E_max=res.E_max,
-                              F_worst=res.F_worst, F_avg=res.F_avg,
-                              objective_value=obj, provenance=provenance)
+    axes = [np.linspace(*T_range, cfg.T_samples)] + [ratio_axis] * (cfg.L - 1)
+    best, trace = _search(p, axes, cfg.constrained,
+                          REFINE_SAMPLES if cfg.refine else 0, cfg.max_candidates)
+    return _result(p, cfg, best, trace)
 
 
 def optimize_duration(p: EmitterParams, ratios=(), constrained: bool = False,
@@ -248,31 +232,13 @@ def optimize_duration(p: EmitterParams, ratios=(), constrained: bool = False,
         d_lo, d_hi = default_T_range(p)
         T_lo = d_lo if T_lo is None else T_lo
         T_hi = d_hi if T_hi is None else T_hi
-    if T_lo <= 0 or T_hi <= T_lo:
-        raise ValidationError("need 0 < T_lo < T_hi")
-    if spacing == "linear":
-        stage1 = np.linspace(T_lo, T_hi, samples)
-    elif spacing == "log":
-        stage1 = np.geomspace(T_lo, T_hi, samples)
-    else:
-        raise ValidationError("spacing must be 'linear' or 'log'")
-
-    ratio_axes = [np.array([r]) for r in ratios]
     cfg = OptimizationConfig(L=1 + len(ratios), constrained=constrained,
                              T_range=(T_lo, T_hi), T_samples=samples,
                              refine=refine)
-    state = {"best_obj": -np.inf, "best_T": None, "best_coeffs": None,
-             "best_ratios": (), "evaluations": 0, "partial": False}
-    _scan(p, stage1, ratio_axes, constrained, cfg.n_search_grid, None, state)
-    trace = [{"stage": "coarse", "T": state["best_T"],
-              "objective": state["best_obj"]}]
-    if refine:
-        i = int(np.argmin(np.abs(stage1 - state["best_T"])))
-        lo = stage1[max(i - 1, 0)]
-        hi = stage1[min(i + 1, samples - 1)]
-        stage2 = np.linspace(lo, hi, samples)
-        _scan(p, stage2, ratio_axes, constrained, cfg.n_search_grid, None, state)
-        trace.append({"stage": "fine", "T": state["best_T"],
-                      "objective": state["best_obj"]})
-    best = CosineSeriesPulse(state["best_T"], state["best_coeffs"]).normalize()
-    return _finalize(p, best, cfg, trace, state)
+    grids = {"linear": np.linspace, "log": np.geomspace}
+    if spacing not in grids:
+        raise ValidationError("spacing must be 'linear' or 'log'")
+    axes = [grids[spacing](T_lo, T_hi, samples)] + [
+        np.array([finite(r, "shape ratio")]) for r in ratios]
+    best, trace = _search(p, axes, constrained, samples if refine else 0)
+    return _result(p, cfg, best, trace)

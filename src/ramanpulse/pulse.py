@@ -107,8 +107,7 @@ class CosineSeriesPulse:
 
     def norm_sq(self) -> float:
         """int_0^T f^2 dt, exact for the series."""
-        v = np.asarray(self.coeffs)
-        return float(self.T * (v.sum() ** 2 + 0.5 * (v ** 2).sum()))
+        return float(series_norm_sq(self.T, self.coeffs))
 
     def normalize(self) -> "CosineSeriesPulse":
         """Rescale all coefficients by one positive factor to unit norm."""
@@ -270,11 +269,25 @@ def constrained_series(odd_coeffs, T: float, chirp: float = 0.0) -> CosineSeries
     odd = [float(c) for c in odd_coeffs]
     if not odd:
         raise ValidationError("need at least one odd coefficient")
-    coeffs = []
-    for k, v_odd in enumerate(odd, start=1):
-        ratio = ((2 * k - 1) / (2 * k)) ** 2
-        coeffs.extend([v_odd, -ratio * v_odd])
-    return CosineSeriesPulse(T, tuple(coeffs), chirp)
+    return CosineSeriesPulse(T, tuple(slaved_series(odd).tolist()), chirp)
+
+
+def slaved_series(odd):
+    """(v1, v2, v3, v4, ...) from the odd coefficients, along the last axis.
+
+    Each v_{2k} = -((2k-1)/(2k))^2 v_{2k-1}; a (ncand, n) array of odd
+    coefficients gives the (ncand, 2n) coefficient matrix.
+    """
+    odd = np.asarray(odd, dtype=float)
+    k = np.arange(1, odd.shape[-1] + 1)
+    pairs = np.stack([odd, -((2 * k - 1) / (2 * k)) ** 2 * odd], axis=-1)
+    return pairs.reshape(*odd.shape[:-1], -1)
+
+
+def series_norm_sq(T, coeffs):
+    """int_0^T f^2 dt = T (sum v)^2 + T sum v^2 / 2, along the last axis."""
+    v = np.asarray(coeffs)
+    return T * (v.sum(axis=-1) ** 2 + 0.5 * (v ** 2).sum(axis=-1))
 
 
 def write_csv(path: str | Path, columns, rows, header: str = ""):

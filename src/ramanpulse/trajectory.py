@@ -159,12 +159,6 @@ class ClosedFormSolution:
     def eta(self, t):
         return self._eta_jet(t)[0][()]
 
-    def deta(self, t):
-        return self._eta_jet(t)[1][()]
-
-    def d2eta(self, t):
-        return self._eta_jet(t)[2][()]
-
     def lam(self, t):
         p = self.p
         decay = np.exp(-0.5 * p.Gamma2 * np.asarray(t, dtype=float))
@@ -173,9 +167,6 @@ class ClosedFormSolution:
 
     def zeta(self, t):
         return self._zeta_jet(t)[1][()]
-
-    def dzeta(self, t):
-        return self._zeta_jet(t)[2][()]
 
     def alpha(self, t):
         p = self.p

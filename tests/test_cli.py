@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from ramanpulse.cli import main
+from ramanpulse.cli import DEFAULT_PARAMS, main, run_checks
+from ramanpulse.model import params_from_dict
 
 
 def test_version_flag(capsys):
@@ -163,3 +164,13 @@ def test_verify_malformed_amplitude_exit_code(tmp_path, capsys, value):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "alpha0" in err
     assert "Traceback" not in err
+
+
+def test_self_checks_pass(capsys):
+    # figures --check: the nine self-checks on the default emitter
+    p, raw = params_from_dict(dict(DEFAULT_PARAMS))
+    assert run_checks(p, raw) == 0
+    lines = capsys.readouterr().out.splitlines()
+    checks = [line for line in lines if line.startswith("CHECK ")]
+    assert len(checks) == 9
+    assert all(": PASS" in line for line in checks)

@@ -78,6 +78,8 @@ def test_duration_needs_window():
     assert res.pulse.T == pytest.approx(2.0, abs=0.02)  # no memory penalty
     with pytest.raises(ValidationError):
         optimize_duration(p, T_lo=1.0, T_hi=0.5)
+    with pytest.raises(ValidationError, match="shape ratio"):
+        optimize_duration(p, ratios=(np.nan,), T_lo=0.1, T_hi=2.0)
 
 
 def test_shape_table_row_unconstrained(table_row_unconstrained):
@@ -151,6 +153,13 @@ def test_config_validation():
         full_config(4)
 
 
+@pytest.mark.parametrize("T_range", [(0.5, 0.3), (0.3, 0.3), (0.1, np.inf),
+                                     (np.nan, 1.0)])
+def test_config_rejects_bad_T_range(T_range):
+    with pytest.raises(ValidationError):
+        OptimizationConfig(T_range=T_range)
+
+
 def test_shape_higher_order_rows(siv_params):
     # published optima for the richer families; the coarse grid needs its
     # refinement pass to resolve them
@@ -171,3 +180,43 @@ def test_desk_matches_full_reasonably(siv_params):
     full = optimize_shape(siv_params, full_config(2, refine=False))
     desk = optimize_shape(siv_params, desk_config(2, refine=True))
     assert desk.F_worst >= full.F_worst - 5e-4
+
+
+# Grid optima (duration, normalized coefficients, objective) on the
+# published and desk grids, without refinement. The search is exhaustive
+# and deterministic, so a change here is a change of the scan's arithmetic
+# or of its tie order.
+PINNED_OPTIMA = {
+    ("full", 1, False): (0.4404668865930009, (1.23026236353055,),
+                         0.9489052181143238),
+    ("full", 1, True): (0.5041501270152089,
+                        (1.3466695073983816, -0.3366673768495954),
+                        0.9435990798232025),
+    ("full", 2, False): (0.4404668865930009,
+                         (1.2801350127405615, -0.07680810076443362),
+                         0.949212921108067),
+    ("full", 2, True): (0.37678364617079296,
+                        (1.5021389553907154, -0.37553473884767885,
+                         0.16523528509297883, -0.0929448478648006),
+                        0.9511861571735352),
+    ("desk", 3, False): (0.3507904868147897,
+                         (1.440608441831517, -0.28812168836630336,
+                          0.1728730130197822),
+                         0.955102180318449),
+    ("desk", 3, True): (0.3507904868147897,
+                        (1.5376551479467162, -0.38441378698667905,
+                         0.18451861775360612, -0.10379172248640343,
+                         0.061506205917868706, -0.04271264299851994),
+                        0.9469954424695629),
+}
+
+
+@pytest.mark.parametrize("grid,L,constrained", sorted(PINNED_OPTIMA))
+def test_grid_optimum_pinned(siv_params, grid, L, constrained):
+    factory = full_config if grid == "full" else desk_config
+    res = optimize_shape(siv_params, factory(L, constrained=constrained,
+                                             refine=False))
+    T, coeffs, obj = PINNED_OPTIMA[grid, L, constrained]
+    assert res.pulse.T == T
+    assert res.pulse.coeffs == coeffs
+    assert res.objective_value == pytest.approx(obj, rel=1e-12)
