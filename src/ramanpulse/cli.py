@@ -10,6 +10,7 @@ files. Exit codes: 0 success, 1 validation error, 2 numeric error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -17,11 +18,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, bounds, depletion, optimize, protocol, verify
+from . import __version__, bounds, checks, depletion, optimize, protocol, verify
 from .errors import (DomainError, NumericError, PoleError, RamanPulseError,
-                     ValidationError)
-from .model import (EmitterParams, RawRates, ghz, params_from_dict,
-                    read_json_object)
+                     ValidationError, finite)
+from .model import EmitterParams, RawRates, params_from_dict, read_json_object
 from .pulse import (CosineSeriesPulse, load_pulse, sin2_pulse, write_csv,
                     write_samples)
 from .trajectory import (ClosedFormSolution, InitialState,
@@ -73,24 +73,22 @@ def _write_json(path: Path, payload: dict):
     print(f"wrote {path}")
 
 
-def _set_params(p: EmitterParams, frac1: float, frac2: float) -> EmitterParams:
-    return EmitterParams(g=p.g, kappa=p.kappa, kappa_tilde=p.kappa_tilde,
-                         gamma_tilde=p.gamma_tilde,
-                         Gamma1=frac1 * p.gamma_tilde,
-                         Gamma2=frac2 * p.gamma_tilde, Delta=p.Delta)
+def _check_samples(n: int, flag: str = "--samples"):
+    if n < 2:
+        raise ValidationError(f"{flag} must be at least 2, got {n}")
 
 
 # ---------------------------------------------------------------------------
 # bound
 # ---------------------------------------------------------------------------
 
-def cmd_bound(args) -> int:
-    p, raw, data = _load_params(args)
-    out = _out_dir(args)
-    T_values = np.geomspace(args.T_min, args.T_max, args.T_samples)
+def _bound_curves(p: EmitterParams, data: dict, out: Path, T_values):
+    """One CSV of bound curves per decoherence set, and their optima."""
+    out.mkdir(parents=True, exist_ok=True)
     summary = {}
     for frac1, frac2 in DECOHERENCE_SETS:
-        ps = _set_params(p, frac1, frac2)
+        ps = dataclasses.replace(p, Gamma1=frac1 * p.gamma_tilde,
+                                 Gamma2=frac2 * p.gamma_tilde)
         rows = []
         for T in T_values:
             pl = sin2_pulse(float(T))
@@ -125,6 +123,18 @@ def cmd_bound(args) -> int:
             "F_avg_at_opt": float(arr[i_avg, 4]),
         }
     _write_json(out / "bound_summary.json", summary)
+
+
+def cmd_bound(args) -> int:
+    if not (math.isfinite(args.T_min) and math.isfinite(args.T_max)
+            and 0.0 < args.T_min < args.T_max):
+        raise ValidationError(
+            "--T-min and --T-max must be finite with 0 < T-min < T-max, got "
+            f"{args.T_min:g} and {args.T_max:g}")
+    _check_samples(args.T_samples, "--T-samples")
+    p, raw, data = _load_params(args)
+    _bound_curves(p, data, _out_dir(args),
+                  np.geomspace(args.T_min, args.T_max, args.T_samples))
     return 0
 
 
@@ -133,6 +143,7 @@ def cmd_bound(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_optimize(args) -> int:
+    _check_samples(args.samples)
     p, raw, data = _load_params(args)
     out = _out_dir(args)
     factory = optimize.full_config if args.grid == "full" else optimize.desk_config
@@ -184,6 +195,7 @@ def _pulse_from_args(args) -> CosineSeriesPulse:
 
 
 def cmd_trajectory(args) -> int:
+    _check_samples(args.samples)
     p, raw, data = _load_params(args)
     out = _out_dir(args)
     pl = _pulse_from_args(args).normalize()
@@ -228,6 +240,7 @@ def _complex_pair(value, name: str) -> complex:
 
 
 def cmd_verify(args) -> int:
+    _check_samples(args.samples)
     syn = read_json_object(args.synthesis, "synthesis file")
     missing = [key for key in ("params", "pulse", "efficiency", "alpha0", "beta0")
                if key not in syn]
@@ -288,19 +301,19 @@ def cmd_protocol(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_figures(args) -> int:
+    s_list = [finite(x, "--s-list entry") for x in args.s_list.split(",")]
     p, raw, data = _load_params(args)
     out = _out_dir(args)
 
     # bound curves per decoherence set
-    bound_args = argparse.Namespace(params=args.params, out=str(out / "bounds"),
-                                    T_min=0.04, T_max=12.0, T_samples=160)
-    cmd_bound(bound_args)
+    _bound_curves(p, data, out / "bounds", np.geomspace(0.04, 12.0, 160))
 
     # integrated depletion curves for a few durations
     dep_dir = out / "depletion"
     dep_dir.mkdir(parents=True, exist_ok=True)
     for frac1, frac2 in DECOHERENCE_SETS:
-        ps = _set_params(p, frac1, frac2)
+        ps = dataclasses.replace(p, Gamma1=frac1 * p.gamma_tilde,
+                                 Gamma2=frac2 * p.gamma_tilde)
         name = dep_dir / f"depletion_G1_{frac1:g}_G2_{frac2:g}.csv"
         rows = []
         for T in (0.1, 0.25, 0.44, 1.0, 3.0):
@@ -318,7 +331,8 @@ def cmd_figures(args) -> int:
     for sweep, pattern in (("Gamma1", (1, 0)), ("Gamma2", (0, 1)),
                            ("both", (1, 1))):
         for frac in np.geomspace(0.01, 0.5, 9):
-            ps = _set_params(p, frac * pattern[0], frac * pattern[1])
+            ps = dataclasses.replace(p, Gamma1=frac * pattern[0] * p.gamma_tilde,
+                                     Gamma2=frac * pattern[1] * p.gamma_tilde)
             try:
                 res = optimize.optimize_duration(
                     ps, T_lo=max(1.0 / p.g, 1.0 / p.kappa),
@@ -358,7 +372,7 @@ def cmd_figures(args) -> int:
     drive_path = out / "drive_vs_efficiency.csv"
     grid = np.linspace(0.0, best.pulse.T, 241)
     rows = []
-    for s in (float(x) for x in args.s_list.split(",")):
+    for s in s_list:
         cf = ClosedFormSolution(p, best.pulse, s * best.E_max)
         om = np.asarray(cf.Omega(grid))
         al = np.abs(np.asarray(cf.alpha(grid)))
@@ -375,90 +389,16 @@ def cmd_figures(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# self-checks (the acceptance suite in tests/ is the canonical gate)
+# self-checks: the acceptance criteria of ramanpulse.checks
 # ---------------------------------------------------------------------------
 
 def run_checks(p: EmitterParams, raw: RawRates, skip_lindblad: bool = False) -> int:
-    failures = []
-
-    def check(name, ok, detail=""):
-        print(f"CHECK {name}: {'PASS' if ok else 'FAIL'} {detail}")
-        if not ok:
-            failures.append(name)
-
-    r1 = optimize.optimize_shape(p, optimize.full_config(1, refine=False))
-    check("table-row L=1 unconstrained",
-          abs(r1.E_max - 0.988) <= 1e-3
-          and abs(r1.pulse.T - 0.44) <= 0.035
-          and abs(r1.pulse.coeffs[0] - 1.23) <= 0.01,
-          f"(E_max={r1.E_max:.4f} T={r1.pulse.T:.4f} v1={r1.pulse.coeffs[0]:.4f})")
-
-    p0 = EmitterParams(g=p.g, kappa=p.kappa, kappa_tilde=p.kappa_tilde,
-                       gamma_tilde=p.gamma_tilde)
-    slow = bounds.slow_pulse_bound(p0)
-    prof = depletion.analytic_profile(p0, sin2_pulse(12.0))
-    e2 = bounds.e_max(prof) ** 2
-    check("slow-pulse asymptote", abs(e2 - slow) / slow <= 0.02,
-          f"(E^2={e2:.5f} vs {slow:.5f})")
-
-    rng = np.random.default_rng(7)
-    worst = 0.0
-    for _ in range(20):
-        rates = 2 * math.pi * 10 ** rng.uniform(-2.0, 0.5, size=3)
-        pr = EmitterParams(g=ghz(rng.uniform(2, 10)), kappa=ghz(rng.uniform(5, 60)),
-                           gamma_tilde=rates[0], Gamma1=rates[1], Gamma2=rates[2])
-        L = int(rng.integers(1, 4))
-        coeffs = np.concatenate([[1.0], rng.uniform(-1.0, 1.0, size=L - 1)])
-        pl = CosineSeriesPulse(float(rng.uniform(0.1, 1.5)), tuple(coeffs)).normalize()
-        ts = np.array([0.3, 0.7, 1.0]) * pl.T
-        ana = depletion.integrated_depletion_analytic(pr, pl, ts)
-        num = depletion.integrated_depletion_numeric(pr, pl.envelope(), ts,
-                                                     refine_max=False)
-        worst = max(worst, float(np.max(np.abs(ana - num.G)
-                                        / np.maximum(np.abs(num.G), 1e-12))))
-    check("analytic vs quadrature G", worst <= 1e-6, f"(worst rel dev {worst:.2e})")
-
-    pl = r1.pulse
-    E = 0.99 * r1.E_max
-    init = InitialState(alpha0=math.sqrt(0.5), beta0=math.sqrt(0.5))
-    grid = np.linspace(0.0, pl.T, 201)
-    traj = closed_form_trajectory(p, pl, E, init, grid)
-    cf = ClosedFormSolution(p, pl, E)
-    ode = verify.integrate_nonhermitian(p, cf.Omega, init, grid)
-    rep = verify.compare(traj, ode)
-    check("synthesis closure", rep.passed,
-          f"(max dev {max(rep.max_dev.values()):.2e})")
-
-    phi = depletion.phase_evolution(p, pl.envelope(), E, grid)
-    check("resonant phase", float(np.max(np.abs(phi))) <= 1e-10,
-          f"(max |phi| {np.max(np.abs(phi)):.2e})")
-
-    rng = np.random.default_rng(11)
-    a = rng.random(100_000)
-    mc = float(np.mean([bounds.fidelity(0.9, p.Gamma2, pl.T, x) for x in a]))
-    check("Bloch average", abs(mc - bounds.avg_fidelity(0.9, p.Gamma2, pl.T)) <= 1e-3,
-          f"(MC dev {abs(mc - bounds.avg_fidelity(0.9, p.Gamma2, pl.T)):.2e})")
-
-    ok = True
-    for which in protocol.PROTOCOLS:
-        res = protocol.run_protocol(which, 0.6, 0.8, 1.0)
-        ok = ok and abs(res.fidelity - 1.0) <= 1e-12
-    check("protocol exactness", ok)
-
-    if not skip_lindblad:
-        lres = verify.lindblad_simulate(raw, p, pl, cf.Omega,
-                                        InitialState(1.0, 0.0))
-        formula = bounds.fidelity(E, p.Gamma2, pl.T, 1.0)
-        dev = abs(lres.fidelity_coherent - formula)
-        check("lindblad coherent-branch formula agreement (1e-3)", dev <= 1e-3,
-              f"(dev {dev:.2e})")
-        excess = lres.fidelity - bounds.fidelity(r1.E_max, p.Gamma2, pl.T, 1.0)
-        check("lindblad total within bound (1e-3)", excess <= 1e-3,
-              f"(excess {excess:+.2e}, recycled "
-              f"{lres.fidelity - lres.fidelity_coherent:+.2e})")
-
-    if failures:
-        print(f"{len(failures)} check(s) failed: {', '.join(failures)}")
+    records = checks.run(p, raw, skip_lindblad)
+    for record in records:
+        print(f"CHECK {record}")
+    failed = [record.name for record in records if not record.passed]
+    if failed:
+        print(f"{len(failed)} check(s) failed: {', '.join(failed)}")
         return 3
     print("all checks passed")
     return 0

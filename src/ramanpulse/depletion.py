@@ -20,14 +20,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy.integrate import quad, solve_ivp
 
 from .errors import DomainError, NumericError, ValidationError
 from .model import EmitterParams
-from .pulse import CosineSeriesPulse, as_envelope, write_csv
+from .pulse import CosineSeriesPulse, as_envelope
 
 TWO_PI = 2.0 * math.pi
 
@@ -36,6 +35,11 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # r^2 = 1 - E^2 G below this counts as an emptied ground state: the drive
 # diverges there and the phase integration cannot proceed.
 R2_FLOOR = 1e-10
+
+_TINY = np.finfo(float).tiny  # smallest normal float
+
+# uniform samples of G over [0, T] in every search for its maximum
+N_SEARCH_GRID = 1001
 
 
 @dataclass
@@ -51,19 +55,6 @@ class DepletionProfile:
     G: np.ndarray
     G_max: float
     argmax_t: float
-    phi: np.ndarray | None = None
-
-    def to_csv(self, path: str | Path, gamma2: float = 0.0, header: str = ""):
-        """Columns t_ns, d_per_ns, G, G_weighted, phi_rad.
-
-        G_weighted = exp(gamma2 * t) G(t); both the bare and the weighted
-        integral are written since either can be the quantity of interest.
-        """
-        phi = self.phi if self.phi is not None else np.zeros_like(self.grid)
-        write_csv(path, ("t_ns", "d_per_ns", "G", "G_weighted", "phi_rad"),
-                  ((t, d, g, math.exp(gamma2 * t) * g, q)
-                   for t, d, g, q in zip(self.grid, self.d, self.G, phi)),
-                  header)
 
 
 def _rate_weights(p: EmitterParams, dth=0.0, d2th=0.0):
@@ -130,8 +121,12 @@ def _helper_integrals(omega, t, Gamma: float):
     """h + i u at every frequency of the 1-d array omega and every time t.
 
     h + i u = int_0^t e^(z tau) dtau = expm1(z t) / z with z = Gamma + i omega,
-    and t itself at z = 0. Complex, of shape omega.shape + t.shape.
+    and t itself at z = 0. A subnormal Gamma counts as zero: 1/z overflows
+    there, and the two agree to double precision. Complex, of shape
+    omega.shape + t.shape.
     """
+    if abs(Gamma) < _TINY:
+        Gamma = 0.0
     z = Gamma + 1j * np.asarray(omega, dtype=float)
     t = np.asarray(t, dtype=float)
     z = z.reshape(z.shape + (1,) * t.ndim)
@@ -294,23 +289,22 @@ def _refine_max(ts, vals, g_from):
 
 
 def analytic_profile(p: EmitterParams, pulse: CosineSeriesPulse,
-                     grid=None, n_search: int = 1001) -> DepletionProfile:
+                     grid=None) -> DepletionProfile:
     """DepletionProfile through the closed-form route (any series pulse)."""
     if grid is None:
-        grid = np.linspace(0.0, pulse.T, n_search)
+        grid = np.linspace(0.0, pulse.T, N_SEARCH_GRID)
     grid = np.asarray(grid, dtype=float)
     G_of = series_g(p, pulse)
     G = np.atleast_1d(G_of(grid))
     d = np.atleast_1d(depletion_rate(p, pulse.envelope(), grid))
-    ts = np.linspace(0.0, pulse.T, n_search)
+    ts = np.linspace(0.0, pulse.T, N_SEARCH_GRID)
     gmax, targ = _refine_max(ts, G_of(ts), lambda j, s: float(G_of(s)))
     gmax = max(gmax, float(G.max()))
     return DepletionProfile(grid=grid, d=d, G=G, G_max=gmax, argmax_t=targ)
 
 
 def integrated_depletion_numeric(p: EmitterParams, env, t_grid,
-                                 refine_max: bool = True,
-                                 n_search: int = 1001) -> DepletionProfile:
+                                 refine_max: bool = True) -> DepletionProfile:
     """G by adaptive quadrature of d; works for any envelope, chirped or not.
 
     Integrates interval by interval, each to an estimated absolute error of
@@ -341,7 +335,7 @@ def integrated_depletion_numeric(p: EmitterParams, env, t_grid,
                 f"estimated error {err:.3e}")
         return val
 
-    ts = np.linspace(0.0, env.T, n_search) if refine_max else np.empty(0)
+    ts = np.linspace(0.0, env.T, N_SEARCH_GRID) if refine_max else np.empty(0)
     if ts.size:
         # a search node within 1e-9 T of an output node (such as i T/100
         # and 10 i T/1000, an ulp apart) is that node: one quad call per time

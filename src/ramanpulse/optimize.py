@@ -22,7 +22,6 @@ from .model import EmitterParams
 from .pulse import CosineSeriesPulse, series_norm_sq, slaved_series
 
 REFINE_SAMPLES = 21   # points per axis of the shape search's refinement box
-N_SEARCH_GRID = 1001  # samples of G(t) per candidate in the grid scan
 
 
 @dataclass(frozen=True)
@@ -137,12 +136,12 @@ def _scan(p: EmitterParams, axes, constrained: bool, max_candidates, best: _Best
     V = slaved_series(free) if constrained else free
     ncand, ncoef = V.shape
     VV = (V[:, :, None] * V[:, None, :]).reshape(ncand, -1)
-    tau = np.linspace(0.0, 1.0, N_SEARCH_GRID)
+    tau = np.linspace(0.0, 1.0, depletion.N_SEARCH_GRID)
     for T in axes[0]:
         if max_candidates is not None and best.evaluations + ncand > max_candidates:
             best.partial = True
             return
-        X = depletion.g_matrix(p, T, ncoef, tau * T).reshape(N_SEARCH_GRID, -1)
+        X = depletion.g_matrix(p, T, ncoef, tau * T).reshape(tau.size, -1)
         G_max = (VV @ X.T).max(axis=1) / series_norm_sq(T, V)
         merit = _merit(p, T, G_max)
         best.evaluations += ncand

@@ -181,11 +181,11 @@ class Envelope:
     """
 
     def __init__(self, T, f, theta=None, df=None, d2f=None, dtheta=None,
-                 d2theta=None, fd_step=None, _cumnorm=None, _evaluate=None):
+                 d2theta=None, _cumnorm=None, _evaluate=None):
         self.T = finite(T, "envelope support T")
         if self.T <= 0:
             raise ValidationError("envelope support T must be > 0")
-        h = fd_step if fd_step is not None else self.T * 1e-6
+        h = self.T * 1e-6
         self.f = f
         self.df = df if df is not None else self._fd1(f, h)
         self.d2f = d2f if d2f is not None else self._fd2(f, h)

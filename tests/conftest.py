@@ -1,7 +1,6 @@
-import numpy as np
 import pytest
 
-from ramanpulse import EmitterParams, RawRates, emitter_from_raw, ghz, optimize
+from ramanpulse import EmitterParams, RawRates, checks, emitter_from_raw, ghz
 
 
 @pytest.fixture(scope="session")
@@ -24,8 +23,7 @@ def perfect_params():
 
 @pytest.fixture(scope="session")
 def table_row_unconstrained(siv_params):
-    cfg = optimize.full_config(1, refine=False)
-    return optimize.optimize_shape(siv_params, cfg)
+    return checks.l1_optimum(siv_params)
 
 
 @pytest.fixture(scope="session")

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from ramanpulse import checks
 from ramanpulse.cli import DEFAULT_PARAMS, main, run_checks
 from ramanpulse.model import params_from_dict
 
@@ -166,11 +167,56 @@ def test_verify_malformed_amplitude_exit_code(tmp_path, capsys, value):
     assert "Traceback" not in err
 
 
-def test_self_checks_pass(capsys):
-    # figures --check: the nine self-checks on the default emitter
+def test_default_params_are_the_acceptance_emitter(siv_params, siv_raw):
+    # so the acceptance suite covers what figures --check runs by default
+    assert params_from_dict(dict(DEFAULT_PARAMS)) == (siv_params, siv_raw)
+
+
+def test_check_lines_and_exit_codes(monkeypatch, capsys):
+    # figures --check prints every record of checks.run, exits 3 on a failure
     p, raw = params_from_dict(dict(DEFAULT_PARAMS))
+    passing = checks.Check("fake pass", 0.5, "<=", 1.0)
+    failing = checks.Check("fake fail", 2.0, "<", 1.0)
+    monkeypatch.setattr(checks, "run", lambda p, raw, skip_lindblad: [passing])
     assert run_checks(p, raw) == 0
-    lines = capsys.readouterr().out.splitlines()
-    checks = [line for line in lines if line.startswith("CHECK ")]
-    assert len(checks) == 9
-    assert all(": PASS" in line for line in checks)
+    monkeypatch.setattr(checks, "run",
+                        lambda p, raw, skip_lindblad: [passing, failing])
+    assert run_checks(p, raw) == 3
+    assert capsys.readouterr().out.splitlines() == [
+        "CHECK fake pass: PASS value=0.5 <= limit=1",
+        "all checks passed",
+        "CHECK fake pass: PASS value=0.5 <= limit=1",
+        "CHECK fake fail: FAIL value=2 < limit=1",
+        "1 check(s) failed: fake fail",
+    ]
+
+
+@pytest.fixture(scope="module")
+def synthesis(tmp_path_factory):
+    out = tmp_path_factory.mktemp("synthesis")
+    assert main(["trajectory", "--out", str(out), "--samples", "101"]) == 0
+    return str(out / "synthesis.json")
+
+
+@pytest.mark.parametrize("argv", [
+    ["bound", "--T-min", "0"],
+    ["bound", "--T-samples", "0"],
+    ["bound", "--T-min", "2", "--T-max", "1"],
+    ["bound", "--T-max", "inf"],
+    ["trajectory", "--samples", "0"],
+    ["trajectory", "--samples", "1"],
+    ["verify", "--synthesis", "SYNTHESIS", "--samples", "0"],
+    ["verify", "--synthesis", "SYNTHESIS", "--samples", "1"],
+    ["optimize", "--samples", "0"],
+    ["figures", "--s-list", "0.9,x"],
+    ["figures", "--s-list", "0.9,nan"],
+], ids=" ".join)
+def test_bad_numbers_exit_code(tmp_path, capsys, synthesis, argv):
+    # rejected before any work: no output directory, no traceback
+    out = tmp_path / "out"
+    argv = [synthesis if a == "SYNTHESIS" else a for a in argv]
+    assert main([*argv, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+    assert not out.exists()

@@ -82,22 +82,6 @@ def test_duration_needs_window():
         optimize_duration(p, ratios=(np.nan,), T_lo=0.1, T_hi=2.0)
 
 
-def test_shape_table_row_unconstrained(table_row_unconstrained):
-    res = table_row_unconstrained
-    assert res.E_max == pytest.approx(0.988, abs=1e-3)
-    assert abs(res.pulse.T - 0.44) <= 0.035
-    assert res.pulse.coeffs[0] == pytest.approx(1.23, abs=0.01)
-
-
-def test_shape_table_row_constrained(siv_params):
-    res = optimize_shape(siv_params, full_config(1, constrained=True,
-                                                 refine=False))
-    assert res.E_max == pytest.approx(0.987, abs=1e-3)
-    assert abs(res.pulse.T - 0.50) <= 0.035
-    assert res.pulse.coeffs[0] == pytest.approx(1.35, abs=0.02)
-    assert res.pulse.coeffs[1] == pytest.approx(-0.34, abs=0.02)
-
-
 def test_shape_nesting_improves(siv_params):
     # the one-term family sits inside the two-term grid (zero is a node)
     cfg1 = OptimizationConfig(L=1, T_samples=80, refine=False)

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from ramanpulse import (CosineSeriesPulse, Envelope, ValidationError,
@@ -75,6 +76,15 @@ def test_norm_against_quadrature():
                                tuple(rng.uniform(-1, 1, size=3))).normalize()
         val, _ = quad(lambda t: pl.f(t) ** 2, 0.0, pl.T, limit=200)
         assert abs(val - 1.0) < 1e-9
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(T=st.floats(0.01, 100.0), lead=st.floats(0.1, 5.0),
+       ratios=st.lists(st.floats(-2.0, 2.0), min_size=0, max_size=5),
+       chirp=st.floats(-100.0, 100.0))
+def test_normalized_pulse_has_unit_norm(T, lead, ratios, chirp):
+    pl = CosineSeriesPulse(T, (lead, *ratios), chirp=chirp).normalize()
+    assert pl.cumulative_norm(T) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_cumulative_norm():
