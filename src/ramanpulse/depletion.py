@@ -165,12 +165,13 @@ class AnalyticGTerms:
     U: np.ndarray
 
 
-def _harmonic_coefficients(T: float, order: int, weights) -> np.ndarray:
+def _harmonic_coefficients(T, order: int, weights) -> np.ndarray:
     """The weighted sum of the five families on the helper integrals.
 
     For the weights (w1..w5) of I1..I5 returns C of shape
-    (order, order, 2K), K = 2 order + 1, with
-    sum_f w_f I_f(t)[n, m] = sum_k C[n, m, k] h_k(t) + C[n, m, K + k] u_k(t).
+    T.shape + (order, order, 2K), K = 2 order + 1, with
+    sum_f w_f I_f(t)[n, m] = sum_k C[n, m, k] h_k(t) + C[n, m, K + k] u_k(t);
+    T is one duration or an array of them.
     By the product-to-sum identities
         I1 = h_0 - h_n - h_m + (h_|m-n| + h_(m+n)) / 2
         I2 = w_m (u_m - u_(m+n) / 2 - sgn(m - n) u_|m-n| / 2)
@@ -181,19 +182,22 @@ def _harmonic_coefficients(T: float, order: int, weights) -> np.ndarray:
     """
     w1, w2, w3, w4, w5 = weights
     K = 2 * order + 1
+    T = np.asarray(T, dtype=float)
     n, m = np.indices((order, order)) + 1
-    wn, wm = TWO_PI * n / T, TWO_PI * m / T
+    wn, wm = TWO_PI * n / T[..., None, None], TWO_PI * m / T[..., None, None]
     dk, sk = np.abs(m - n), m + n
-    a, b, c = np.full(n.shape, w1), 0.5 * w3 * wn * wm, 0.5 * w4 * wm * wm
+    a, b, c = np.full(wn.shape, w1), 0.5 * w3 * wn * wm, 0.5 * w4 * wm * wm
     du, su = 0.5 * w2 * wm, 0.5 * w5 * wn * wm * wm
     columns = (0 * n, n, m, dk, sk, K + m, K + sk, K + dk)
     values = (a, -a, 2.0 * c - a, 0.5 * a + b - c, 0.5 * a - b - c,
               2.0 * du, su - du, -np.sign(m - n) * (du + su))
-    rows = 2 * K * np.arange(order * order).reshape(order, order)
+    size = order * order * 2 * K
+    rows = (2 * K * np.arange(order * order).reshape(order, order)
+            + size * np.arange(T.size).reshape(T.shape + (1, 1, 1)))
     C = np.bincount((rows + np.stack(columns)).ravel(),
-                    np.stack(values).ravel(),
-                    order * order * 2 * K)
-    return C.reshape(order, order, 2 * K)
+                    np.stack(values, axis=-3).ravel(),
+                    T.size * size)
+    return C.reshape(T.shape + (order, order, 2 * K))
 
 
 def _helper_rows(T: float, Gamma: float, order: int, t) -> np.ndarray:
@@ -212,17 +216,51 @@ def family_integrals(T: float, Gamma: float, order: int, t) -> AnalyticGTerms:
     return AnalyticGTerms(T, Gamma, *fams, H=H, U=U)
 
 
-def g_matrix(p: EmitterParams, T: float, order: int, t,
+def g_matrix(p: EmitterParams, T, order: int, tau,
              chirp: float = 0.0) -> np.ndarray:
-    """Quadratic form X with G(t) = v . X(t) . v for a series pulse.
+    """Quadratic form X with G(t) = v . X(t) . v at the times t = tau T.
 
-    Shape (nt, order, order). The pulse coefficients enter bilinearly, so
-    grid optimizers can reuse one X per duration for every candidate. A
-    linear chirp theta = chirp * t only shifts two of the five weights.
+    T is one duration or a 1-d array of them; the shape is
+    T.shape + (nt, order, order). The pulse coefficients enter bilinearly,
+    so a grid scan reuses one X per duration for every candidate, and one
+    call builds X for a block of durations. A linear chirp theta = chirp * t
+    only shifts two of the five weights.
+
+    On t = tau T the phase of harmonic k, w_k t = 2 pi k tau, does not
+    depend on T, and with z = Gamma + i w_k
+        h_k + i u_k = expm1(z t) / z
+                    = [expm1(Gamma t)
+                       + e^(Gamma t) (i sin(2 pi k tau) - 2 sin^2(pi k tau))] / z.
+    Contracted with the family coefficients, X = expm1(Gamma t) S_0 +
+    e^(Gamma t) S(tau): S is one matrix product of per-duration coefficients
+    with a table of the two sines that every duration shares, so a duration
+    costs one exp and one expm1 row. At the pole z = 0, h_0 = t; a subnormal
+    Gamma counts as zero, as in _helper_integrals.
     """
-    C = _harmonic_coefficients(T, order, _rate_weights(p, chirp))
-    HU = _helper_rows(T, p.Gamma1 - p.Gamma2, order, t)
-    return (HU.T @ C.reshape(order * order, -1).T).reshape(-1, order, order)
+    Gamma = p.Gamma1 - p.Gamma2
+    if abs(Gamma) < _TINY:
+        Gamma = 0.0
+    T = np.asarray(T, dtype=float)
+    tau = np.asarray(tau, dtype=float)
+    K = 2 * order + 1
+    C = _harmonic_coefficients(T, order, _rate_weights(p, chirp)).reshape(
+        T.shape + (order * order, 2 * K))
+    z = Gamma + 1j * TWO_PI * np.arange(K) / T[..., None, None]
+    pole = z == 0.0
+    r = np.where(pole, 0.0, 1.0 / np.where(pole, 1.0, z))
+    # sum_k C[k] h_k + C[K + k] u_k = sum_k P_k Re(expm1(z t)) + Q_k Im(expm1(z t))
+    P = C[..., :K] * r.real + C[..., K:] * r.imag
+    Q = C[..., K:] * r.real - C[..., :K] * r.imag
+    half = np.sin(np.pi * np.arange(K)[:, None] * tau)
+    table = np.concatenate([2.0 * half * half,
+                            np.sin(TWO_PI * np.arange(K)[:, None] * tau), [tau]])
+    t_coef = np.where(pole[..., 0], C[..., 0] * T[..., None], 0.0)  # h_0 = t
+    X = np.concatenate([-P, Q, t_coef[..., None]], axis=-1) @ table
+    if Gamma != 0.0:
+        Gt = Gamma * T[..., None] * tau
+        X *= np.exp(Gt)[..., None, :]
+        X += np.expm1(Gt)[..., None, :] * P.sum(axis=-1)[..., None]
+    return np.moveaxis(X.reshape(T.shape + (order, order, -1)), -1, -3)
 
 
 def series_g(p: EmitterParams, pulse: CosineSeriesPulse):

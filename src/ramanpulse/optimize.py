@@ -23,6 +23,16 @@ from .pulse import CosineSeriesPulse, series_norm_sq, slaved_series
 
 REFINE_SAMPLES = 21   # points per axis of the shape search's refinement box
 
+# Bytes of the largest array one step of the grid scan builds: the scores of
+# a block of candidates at a block of durations, or the integral matrices X.
+BLOCK_BYTES = 8 * 2 ** 20
+# Every COARSE-th time sample, and the last, bound each candidate's G_max
+# from below; a candidate is dropped when the merit bound this gives falls
+# below the incumbent by more than PRUNE_MARGIN (relative), so rounding in
+# the products cannot drop the optimum.
+COARSE = 16
+PRUNE_MARGIN = 1e-12
+
 
 @dataclass(frozen=True)
 class OptimizationConfig:
@@ -94,7 +104,13 @@ def default_T_range(p: EmitterParams) -> tuple:
 
 
 def _merit(p: EmitterParams, T, G_max):
-    """1 / (exp(Gamma2 T) G_max): the worst-case fidelity at the bound."""
+    """1 / (exp(Gamma2 T) G_max): the worst-case fidelity at the bound.
+
+    T is one duration, or a 1-d array of them with one row of G_max each.
+    """
+    if np.ndim(T):
+        decay = np.array([math.exp(p.Gamma2 * t) for t in T])
+        return 1.0 / (decay[:, None] * G_max)
     return 1.0 / (math.exp(p.Gamma2 * T) * G_max)
 
 
@@ -110,45 +126,74 @@ def objective(p: EmitterParams, pulse: CosineSeriesPulse) -> float:
 
 @dataclass
 class _Best:
-    """Running best of a search, and what the search has spent."""
+    """Running best of a search, and what the search has spent.
+
+    evaluations counts every grid point considered; pruned counts those
+    dropped by their bound without a full score.
+    """
 
     objective: float = -math.inf
     T: float | None = None
     ratios: tuple = ()
     coeffs: tuple = ()
     evaluations: int = 0
+    pruned: int = 0
     partial: bool = False
 
     def stage(self, name: str) -> dict:
         return {"stage": name, "T": self.T, "ratios": list(self.ratios),
-                "objective": self.objective, "evaluations": self.evaluations}
+                "objective": self.objective, "evaluations": self.evaluations,
+                "pruned": self.pruned}
 
 
 def _scan(p: EmitterParams, axes, constrained: bool, max_candidates, best: _Best):
     """Score the grid axes[0] (durations) x axes[1] x ... (ratios).
 
     One integral matrix X per duration serves every candidate: G = v.X.v
-    is the product of X with the outer products v x v. Only a strictly
-    better point replaces the incumbent, so ties keep the earlier one.
+    is the product of X with the outer products v x v. The grid goes in
+    blocks of at most BLOCK_BYTES: many durations per block when the
+    candidates are few, candidate chunks at one duration when they are
+    many. Each block is first scored on the coarse time samples; a
+    candidate whose merit bound is below the incumbent is dropped, the rest
+    are scored in full in grid order. Only a strictly better point replaces
+    the incumbent, so ties keep the earlier one.
     """
     mesh = np.meshgrid(np.ones(1), *axes[1:], indexing="ij")
     free = np.stack([m.ravel() for m in mesh], axis=1)  # (1, ratios...)
     V = slaved_series(free) if constrained else free
     ncand, ncoef = V.shape
     VV = (V[:, :, None] * V[:, None, :]).reshape(ncand, -1)
+    norm = series_norm_sq(1.0, V)  # times T: the series norm at duration T
+    Ts = np.asarray(axes[0], dtype=float)
+    if max_candidates is not None:
+        fits = max(max_candidates - best.evaluations, 0) // ncand
+        if fits < Ts.size:
+            best.partial, Ts = True, Ts[:fits]
     tau = np.linspace(0.0, 1.0, depletion.N_SEARCH_GRID)
-    for T in axes[0]:
-        if max_candidates is not None and best.evaluations + ncand > max_candidates:
-            best.partial = True
-            return
-        X = depletion.g_matrix(p, T, ncoef, tau * T).reshape(tau.size, -1)
-        G_max = (VV @ X.T).max(axis=1) / series_norm_sq(T, V)
-        merit = _merit(p, T, G_max)
-        best.evaluations += ncand
-        i = int(np.argmax(merit))
-        if merit[i] > best.objective:
-            best.objective, best.T = float(merit[i]), float(T)
-            best.ratios, best.coeffs = tuple(free[i, 1:]), tuple(V[i])
+    coarse = np.r_[0:tau.size - 1:COARSE, tau.size - 1]
+    row = 8 * tau.size  # bytes of one duration's samples
+    chunk = max(1, min(ncand, BLOCK_BYTES // row))
+    per_block = max(1, BLOCK_BYTES // (row * max(ncoef * ncoef, ncand)))
+    for j in range(0, Ts.size, per_block):
+        Tb = Ts[j:j + per_block]
+        X = np.moveaxis(depletion.g_matrix(p, Tb, ncoef, tau), 1, -1).reshape(
+            Tb.size, ncoef * ncoef, -1)
+        Xc = X[..., coarse]
+        for c in range(0, ncand, chunk):
+            vv, nrm = VV[c:c + chunk], Tb[:, None] * norm[c:c + chunk]
+            bound = _merit(p, Tb, (vv @ Xc).max(axis=2) / nrm)
+            keep = np.flatnonzero(np.any(
+                bound >= best.objective * (1.0 - PRUNE_MARGIN), axis=0))
+            best.evaluations += bound.size
+            best.pruned += bound.size - Tb.size * keep.size
+            if keep.size == 0:
+                continue
+            merit = _merit(p, Tb, (vv[keep] @ X).max(axis=2) / nrm[:, keep])
+            t, k = np.unravel_index(np.argmax(merit), merit.shape)
+            if merit[t, k] > best.objective:
+                i = c + keep[k]
+                best.objective, best.T = float(merit[t, k]), float(Tb[t])
+                best.ratios, best.coeffs = tuple(free[i, 1:]), tuple(V[i])
 
 
 def _search(p: EmitterParams, axes, constrained: bool, refine_samples: int,

@@ -112,7 +112,6 @@ def integrate_nonhermitian(p: EmitterParams, Omega, init: InitialState,
 @dataclass
 class CompareReport:
     max_dev: dict
-    norm_dev: float
     passed: bool
 
 
@@ -131,12 +130,8 @@ def compare(closed: Trajectory, ode: OdeSolution) -> CompareReport:
         "eta": float(np.max(np.abs(closed.eta - ode.eta))),
         "lambda": float(np.max(np.abs(closed.lam - ode.lam))),
     }
-    closed_norm = (np.abs(closed.alpha) ** 2 + np.abs(closed.beta) ** 2
-                   + np.abs(closed.zeta) ** 2 + np.abs(closed.eta) ** 2
-                   + np.abs(closed.lam) ** 2)
-    norm_dev = float(np.max(np.abs(closed_norm - ode.norm())))
     passed = all(v <= 1e-6 for v in devs.values())
-    return CompareReport(max_dev=devs, norm_dev=norm_dev, passed=passed)
+    return CompareReport(max_dev=devs, passed=passed)
 
 
 # ---------------------------------------------------------------------------

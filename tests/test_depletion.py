@@ -372,7 +372,7 @@ def test_harmonic_sum_matches_g_matrix_and_quadrature(
     ts = np.array([0.5 * frac, frac]) * T
     G = integrated_depletion_analytic(p, pl, ts)
     v = np.asarray(pl.coeffs)
-    X = depletion.g_matrix(p, pl.T, pl.order, ts, pl.chirp)
+    X = depletion.g_matrix(p, pl.T, pl.order, ts / pl.T, pl.chirp)
     contracted = np.einsum("tnm,n,m->t", X, v, v)
     assert np.all(np.abs(G - contracted) <= 1e-13 * np.abs(contracted))
     num = integrated_depletion_numeric(p, pl.envelope(), ts, refine_max=False).G

@@ -1,3 +1,6 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,6 +9,7 @@ from ramanpulse import (CosineSeriesPulse, EmitterParams, ValidationError,
 from ramanpulse import bounds, depletion, optimize
 from ramanpulse.optimize import (OptimizationConfig, desk_config, full_config,
                                  objective, optimize_duration, optimize_shape)
+from ramanpulse.pulse import series_norm_sq, slaved_series
 
 
 def test_objective_equals_worst_case_fidelity(siv_params):
@@ -183,6 +187,10 @@ PINNED_OPTIMA = {
                         (1.5021389553907154, -0.37553473884767885,
                          0.16523528509297883, -0.0929448478648006),
                         0.9511861571735352),
+    ("full", 3, False): (0.344942025959689,
+                         (1.4631658561574354, -0.292633171231487,
+                          0.16094824417731804),
+                         0.9555019273233809),
     ("desk", 3, False): (0.3507904868147897,
                          (1.440608441831517, -0.28812168836630336,
                           0.1728730130197822),
@@ -204,3 +212,69 @@ def test_grid_optimum_pinned(siv_params, grid, L, constrained):
     assert res.pulse.T == T
     assert res.pulse.coeffs == coeffs
     assert res.objective_value == pytest.approx(obj, rel=1e-12)
+
+
+def _reference_scan(p, axes, constrained, max_candidates=None):
+    """Every grid point scored alone: series_g on the 1001-point time grid.
+
+    Returns the merits in grid order (durations, then ratios), the points,
+    and whether the budget cut the duration axis.
+    """
+    tau = np.linspace(0.0, 1.0, depletion.N_SEARCH_GRID)
+    shapes = list(itertools.product(*axes[1:]))
+    merits, points = [], []
+    for T in axes[0]:
+        if max_candidates is not None and len(points) + len(shapes) > max_candidates:
+            return np.array(merits), points, True
+        for ratios in shapes:
+            free = (1.0, *ratios)
+            v = tuple(slaved_series(free)) if constrained else free
+            G = depletion.series_g(p, CosineSeriesPulse(T, v))(tau * T)
+            merits.append(optimize._merit(p, T, G.max() / series_norm_sq(T, v)))
+            points.append((T, ratios))
+    return np.array(merits), points, False
+
+
+# (Gamma1, Gamma2) in rad/ns, order L, constrained, duration window, block
+# size in rows of 1001 samples, candidate budget. Both budgets end inside a
+# block; the narrow windows put near-ties next to the optimum.
+SCAN_CASES = [
+    ((ghz(0.01), ghz(0.01)), 3, False, (0.28, 0.345), 7, None),  # pole; chunks of 7
+    ((ghz(0.03), ghz(0.01)), 1, False, (0.32, 0.37), 20, 5),     # blocks of 3
+    ((ghz(0.01), ghz(0.05)), 2, False, (0.15, 1.2), 40, None),   # blocks of 4 of 9
+    ((5e-324, 0.0), 2, True, (1.0, 1.3), 40, 26),                # subnormal; of 2
+]
+
+
+@pytest.mark.parametrize("rates,L,constrained,window,rows,budget", SCAN_CASES)
+def test_blocked_pruned_scan_matches_reference(monkeypatch, rates, L, constrained,
+                                               window, rows, budget):
+    p = EmitterParams(g=ghz(6), kappa=ghz(30), gamma_tilde=ghz(0.1),
+                      Gamma1=rates[0], Gamma2=rates[1])
+    rng = np.random.default_rng(L + 10 * rows)
+    axes = [np.sort(rng.uniform(*window, size=9 if L > 1 else 7))]
+    axes += [np.sort(rng.uniform(-0.4, 0.4, size=5 - i)) for i in range(L - 1)]
+    monkeypatch.setattr(optimize, "BLOCK_BYTES", rows * 8 * depletion.N_SEARCH_GRID)
+    best, _ = optimize._search(p, axes, constrained, 0, budget)
+    merits, points, partial = _reference_scan(p, axes, constrained, budget)
+    assert (best.evaluations, best.partial) == (len(points), partial)
+    assert best.objective == pytest.approx(merits.max(), rel=1e-12)
+    top = np.sort(merits)[-2:]
+    if top[0] < top[1] * (1 - 1e-10):  # a unique maximum
+        T, ratios = points[int(np.argmax(merits))]
+        assert (best.T, best.ratios) == (T, ratios)
+    if L == 3:
+        assert best.pruned > 0
+
+
+def test_scan_memory_stays_in_blocks(siv_params):
+    # one L=3 duration on the published 201 x 201 ratio grid: the score
+    # block of all 40401 candidates would take 323 MB
+    axis = np.linspace(-1.0, 1.0, 201)
+    tracemalloc.start()
+    try:
+        optimize._search(siv_params, [np.array([0.345]), axis, axis], False, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20
