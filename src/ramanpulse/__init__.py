@@ -13,16 +13,15 @@ __version__ = "0.1.0"
 
 from .bounds import (BoundResult, avg_fidelity, compute_bounds, e_max,
                      fidelity, simplified_bound, slow_pulse_bound)
-from .depletion import (AnalyticGTerms, DepletionProfile, analytic_profile,
-                        depletion_rate, integrated_depletion_analytic,
+from .depletion import (DepletionProfile, analytic_profile, depletion_rate,
+                        integrated_depletion_analytic,
                         integrated_depletion_numeric, phase_evolution)
 from .errors import (DomainError, LayoutError, ModelError, NumericError,
                      PoleError, ProtocolError, RamanPulseError,
                      ValidationError)
-from .model import (CombinedRates, EmitterParams, LabFrameParams, RawRates,
-                    combine_rates, cooperativity, emitter_from_raw, ghz,
-                    load_params, params_from_dict, to_lab_frame_drive,
-                    to_rotating_frame_drive)
+from .model import (CombinedRates, EmitterParams, RawRates, combine_rates,
+                    cooperativity, emitter_from_raw, ghz, load_params,
+                    params_from_dict)
 from .optimize import (OptimizationConfig, OptimizationResult, desk_config,
                        full_config, objective, optimize_duration,
                        optimize_shape)
@@ -33,7 +32,7 @@ from .pulse import (CosineSeriesPulse, Envelope, as_envelope,
                     write_samples)
 from .trajectory import (ClosedFormSolution, InitialState, Trajectory,
                          closed_form_trajectory, drive_omega, max_efficiency,
-                         mode_matching_coupling, virtual_coupling)
+                         virtual_coupling)
 from .verify import (CompareReport, DensityMatrix, LindbladResult,
                      OdeSolution, compare, integrate_nonhermitian,
                      lindblad_simulate)

@@ -123,8 +123,7 @@ def c3_analytic_vs_quadrature():
                                tuple(coeffs)).normalize()
         ts = np.array([0.3, 0.7, 1.0]) * pl.T
         ana = depletion.integrated_depletion_analytic(p, pl, ts)
-        num = depletion.integrated_depletion_numeric(p, pl.envelope(), ts,
-                                                     refine_max=False)
+        num = depletion.integrated_depletion_numeric(p, pl, ts, refine_max=False)
         worst = max(worst, float(np.max(
             np.abs(ana - num.G) / np.maximum(np.abs(num.G), 1e-12))))
     return [Check("C3 worst relative deviation of closed-form G from quadrature",
@@ -183,14 +182,14 @@ def c6_phase_properties(p: EmitterParams, pulse: CosineSeriesPulse):
     """C6: no drive phase on resonance; with Gamma1 < gamma_tilde, every
     linear chirp lowers the (quadrature) efficiency bound."""
     grid = np.linspace(0.0, pulse.T, 101)
-    phi = depletion.phase_evolution(p, pulse.envelope(), E=0.9, t_grid=grid)
+    phi = depletion.phase_evolution(p, pulse, E=0.9, t_grid=grid)
     out = [Check("C6 max |phi| at E = 0.9", float(np.max(np.abs(phi))), "<=", 1e-10),
            Check("C6 Gamma1 (limit: gamma_tilde)", p.Gamma1, "<", p.gamma_tilde)]
     E0 = bounds.e_max(depletion.analytic_profile(p, pulse))
     for c in (-2.0, -1.0, -0.5, 0.5, 1.0, 2.0):
         chirped = CosineSeriesPulse(pulse.T, pulse.coeffs, chirp=c * p.kappa)
         prof = depletion.integrated_depletion_numeric(
-            p, chirped.envelope(), np.linspace(0, pulse.T, 11))
+            p, chirped, np.linspace(0, pulse.T, 11))
         out.append(Check(f"C6 E_max at chirp {c:g} kappa (limit: unchirped)",
                          bounds.e_max(prof), "<", E0))
     return out

@@ -19,11 +19,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, bounds, checks, depletion, optimize, protocol, verify
-from .errors import (DomainError, NumericError, PoleError, RamanPulseError,
+from .errors import (DomainError, NumericError, RamanPulseError,
                      ValidationError, finite)
 from .model import EmitterParams, RawRates, params_from_dict, read_json_object
 from .pulse import (CosineSeriesPulse, load_pulse, sin2_pulse, write_csv,
-                    write_samples)
+                    write_json, write_samples)
 from .trajectory import (ClosedFormSolution, InitialState,
                          closed_form_trajectory, drive_omega, max_efficiency)
 
@@ -66,13 +66,6 @@ def _provenance(data: dict, extra: str = "") -> str:
     return "; ".join(pieces)
 
 
-def _write_json(path: Path, payload: dict):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=float)
-        fh.write("\n")
-    print(f"wrote {path}")
-
-
 def _check_samples(n: int, flag: str = "--samples"):
     if n < 2:
         raise ValidationError(f"{flag} must be at least 2, got {n}")
@@ -97,8 +90,7 @@ def _bound_curves(p: EmitterParams, data: dict, out: Path, T_values):
             e_sim = bounds.simplified_bound(profile)
             e_slow = math.sqrt(max(res.E2_slow, 0.0))
             rows.append((
-                float(T), res.F_worst,
-                bounds.fidelity(e_sim, ps.Gamma2, float(T), 1.0),
+                float(T), res.F_worst, res.F_simplified,
                 bounds.fidelity(e_slow, ps.Gamma2, float(T), 1.0),
                 res.F_avg,
                 bounds.avg_fidelity(e_sim, ps.Gamma2, float(T)),
@@ -122,7 +114,8 @@ def _bound_curves(p: EmitterParams, data: dict, out: Path, T_values):
             "T_opt_avg_ns": float(arr[i_avg, 0]),
             "F_avg_at_opt": float(arr[i_avg, 4]),
         }
-    _write_json(out / "bound_summary.json", summary)
+    write_json(out / "bound_summary.json", summary)
+    print(f"wrote {out / 'bound_summary.json'}")
 
 
 def cmd_bound(args) -> int:
@@ -159,7 +152,8 @@ def cmd_optimize(args) -> int:
         "objective": result.objective_value,
         "provenance": result.provenance,
     }
-    _write_json(out / f"optimize_{tag}.json", payload)
+    write_json(out / f"optimize_{tag}.json", payload)
+    print(f"wrote {out / f'optimize_{tag}.json'}")
     write_samples(result.pulse, out / f"optimize_{tag}_envelope.csv",
                   header=_provenance(data, f"optimal envelope {tag}"))
     print(f"wrote {out / f'optimize_{tag}_envelope.csv'}")
@@ -204,10 +198,6 @@ def cmd_trajectory(args) -> int:
     E = args.s * E_max
     grid = np.linspace(0.0, pl.T, args.samples)
     traj = closed_form_trajectory(p, pl, E, init, grid)
-    if not (traj.drive_valid or traj.drive_irrelevant):
-        raise PoleError(
-            f"no finite drive at E = {args.s:g} E_max: the ground state "
-            "empties at the depletion maximum; use --s below 1")
     traj.to_csv(out / "trajectory.csv",
                 header=_provenance(data, f"E={E:.8g} alpha0={args.alpha0} beta0={args.beta0}"))
     print(f"wrote {out / 'trajectory.csv'}")
@@ -220,7 +210,8 @@ def cmd_trajectory(args) -> int:
         "alpha0": [init.alpha0.real, init.alpha0.imag],
         "beta0": [init.beta0.real, init.beta0.imag],
     }
-    _write_json(out / "synthesis.json", synthesis)
+    write_json(out / "synthesis.json", synthesis)
+    print(f"wrote {out / 'synthesis.json'}")
     print(f"F(closed form) = {traj.fidelity(init):.6f}, p_e(T) = {traj.p_e[-1]:.6f}")
     return 0
 
@@ -276,7 +267,8 @@ def cmd_verify(args) -> int:
         report["F_lindblad_coherent"] = lres.fidelity_coherent
         report["lindblad_trace_drift"] = lres.trace_drift
         report["lindblad_marker_max"] = lres.marker_max
-    _write_json(out / "verify_report.json", report)
+    write_json(out / "verify_report.json", report)
+    print(f"wrote {out / 'verify_report.json'}")
     print(json.dumps(report, indent=2, sort_keys=True, default=float))
     return 0
 
@@ -365,7 +357,8 @@ def cmd_figures(args) -> int:
             write_samples(res.pulse, shapes_dir / f"envelope_{tag}.csv",
                           header=_provenance(data, f"optimal envelope {tag}"))
             print(f"wrote {shapes_dir / f'envelope_{tag}.csv'}")
-    _write_json(out / "optimized_pulses.json", {"rows": table})
+    write_json(out / "optimized_pulses.json", {"rows": table})
+    print(f"wrote {out / 'optimized_pulses.json'}")
 
     # drive for the single-term optimum at several efficiency fractions
     best = optimize.optimize_shape(p, factory(1, refine=False))

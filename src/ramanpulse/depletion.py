@@ -134,37 +134,6 @@ def _helper_integrals(omega, t, Gamma: float):
     return np.where(pole, t, np.expm1(z * t) / np.where(pole, 1.0, z))
 
 
-def h_integral(omega: float, t, Gamma: float):
-    """h(omega, t) = int_0^t exp(Gamma tau) cos(omega tau) dtau."""
-    return _helper_integrals([omega], t, Gamma)[0].real[()]
-
-
-def u_integral(omega: float, t, Gamma: float):
-    """u(omega, t) = int_0^t exp(Gamma tau) sin(omega tau) dtau."""
-    return _helper_integrals([omega], t, Gamma)[0].imag[()]
-
-
-@dataclass
-class AnalyticGTerms:
-    """Per-(n, m) closed-form integrals for a series of given order.
-
-    I1..I5 hold int_0^t e^(Gamma tau) X dtau for X = f_n f_m, f_n f'_m,
-    f'_n f'_m, f_n f''_m, f'_n f''_m with shape (nt, order, order); H and U
-    hold the helper integrals indexed by frequency multiple, shape
-    (2 order + 1, nt).
-    """
-
-    T: float
-    Gamma: float
-    I1: np.ndarray
-    I2: np.ndarray
-    I3: np.ndarray
-    I4: np.ndarray
-    I5: np.ndarray
-    H: np.ndarray
-    U: np.ndarray
-
-
 def _harmonic_coefficients(T, order: int, weights) -> np.ndarray:
     """The weighted sum of the five families on the helper integrals.
 
@@ -198,22 +167,6 @@ def _harmonic_coefficients(T, order: int, weights) -> np.ndarray:
                     np.stack(values, axis=-3).ravel(),
                     T.size * size)
     return C.reshape(T.shape + (order, order, 2 * K))
-
-
-def _helper_rows(T: float, Gamma: float, order: int, t) -> np.ndarray:
-    """h_0..h_2L stacked over u_0..u_2L at the 1-d times t: (2 (2L + 1), nt)."""
-    hu = _helper_integrals(TWO_PI * np.arange(2 * order + 1) / T,
-                           np.atleast_1d(t), Gamma)
-    return np.concatenate([hu.real, hu.imag])
-
-
-def family_integrals(T: float, Gamma: float, order: int, t) -> AnalyticGTerms:
-    """Evaluate the five integral families on a time array."""
-    HU = _helper_rows(T, Gamma, order, t)
-    C = np.stack([_harmonic_coefficients(T, order, unit) for unit in np.eye(5)])
-    fams = np.moveaxis(C @ HU, -1, 1)
-    H, U = np.split(HU, 2)
-    return AnalyticGTerms(T, Gamma, *fams, H=H, U=U)
 
 
 def g_matrix(p: EmitterParams, T, order: int, tau,
@@ -334,7 +287,7 @@ def analytic_profile(p: EmitterParams, pulse: CosineSeriesPulse,
     grid = np.asarray(grid, dtype=float)
     G_of = series_g(p, pulse)
     G = np.atleast_1d(G_of(grid))
-    d = np.atleast_1d(depletion_rate(p, pulse.envelope(), grid))
+    d = np.atleast_1d(depletion_rate(p, pulse, grid))
     ts = np.linspace(0.0, pulse.T, N_SEARCH_GRID)
     gmax, targ = _refine_max(ts, G_of(ts), lambda j, s: float(G_of(s)))
     gmax = max(gmax, float(G.max()))

@@ -33,8 +33,9 @@ class NumericError(RamanPulseError, RuntimeError):
 class PoleError(DomainError):
     """Drive synthesis got too close to the Rabi-frequency pole.
 
-    Raised when the ground-state amplitude nearly vanishes while the drive
-    numerator does not; reduce the target efficiency below the bound.
+    Raised when the target efficiency empties the ground state at the
+    depletion maximum (E at or above E_max), or when the ground-state
+    amplitude vanishes while the drive numerator does not.
     """
 
 

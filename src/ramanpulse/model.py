@@ -1,4 +1,4 @@
-"""Emitter and cavity parameters, rate combination, frame conversions.
+"""Emitter and cavity parameters, rate combination, parameter files.
 
 Unit convention: every rate and angular frequency is in rad/ns, every time
 in ns. Parameter files quote plain GHz numbers; a value x stands for the
@@ -12,8 +12,6 @@ import json
 import math
 from dataclasses import dataclass, fields
 from pathlib import Path
-
-import numpy as np
 
 from .errors import DomainError, ValidationError, finite
 
@@ -126,24 +124,6 @@ def cooperativity(p: EmitterParams) -> float:
     if den <= 0:
         raise DomainError("cooperativity undefined: gamma_tilde * (kappa + kappa_tilde) = 0")
     return 2.0 * p.g ** 2 / den
-
-
-@dataclass(frozen=True)
-class LabFrameParams:
-    """Frequencies removed by the rotating frame: qubit splitting and cavity frequency."""
-
-    delta: float
-    omega_c: float
-
-
-def to_lab_frame_drive(omega_rot, t, lab: LabFrameParams):
-    """Lab-frame drive sample for a rotating-frame sample at time t."""
-    return np.asarray(omega_rot) * np.exp(-1j * (lab.delta + lab.omega_c) * np.asarray(t))
-
-
-def to_rotating_frame_drive(omega_lab, t, lab: LabFrameParams):
-    """Inverse of to_lab_frame_drive."""
-    return np.asarray(omega_lab) * np.exp(1j * (lab.delta + lab.omega_c) * np.asarray(t))
 
 
 _PARAM_KEYS = {

@@ -22,6 +22,7 @@ from .model import EmitterParams
 from .pulse import CosineSeriesPulse, series_norm_sq, slaved_series
 
 REFINE_SAMPLES = 21   # points per axis of the shape search's refinement box
+DURATION_SAMPLES = 200  # durations per stage of optimize_duration
 
 # Bytes of the largest array one step of the grid scan builds: the scores of
 # a block of candidates at a block of durations, or the integral matrices X.
@@ -260,29 +261,21 @@ def optimize_shape(p: EmitterParams, cfg: OptimizationConfig) -> OptimizationRes
     return _result(p, cfg, best, trace)
 
 
-def optimize_duration(p: EmitterParams, ratios=(), constrained: bool = False,
-                      T_lo: float | None = None, T_hi: float | None = None,
-                      samples: int = 200, spacing: str = "linear",
-                      refine: bool = True) -> OptimizationResult:
-    """Two-stage duration optimization at a fixed shape.
+def optimize_duration(p: EmitterParams, T_lo: float | None = None,
+                      T_hi: float | None = None) -> OptimizationResult:
+    """Two-stage duration optimization of the single-term pulse.
 
-    Stage one scans `samples` durations across the window between the
-    coupling timescale and the memory time; stage two rescans the same
-    number of points between the grid neighbors of the stage-one optimum,
-    which keeps grid artifacts below one fine step even for slow
-    decoherence. The default shape is the single-term pulse.
+    Stage one scans DURATION_SAMPLES durations across [T_lo, T_hi], by
+    default the window between the coupling timescale and the memory time;
+    stage two rescans as many points between the grid neighbors of the
+    stage-one optimum, which keeps grid artifacts below one fine step even
+    for slow decoherence.
     """
     if T_lo is None or T_hi is None:
         d_lo, d_hi = default_T_range(p)
         T_lo = d_lo if T_lo is None else T_lo
         T_hi = d_hi if T_hi is None else T_hi
-    cfg = OptimizationConfig(L=1 + len(ratios), constrained=constrained,
-                             T_range=(T_lo, T_hi), T_samples=samples,
-                             refine=refine)
-    grids = {"linear": np.linspace, "log": np.geomspace}
-    if spacing not in grids:
-        raise ValidationError("spacing must be 'linear' or 'log'")
-    axes = [grids[spacing](T_lo, T_hi, samples)] + [
-        np.array([finite(r, "shape ratio")]) for r in ratios]
-    best, trace = _search(p, axes, constrained, samples if refine else 0)
+    cfg = OptimizationConfig(T_range=(T_lo, T_hi), T_samples=DURATION_SAMPLES)
+    best, trace = _search(p, [np.linspace(T_lo, T_hi, DURATION_SAMPLES)], False,
+                          DURATION_SAMPLES)
     return _result(p, cfg, best, trace)

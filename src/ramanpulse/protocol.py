@@ -15,13 +15,13 @@ storage and retrieval steps.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import LayoutError, ProtocolError, ValidationError
+from .pulse import write_json
 
 _SQRT_NOT = {
     ("0", "0"): 0.5 * (1 + 1j), ("a", "0"): 0.5 * (1 - 1j),
@@ -214,6 +214,4 @@ def write_result(result: ProtocolResult, path: str | Path):
         "fidelity": result.fidelity,
         "norm": result.norm,
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, data)

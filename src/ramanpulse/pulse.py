@@ -28,7 +28,9 @@ class CosineSeriesPulse:
     """Cosine-series envelope with an optional linear phase chirp.
 
     theta(t) = chirp * t; a zero chirp gives a real pulse. Derivatives are
-    analytic, no finite differencing is involved for this family.
+    analytic, no finite differencing is involved for this family. The pulse
+    is itself an envelope: it has every method of Envelope, with f, f' and
+    f'' in one pass and the exact cumulative norm.
     """
 
     T: float
@@ -105,6 +107,10 @@ class CosineSeriesPulse:
     def d2theta(self, t):
         return np.zeros_like(np.asarray(t, dtype=float))[()]
 
+    def v(self, t):
+        """Complex envelope exp(i theta) f."""
+        return np.exp(1j * np.asarray(self.theta(t))) * np.asarray(self.f(t))
+
     def norm_sq(self) -> float:
         """int_0^T f^2 dt, exact for the series."""
         return float(series_norm_sq(self.T, self.coeffs))
@@ -145,12 +151,6 @@ class CosineSeriesPulse:
             total = np.where(small, series, total)
         return total[()]
 
-    def envelope(self) -> "Envelope":
-        return Envelope(T=self.T, f=self.f, df=self.df, d2f=self.d2f,
-                        theta=self.theta, dtheta=self.dtheta,
-                        d2theta=self.d2theta, _cumnorm=self.cumulative_norm,
-                        _evaluate=self._eval)
-
     def to_dict(self) -> dict:
         theta = {"type": "none"} if self.chirp == 0.0 else \
             {"type": "linear", "c_rad_per_ns": self.chirp}
@@ -181,7 +181,7 @@ class Envelope:
     """
 
     def __init__(self, T, f, theta=None, df=None, d2f=None, dtheta=None,
-                 d2theta=None, _cumnorm=None, _evaluate=None):
+                 d2theta=None):
         self.T = finite(T, "envelope support T")
         if self.T <= 0:
             raise ValidationError("envelope support T must be > 0")
@@ -197,8 +197,6 @@ class Envelope:
             self.theta = theta
             self.dtheta = dtheta if dtheta is not None else self._fd1(theta, h)
             self.d2theta = d2theta if d2theta is not None else self._fd2(theta, h)
-        self._cumnorm = _cumnorm
-        self._evaluate = _evaluate
 
     @staticmethod
     def _fd1(fun, h):
@@ -215,9 +213,7 @@ class Envelope:
         return deriv
 
     def evaluate(self, t):
-        """f, f' and f'' at t; one pass for a series, else three calls."""
-        if self._evaluate is not None:
-            return self._evaluate(t)
+        """f, f' and f'' at t."""
         return self.f(t), self.df(t), self.d2f(t)
 
     def v(self, t):
@@ -225,9 +221,7 @@ class Envelope:
         return np.exp(1j * np.asarray(self.theta(t))) * np.asarray(self.f(t))
 
     def cumulative_norm(self, t):
-        """int_0^t |v|^2 dtau; quadrature fallback for generic envelopes."""
-        if self._cumnorm is not None:
-            return self._cumnorm(t)
+        """int_0^t |v|^2 dtau by quadrature."""
         from scipy.integrate import quad
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
         out = np.empty_like(t_arr)
@@ -238,12 +232,10 @@ class Envelope:
         return out[0] if np.isscalar(t) or np.ndim(t) == 0 else out
 
 
-def as_envelope(env) -> Envelope:
-    """Accept either an Envelope or a CosineSeriesPulse."""
-    if isinstance(env, Envelope):
+def as_envelope(env):
+    """An Envelope or a CosineSeriesPulse, unchanged: both are envelopes."""
+    if isinstance(env, (Envelope, CosineSeriesPulse)):
         return env
-    if isinstance(env, CosineSeriesPulse):
-        return env.envelope()
     raise ValidationError(f"expected Envelope or CosineSeriesPulse, got {type(env)!r}")
 
 
@@ -304,6 +296,13 @@ def write_csv(path: str | Path, columns, rows, header: str = ""):
                               for x in row) + "\n")
 
 
+def write_json(path: str | Path, payload):
+    """Write payload as indented JSON with sorted keys and a final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True, default=float)
+        fh.write("\n")
+
+
 def write_samples(env, path: str | Path, n: int = 501, header: str = ""):
     """Sample an envelope to CSV with columns t_ns, f, theta."""
     env = as_envelope(env)
@@ -313,9 +312,7 @@ def write_samples(env, path: str | Path, n: int = 501, header: str = ""):
 
 
 def save_pulse(pulse: CosineSeriesPulse, path: str | Path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(pulse.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, pulse.to_dict())
 
 
 def load_pulse(path: str | Path) -> CosineSeriesPulse:

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bounds, depletion
-from .errors import DomainError, PoleError, ValidationError, finite
+from .errors import PoleError, ValidationError, finite
 from .model import EmitterParams
 from .pulse import CosineSeriesPulse, as_envelope, write_csv
 
@@ -50,7 +50,6 @@ class Trajectory:
     Omega: np.ndarray
     E: float
     p_e: np.ndarray
-    drive_valid: bool = True
     drive_irrelevant: bool = False
 
     def fidelity(self, init: InitialState) -> float:
@@ -88,11 +87,15 @@ class ClosedFormSolution:
     For a series pulse G(t) is exact and, with no phase source (resonant
     cavity, zero chirp), so is the phase, which makes the synthesized drive
     itself exact.
+
+    The drive diverges where r^2 = 1 - E^2 G(t) vanishes. The minimum of
+    r^2 is 1 - (E / E_max)^2, at the depletion maximum; the constructor
+    raises PoleError when it is below R2_FLOOR, before the phase ODE runs,
+    on resonance or not.
     """
 
     def __init__(self, p: EmitterParams, env, E: float):
         self.p = p
-        self.pulse = env if isinstance(env, CosineSeriesPulse) else None
         self.env = as_envelope(env)
         if finite(E, "efficiency E") < 0:
             raise ValidationError("efficiency E must be >= 0")
@@ -102,29 +105,28 @@ class ClosedFormSolution:
                 f"envelope must be normalized, int |v|^2 = {norm:.8g}")
         self.E = float(E)
         self.E_max = max_efficiency(p, env)
-        if self.E > self.E_max * (1.0 + 1e-12):
-            raise DomainError(
-                f"target efficiency {E:.6g} exceeds the bound {self.E_max:.6g}")
+        if 1.0 - (self.E / self.E_max) ** 2 < depletion.R2_FLOOR:
+            raise PoleError(
+                f"target efficiency {E:.6g} is at or above the bound "
+                f"{self.E_max:.6g}: the ground state empties at the depletion "
+                "maximum, where the drive diverges; lower E below E_max")
         self._setup_g_phi()
 
     # -- G(t) and phi(t): exact for a series, else one ODE pass -------------
 
     def _setup_g_phi(self):
-        p, T, pulse = self.p, self.env.T, self.pulse
-        if pulse is not None:
-            self.G = depletion.series_g(p, pulse)
-            if self.E == 0.0 or (p.Delta == 0.0 and pulse.chirp == 0.0):
+        p, env, T = self.p, self.env, self.env.T
+        series = isinstance(env, CosineSeriesPulse)
+        if series:
+            self.G = depletion.series_g(p, env)
+            if self.E == 0.0 or (p.Delta == 0.0 and env.chirp == 0.0):
                 # no phase source; the phase grows as E^2
                 self.phi = lambda t: np.zeros_like(np.asarray(t, dtype=float))[()]
                 return
-        dense = depletion.solve_g_phi(p, self.env, self.E, T)
-        if pulse is None:
+        dense = depletion.solve_g_phi(p, env, self.E, T)
+        if not series:
             self.G = lambda t: dense(np.clip(t, 0.0, T))[0][()]
         self.phi = lambda t: dense(np.clip(t, 0.0, T))[1][()]
-
-    def r2_min(self) -> float:
-        """Exact minimum of r^2, reached at the depletion maximum."""
-        return 1.0 - (self.E / self.E_max) ** 2
 
     # -- amplitudes with alpha0 divided out ----------------------------------
 
@@ -193,9 +195,9 @@ def closed_form_trajectory(p: EmitterParams, env, E: float,
                            init: InitialState, grid) -> Trajectory:
     """Sample the closed-form solution for a given initial qubit state.
 
-    The drive is synthesized when the initial |1> amplitude is nonzero and
-    the efficiency stays clear of the pole; otherwise it is zeroed and
-    flagged (for alpha0 = 0 no emission occurs and the drive is irrelevant).
+    The drive is synthesized when the initial |1> amplitude is nonzero;
+    for alpha0 = 0 no emission occurs, and the drive is zeroed and flagged
+    as irrelevant.
     """
     grid = np.asarray(grid, dtype=float)
     cf = ClosedFormSolution(p, env, E)
@@ -207,31 +209,22 @@ def closed_form_trajectory(p: EmitterParams, env, E: float,
     alpha = a0 * np.asarray(cf.alpha(grid))
 
     drive_irrelevant = a0 == 0.0
-    drive_valid = not drive_irrelevant
     Omega = np.zeros_like(grid, dtype=complex)
     if not drive_irrelevant:
-        if cf.r2_min() < depletion.R2_FLOOR:
-            drive_valid = False
-        else:
-            Omega = np.asarray(cf.Omega(grid), dtype=complex)
+        Omega = np.asarray(cf.Omega(grid), dtype=complex)
 
     norm = (np.abs(alpha) ** 2 + np.abs(beta) ** 2 + np.abs(zeta) ** 2
             + np.abs(eta) ** 2 + np.abs(lam) ** 2)
     p_e = 1.0 - norm
     return Trajectory(grid=grid, alpha=alpha, beta=beta, zeta=zeta, eta=eta,
                       lam=lam, Omega=Omega, E=cf.E, p_e=p_e,
-                      drive_valid=drive_valid, drive_irrelevant=drive_irrelevant)
+                      drive_irrelevant=drive_irrelevant)
 
 
 def drive_omega(p: EmitterParams, env, E: float, grid) -> np.ndarray:
     """Synthesized drive samples; raises PoleError too close to the bound."""
     grid = np.asarray(grid, dtype=float)
-    cf = ClosedFormSolution(p, env, E)
-    if cf.r2_min() < depletion.R2_FLOOR:
-        raise PoleError(
-            "requested efficiency leaves no ground-state amplitude at the "
-            "depletion maximum; reduce E relative to E_max")
-    return np.asarray(cf.Omega(grid), dtype=complex)
+    return np.asarray(ClosedFormSolution(p, env, E).Omega(grid), dtype=complex)
 
 
 def virtual_coupling(env, t, kappa: float | None = None):
@@ -254,13 +247,3 @@ def virtual_coupling(env, t, kappa: float | None = None):
         out = np.where(clamp, out * (cap / np.where(clamp, mag, 1.0)), out)
     return out[0] if np.ndim(t) == 0 else out
 
-
-def mode_matching_coupling(p: EmitterParams, eta, lam):
-    """g_v from the emission amplitudes, g_v = -sqrt(kappa) eta* / lam*.
-
-    Along closed-form trajectories this agrees with virtual_coupling
-    wherever the photon amplitude is nonzero.
-    """
-    eta = np.asarray(eta)
-    lam = np.asarray(lam)
-    return -math.sqrt(p.kappa) * np.conj(eta) / np.conj(lam)

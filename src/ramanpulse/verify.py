@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.interpolate import CubicSpline
 
 from .errors import ModelError, NumericError, ValidationError
 from .model import EmitterParams, RawRates, combine_rates
@@ -41,17 +40,6 @@ class OdeSolution:
                 + np.abs(self.lam) ** 2)
 
 
-def _drive_callable(Omega, grid=None):
-    if callable(Omega):
-        return Omega
-    samples = np.asarray(Omega)
-    if grid is None or len(grid) != len(samples):
-        raise ValidationError("drive samples need a matching time grid")
-    spline_re = CubicSpline(grid, samples.real)
-    spline_im = CubicSpline(grid, samples.imag)
-    return lambda t: spline_re(t) + 1j * spline_im(t)
-
-
 def integrate_nonhermitian(p: EmitterParams, Omega, init: InitialState,
                            grid) -> OdeSolution:
     """Integrate the amplitude equations for a given drive.
@@ -61,18 +49,16 @@ def integrate_nonhermitian(p: EmitterParams, Omega, init: InitialState,
     regular form) and the phase is attached afterwards from the convention
     that the initial |1> phase rides on the photon. DOP853 runs at rtol
     1e-10, atol 1e-12; err_est holds each amplitude's largest difference
-    from a second pass at tolerances 100 times looser.
-
-    Omega may be a callable of t or an array of samples on the grid.
+    from a second pass at tolerances 100 times looser. Omega is the drive,
+    a callable of t.
     """
     grid = np.asarray(grid, dtype=float)
-    drive = _drive_callable(Omega, grid)
     g, kappa = p.g, p.kappa
     half_eta_rate = 0.5 * (p.Gamma2 + p.kappa + p.kappa_tilde)
 
     def rhs(t, y):
         a, b, z, e, m = y
-        om = drive(t)
+        om = Omega(t)
         da = -0.5 * p.Gamma1 * a + np.conj(om) * z
         db = -0.5 * p.Gamma2 * b
         dz = (-1j * p.Delta - 0.5 * p.gamma_tilde) * z - g * e - om * a
@@ -218,7 +204,6 @@ class LindbladResult:
     trace_drift: float
     herm_dev: float
     marker_max: float
-    p_error: float
     nfev: int
 
 
@@ -304,7 +289,6 @@ def lindblad_simulate(p_raw: RawRates, p: EmitterParams, env, Omega,
                 f"raw rates and effective parameters disagree on {name}")
 
     env = as_envelope(env)
-    drive = _drive_callable(Omega)
     T = env.T
     sqrt_kappa = math.sqrt(p.kappa)
 
@@ -320,7 +304,7 @@ def lindblad_simulate(p_raw: RawRates, p: EmitterParams, env, Omega,
     def rhs(t, y):
         rho = y.reshape(_N_BLOCKS, _DIM, _DIM)
         gv = complex(virtual_coupling(env, float(t), kappa=p.kappa))
-        K = _k_matrix(parts, complex(drive(t)), gv)
+        K = _k_matrix(parts, complex(Omega(t)), gv)
         L0 = np.conj(gv) * OP_A + sqrt_kappa * OP_C
         drho = K @ rho + rho @ K.conj().T
         drho[_TOTAL] += L0 @ rho[_TOTAL] @ L0.conj().T
@@ -372,5 +356,4 @@ def lindblad_simulate(p_raw: RawRates, p: EmitterParams, env, Omega,
 
     return LindbladResult(rho=dm, fidelity=fid, fidelity_coherent=fid_coherent,
                           trace_drift=trace_drift, herm_dev=herm_dev,
-                          marker_max=marker_max, p_error=1.0 - fid,
-                          nfev=sol.nfev)
+                          marker_max=marker_max, nfev=sol.nfev)

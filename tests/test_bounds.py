@@ -5,7 +5,7 @@ import pytest
 
 from ramanpulse import (DomainError, EmitterParams, ValidationError, ghz,
                         sin2_pulse)
-from ramanpulse import bounds
+from ramanpulse import bounds, checks
 from ramanpulse.depletion import DepletionProfile, analytic_profile
 
 
@@ -32,8 +32,8 @@ def test_e_max_benchmark(siv_params):
 
 
 def test_e_max_slow_pulse_limit(perfect_params):
-    prof = analytic_profile(perfect_params, sin2_pulse(12.0))
-    assert bounds.e_max(prof) ** 2 == pytest.approx(48.0 / 49.0, rel=0.02)
+    # the benchmark emitter less the ground-state rates, which C2 zeroes anyway
+    assert all(r.passed for r in checks.c2_slow_pulse_asymptote(perfect_params))
 
 
 def test_simplified_bound_ordering(siv_params):

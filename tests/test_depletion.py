@@ -6,18 +6,18 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ramanpulse import (CosineSeriesPulse, DomainError, EmitterParams,
                         Envelope, NumericError, ValidationError,
                         cooperativity, ghz, sin2_pulse)
-from ramanpulse import depletion, bounds
+from ramanpulse import checks, depletion
 from ramanpulse.trajectory import max_efficiency
-from ramanpulse.depletion import (analytic_profile, depletion_rate,
-                                  family_integrals, h_integral,
+from ramanpulse.depletion import (_harmonic_coefficients, _helper_integrals,
+                                  analytic_profile, depletion_rate,
                                   integrated_depletion_analytic,
                                   integrated_depletion_numeric,
-                                  phase_evolution, u_integral)
+                                  phase_evolution)
 
 
 def _const_envelope(value, T=1.0):
@@ -45,8 +45,8 @@ def test_flat_envelope_cooperativity_limit():
 def test_rate_vanishes_off_support():
     p = EmitterParams(g=2.0, kappa=5.0, gamma_tilde=0.3)
     pl = sin2_pulse(0.5)
-    assert depletion_rate(p, pl.envelope(), 0.7) == 0.0
-    assert depletion_rate(p, pl.envelope(), -0.1) == 0.0
+    assert depletion_rate(p, pl, 0.7) == 0.0
+    assert depletion_rate(p, pl, -0.1) == 0.0
 
 
 def test_rate_domain_errors():
@@ -62,13 +62,14 @@ def test_helper_integrals_start_at_zero():
     for _ in range(10):
         w = rng.uniform(-30, 30)
         g = rng.uniform(-5, 5)
-        assert h_integral(w, 0.0, g) == pytest.approx(0.0, abs=1e-14)
-        assert u_integral(w, 0.0, g) == pytest.approx(0.0, abs=1e-14)
+        hu = _helper_integrals([w], 0.0, g)[0]
+        assert hu.real == pytest.approx(0.0, abs=1e-14)
+        assert hu.imag == pytest.approx(0.0, abs=1e-14)
 
 
 def test_subnormal_rate_difference_is_the_equal_rate_limit():
     # Gamma1 - Gamma2 = -5e-324: 1/Gamma overflows, so h_0 is t itself
-    assert h_integral(0.0, 0.5, -5e-324) == 0.5
+    assert _helper_integrals([0.0], 0.5, -5e-324)[0].real == 0.5
     p = EmitterParams(g=ghz(2), kappa=ghz(5), gamma_tilde=ghz(1), Gamma2=5e-324)
     pl = sin2_pulse(1.0)
     equal = EmitterParams(g=ghz(2), kappa=ghz(5), gamma_tilde=ghz(1))
@@ -84,8 +85,9 @@ def test_helper_integrals_against_quadrature():
         t = rng.uniform(0.1, 2.0)
         h_ref, _ = quad(lambda x: math.exp(g * x) * math.cos(w * x), 0, t)
         u_ref, _ = quad(lambda x: math.exp(g * x) * math.sin(w * x), 0, t)
-        assert h_integral(w, t, g) == pytest.approx(h_ref, abs=1e-10)
-        assert u_integral(w, t, g) == pytest.approx(u_ref, abs=1e-10)
+        hu = _helper_integrals([w], t, g)[0]
+        assert hu.real == pytest.approx(h_ref, abs=1e-10)
+        assert hu.imag == pytest.approx(u_ref, abs=1e-10)
 
 
 def test_diagonal_family_closed_form():
@@ -93,30 +95,12 @@ def test_diagonal_family_closed_form():
     T, m = 0.9, 2
     w = 2 * math.pi * m / T
     ts = np.linspace(0.05, T, 7)
-    fam = family_integrals(T, 0.0, m, ts)
+    # unit weight on I1 alone: C spells I1 in the helper integrals h_k, u_k
+    C = _harmonic_coefficients(T, m, (1.0, 0.0, 0.0, 0.0, 0.0))
+    hu = _helper_integrals(2 * math.pi * np.arange(2 * m + 1) / T, ts, 0.0)
+    I1 = C[m - 1, m - 1] @ np.concatenate([hu.real, hu.imag])
     expected = 1.5 * ts + np.sin(2 * w * ts) / (4 * w) - 2 * np.sin(w * ts) / w
-    assert np.max(np.abs(fam.I1[:, m - 1, m - 1] - expected)) < 1e-12
-
-
-def test_analytic_matches_quadrature_randomized():
-    rng = np.random.default_rng(42)
-    worst = 0.0
-    for _ in range(25):
-        rates = 2 * math.pi * 10 ** rng.uniform(-2.0, 0.5, size=3)
-        p = EmitterParams(g=ghz(rng.uniform(2, 10)),
-                          kappa=ghz(rng.uniform(5, 60)),
-                          kappa_tilde=ghz(rng.choice([0.0, rng.uniform(0, 10)])),
-                          gamma_tilde=rates[0], Gamma1=rates[1], Gamma2=rates[2])
-        L = int(rng.integers(1, 4))
-        coeffs = np.concatenate([[1.0], rng.uniform(-1, 1, size=L - 1)])
-        pl = CosineSeriesPulse(float(rng.uniform(0.1, 1.5)),
-                               tuple(coeffs)).normalize()
-        ts = np.array([0.3, 0.7, 1.0]) * pl.T
-        ana = integrated_depletion_analytic(p, pl, ts)
-        num = integrated_depletion_numeric(p, pl.envelope(), ts, refine_max=False)
-        dev = float(np.max(np.abs(ana - num.G) / np.maximum(np.abs(num.G), 1e-12)))
-        worst = max(worst, dev)
-    assert worst < 1e-6
+    assert np.max(np.abs(I1 - expected)) < 1e-12
 
 
 def test_rate_is_derivative_of_analytic_G(siv_params):
@@ -125,7 +109,7 @@ def test_rate_is_derivative_of_analytic_G(siv_params):
     h = 1e-6
     dG = (integrated_depletion_analytic(siv_params, pl, t + h)
           - integrated_depletion_analytic(siv_params, pl, t - h)) / (2 * h)
-    assert dG == pytest.approx(depletion_rate(siv_params, pl.envelope(), t),
+    assert dG == pytest.approx(depletion_rate(siv_params, pl, t),
                                rel=1e-7)
 
 
@@ -136,8 +120,8 @@ def test_detuning_independence(siv_params):
                             gamma_tilde=siv_params.gamma_tilde,
                             Gamma1=siv_params.Gamma1, Gamma2=siv_params.Gamma2,
                             Delta=ghz(3.0))
-    d0 = depletion_rate(siv_params, pl.envelope(), ts)
-    d1 = depletion_rate(detuned, pl.envelope(), ts)
+    d0 = depletion_rate(siv_params, pl, ts)
+    d1 = depletion_rate(detuned, pl, ts)
     assert np.array_equal(d0, d1)
     g0 = integrated_depletion_analytic(siv_params, pl, ts)
     g1 = integrated_depletion_analytic(detuned, pl, ts)
@@ -187,7 +171,7 @@ def test_profile_invariants(siv_params):
 def test_numeric_profile_refined_max(siv_params):
     pl = sin2_pulse(0.2)
     grid = np.linspace(0.0, 0.2, 21)
-    num = integrated_depletion_numeric(siv_params, pl.envelope(), grid)
+    num = integrated_depletion_numeric(siv_params, pl, grid)
     ana = analytic_profile(siv_params, pl, grid=grid)
     assert num.G_max == pytest.approx(ana.G_max, rel=1e-8)
     assert num.argmax_t == pytest.approx(ana.argmax_t, abs=1e-4)
@@ -196,10 +180,10 @@ def test_numeric_profile_refined_max(siv_params):
 def test_numeric_grid_validation(siv_params):
     pl = sin2_pulse(0.2)
     with pytest.raises(ValidationError):
-        integrated_depletion_numeric(siv_params, pl.envelope(),
+        integrated_depletion_numeric(siv_params, pl,
                                      np.array([0.1, 0.05]))
     with pytest.raises(ValidationError):
-        integrated_depletion_numeric(siv_params, pl.envelope(),
+        integrated_depletion_numeric(siv_params, pl,
                                      np.array([0.1, 0.3]))
 
 
@@ -214,13 +198,13 @@ def test_analytic_chirped_matches_quadrature():
         pl = CosineSeriesPulse(0.5, coeffs, chirp=chirp).normalize()
         ts = np.linspace(0.0, pl.T, 21)[1:]
         ana = integrated_depletion_analytic(p, pl, ts)
-        num = integrated_depletion_numeric(p, pl.envelope(), ts,
+        num = integrated_depletion_numeric(p, pl, ts,
                                            refine_max=False).G
         assert np.max(np.abs(ana - num) / np.abs(num)) < 1e-10
 
 
 def test_phase_zero_on_resonance(siv_params):
-    pl = sin2_pulse(0.44).envelope()
+    pl = sin2_pulse(0.44)
     grid = np.linspace(0, 0.44, 33)
     phi = phase_evolution(siv_params, pl, E=0.9, t_grid=grid)
     assert np.max(np.abs(phi)) < 1e-10
@@ -230,12 +214,12 @@ def test_phase_zero_at_zero_efficiency():
     p = EmitterParams(g=ghz(6), kappa=ghz(30), gamma_tilde=ghz(0.1),
                       Delta=ghz(1.0))
     grid = np.linspace(0, 0.44, 17)
-    phi = phase_evolution(p, sin2_pulse(0.44).envelope(), E=0.0, t_grid=grid)
+    phi = phase_evolution(p, sin2_pulse(0.44), E=0.0, t_grid=grid)
     assert np.all(phi == 0.0)
 
 
 def test_phase_domain_error(siv_params):
-    pl = sin2_pulse(0.44).envelope()
+    pl = sin2_pulse(0.44)
     with pytest.raises(DomainError):
         phase_evolution(siv_params, pl, E=1.5, t_grid=np.linspace(0, 0.44, 9))
 
@@ -245,7 +229,7 @@ def test_phase_on_grid_ending_before_pulse_end():
     # that stops before 1 - E^2 G reaches zero still gets a phase
     p = EmitterParams(g=ghz(6), kappa=ghz(30), gamma_tilde=ghz(0.1),
                       Delta=ghz(1.0))
-    env = sin2_pulse(0.44).envelope()
+    env = sin2_pulse(0.44)
     grid = np.linspace(0, 0.44, 45)
     full = phase_evolution(p, env, E=0.9, t_grid=grid)
     head = phase_evolution(p, env, E=0.9, t_grid=grid[:20])
@@ -265,7 +249,7 @@ def test_chirp_raises_integrated_depletion(siv_params):
     chirped = CosineSeriesPulse(0.44, pl.coeffs, chirp=c)
     ts = np.array([0.15, 0.3, 0.44])
     G0 = integrated_depletion_analytic(siv_params, pl, ts)
-    G1 = integrated_depletion_numeric(siv_params, chirped.envelope(), ts,
+    G1 = integrated_depletion_numeric(siv_params, chirped, ts,
                                       refine_max=False).G
     gamma = siv_params.Gamma1 - siv_params.Gamma2
     expected = []
@@ -283,11 +267,13 @@ def test_phase_above_bound_detuned_domain_error():
     # the integration with DomainError instead of stalling into NumericError
     p = EmitterParams(g=ghz(6), kappa=ghz(30), gamma_tilde=ghz(0.1),
                       Delta=ghz(1.0))
-    env = sin2_pulse(0.44).envelope()
+    env = sin2_pulse(0.44)
     with pytest.raises(DomainError):
         phase_evolution(p, env, E=1.5, t_grid=np.linspace(0, 0.44, 45))
 
 
+# derandomize=True does not pin the examples: Hypothesis 6.155 mixes in
+# literals mined from the loaded src modules, and no settings profile stops it.
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(g=st.floats(2.0, 10.0), kappa=st.floats(5.0, 60.0),
        gamma_tilde=st.floats(0.01, 1.0), gamma1_frac=st.floats(0.0, 1.0),
@@ -295,6 +281,9 @@ def test_phase_above_bound_detuned_domain_error():
        T=st.floats(0.1, 1.5),
        ratios=st.lists(st.floats(-0.5, 0.5), min_size=0, max_size=2),
        chirp=st.floats(-100.0, 100.0), frac=st.floats(0.05, 1.0))
+# a subnormal Gamma2: Gamma1 - Gamma2 is the equal-rate limit
+@example(g=6.0, kappa=30.0, gamma_tilde=0.1, gamma1_frac=0.0, Gamma2=5e-324,
+         Delta=1.0, T=0.44, ratios=[], chirp=10.0, frac=1.0)
 def test_chirp_adds_depletion(g, kappa, gamma_tilde, gamma1_frac, Gamma2,
                               Delta, T, ratios, chirp, frac):
     # for gamma_tilde >= Gamma1 a chirp only adds depletion, by the
@@ -319,6 +308,8 @@ def test_chirp_adds_depletion(g, kappa, gamma_tilde, gamma1_frac, Gamma2,
     assert max_efficiency(p, chirped) <= max_efficiency(p, real) * (1 + 1e-12)
 
 
+# derandomize=True does not pin the examples: Hypothesis 6.155 mixes in
+# literals mined from the loaded src modules, and no settings profile stops it.
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(g=st.floats(2.0, 10.0), kappa=st.floats(5.0, 60.0),
        kappa_tilde=st.floats(0.0, 10.0), gamma_tilde=st.floats(0.01, 1.0),
@@ -342,16 +333,14 @@ def test_e_max_invariant_under_time_rescaling(g, kappa, kappa_tilde, gamma_tilde
 
 
 def test_chirp_lowers_efficiency_bound(siv_params):
-    # Gamma1 < gamma_tilde here, so any linear chirp must cost efficiency
-    pl = sin2_pulse(0.44)
-    E0 = bounds.e_max(analytic_profile(siv_params, pl))
-    for c in (-siv_params.kappa, 0.5 * siv_params.kappa):
-        chirped = CosineSeriesPulse(0.44, pl.coeffs, chirp=c)
-        prof = integrated_depletion_numeric(siv_params, chirped.envelope(),
-                                            np.linspace(0, 0.44, 11))
-        assert bounds.e_max(prof) < E0
+    # Gamma1 < gamma_tilde here, so every linear chirp of C6 costs efficiency
+    records = checks.c6_phase_properties(siv_params, sin2_pulse(0.44))
+    assert [r for r in records if not r.passed] == []
+    assert sum(r.name.startswith("C6 E_max at chirp") for r in records) == 6
 
 
+# derandomize=True does not pin the examples: Hypothesis 6.155 mixes in
+# literals mined from the loaded src modules, and no settings profile stops it.
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(g=st.floats(2.0, 10.0), kappa=st.floats(5.0, 60.0),
        kappa_tilde=st.floats(0.1, 10.0), gamma_tilde=st.floats(0.01, 1.0),
@@ -375,7 +364,7 @@ def test_harmonic_sum_matches_g_matrix_and_quadrature(
     X = depletion.g_matrix(p, pl.T, pl.order, ts / pl.T, pl.chirp)
     contracted = np.einsum("tnm,n,m->t", X, v, v)
     assert np.all(np.abs(G - contracted) <= 1e-13 * np.abs(contracted))
-    num = integrated_depletion_numeric(p, pl.envelope(), ts, refine_max=False).G
+    num = integrated_depletion_numeric(p, pl, ts, refine_max=False).G
     assert np.all(np.abs(G - num) <= 1e-10 * np.abs(num))
 
 

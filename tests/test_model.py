@@ -5,11 +5,9 @@ import numpy as np
 import pytest
 
 from ramanpulse import (CosineSeriesPulse, EmitterParams, Envelope,
-                        InitialState, LabFrameParams, RawRates,
-                        ValidationError, DomainError, combine_rates,
-                        cooperativity, emitter_from_raw, ghz, load_params,
-                        params_from_dict, to_lab_frame_drive,
-                        sin2_pulse, to_rotating_frame_drive)
+                        InitialState, RawRates, ValidationError, DomainError,
+                        combine_rates, cooperativity, emitter_from_raw, ghz,
+                        load_params, params_from_dict, sin2_pulse)
 from ramanpulse.trajectory import ClosedFormSolution
 
 
@@ -85,22 +83,6 @@ def test_emitter_validation():
         EmitterParams(g=0.0, kappa=1.0)
     with pytest.raises(ValidationError):
         EmitterParams(g=1.0, kappa=1.0, Gamma1=-0.1)
-
-
-def test_frame_conversion_half_period():
-    lab = LabFrameParams(delta=1.0, omega_c=2.0)
-    t = math.pi / 3.0  # (delta + omega_c) t = pi
-    assert to_lab_frame_drive(1.0, t, lab) == pytest.approx(-1.0, abs=1e-12)
-    assert to_lab_frame_drive(1.0, 0.0, lab) == pytest.approx(1.0)
-
-
-def test_frame_round_trip():
-    rng = np.random.default_rng(5)
-    lab = LabFrameParams(delta=rng.uniform(-5, 5), omega_c=rng.uniform(0, 100))
-    om = rng.normal(size=20) + 1j * rng.normal(size=20)
-    t = rng.uniform(0, 10, size=20)
-    back = to_rotating_frame_drive(to_lab_frame_drive(om, t, lab), t, lab)
-    assert np.max(np.abs(back - om)) < 1e-12
 
 
 def test_params_from_dict_defaults():

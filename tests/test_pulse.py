@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from ramanpulse import (CosineSeriesPulse, Envelope, ValidationError,
-                        constrained_series, load_pulse, save_pulse,
-                        sin2_pulse, write_samples)
+                        as_envelope, constrained_series, load_pulse,
+                        save_pulse, sin2_pulse, write_samples)
 from ramanpulse.pulse import write_csv
 
 TWO_PI = 2.0 * math.pi
@@ -78,6 +78,8 @@ def test_norm_against_quadrature():
         assert abs(val - 1.0) < 1e-9
 
 
+# derandomize=True does not pin the examples: Hypothesis 6.155 mixes in
+# literals mined from the loaded src modules, and no settings profile stops it.
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(T=st.floats(0.01, 100.0), lead=st.floats(0.1, 5.0),
        ratios=st.lists(st.floats(-2.0, 2.0), min_size=0, max_size=5),
@@ -173,12 +175,12 @@ def test_envelope_finite_difference_fallback():
 
 def test_envelope_chirp_accessors():
     pl = CosineSeriesPulse(0.5, (1.0,), chirp=3.0)
-    env = pl.envelope()
+    env = as_envelope(pl)
+    assert env is pl
     assert env.theta(0.2) == pytest.approx(0.6)
     assert env.dtheta(0.2) == pytest.approx(3.0)
     assert env.d2theta(0.2) == 0.0
-    v = env.v(0.25)
-    assert abs(v) == pytest.approx(pl.f(0.25), rel=1e-12)
+    assert env.v(0.25) == pytest.approx(np.exp(0.75j) * pl.f(0.25), rel=1e-12)
 
 
 def test_write_samples(tmp_path):
@@ -229,8 +231,6 @@ def test_series_evaluate_is_one_pass_of_f_df_d2f():
     assert np.array_equal(f, pl.f(ts))
     assert np.array_equal(df, pl.df(ts))
     assert np.array_equal(d2f, pl.d2f(ts))
-    env_jet = pl.envelope().evaluate(ts)
-    assert all(np.array_equal(a, b) for a, b in zip(env_jet, (f, df, d2f)))
     generic = Envelope(T=0.5, f=pl.f, df=pl.df, d2f=pl.d2f)
     assert all(np.array_equal(a, b)
                for a, b in zip(generic.evaluate(ts), (f, df, d2f)))

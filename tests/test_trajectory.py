@@ -8,8 +8,7 @@ from ramanpulse import (CosineSeriesPulse, DomainError, EmitterParams,
                         sin2_pulse)
 from ramanpulse import Envelope, depletion
 from ramanpulse.trajectory import (ClosedFormSolution, closed_form_trajectory,
-                                   drive_omega, max_efficiency,
-                                   mode_matching_coupling, virtual_coupling)
+                                   drive_omega, max_efficiency, virtual_coupling)
 
 
 @pytest.fixture(scope="module")
@@ -99,11 +98,25 @@ def test_drive_invalid_at_the_bound_off_grid(setup):
     prof = depletion.analytic_profile(p, pl)
     grid = np.linspace(0.0, 0.44, 801)
     assert np.min(np.abs(grid - prof.argmax_t)) > 0.0
-    traj = closed_form_trajectory(p, pl, E_max, InitialState(1.0), grid)
-    assert not traj.drive_valid
-    assert np.all(traj.Omega == 0.0)
+    with pytest.raises(PoleError):
+        closed_form_trajectory(p, pl, E_max, InitialState(1.0), grid)
     with pytest.raises(PoleError):
         drive_omega(p, pl, E_max, grid)
+
+
+@pytest.mark.parametrize("Delta", [0.0, ghz(1.0)])
+def test_pole_error_at_the_bound_on_and_off_resonance(siv_params, Delta):
+    # one behaviour at E = E_max: PoleError before the phase ODE runs
+    p = EmitterParams(g=siv_params.g, kappa=siv_params.kappa,
+                      gamma_tilde=siv_params.gamma_tilde, Gamma1=siv_params.Gamma1,
+                      Gamma2=siv_params.Gamma2, Delta=Delta)
+    pl = sin2_pulse(0.44)
+    E_max = max_efficiency(p, pl)
+    with pytest.raises(PoleError, match="at or above the bound"):
+        ClosedFormSolution(p, pl, E_max)
+    with pytest.raises(PoleError):
+        closed_form_trajectory(p, pl, E_max, InitialState(0.6, 0.8),
+                               np.linspace(0.0, 0.44, 41))
 
 
 def test_efficiency_above_bound_rejected(setup):
@@ -123,7 +136,8 @@ def test_mode_matching_identity(setup):
     traj = closed_form_trajectory(p, pl, 0.95 * E_max, InitialState(1.0), grid)
     inner = grid[1:]
     gv_direct = virtual_coupling(pl, inner)
-    gv_matched = mode_matching_coupling(p, traj.eta[1:], traj.lam[1:])
+    # g_v = -sqrt(kappa) eta* / lam* (Kiilerich & Molmer, PRL 123, 123604 (2019))
+    gv_matched = -math.sqrt(p.kappa) * np.conj(traj.eta[1:]) / np.conj(traj.lam[1:])
     assert np.max(np.abs(gv_direct - gv_matched)) < 1e-10
 
 
@@ -210,7 +224,6 @@ def test_series_and_generic_envelope_give_the_same_drive(siv_params):
     pl = CosineSeriesPulse(0.44, (1.0, -0.06), chirp=1.5).normalize()
     generic = Envelope(T=pl.T, f=pl.f, df=pl.df, d2f=pl.d2f, theta=pl.theta,
                        dtheta=pl.dtheta, d2theta=pl.d2theta)
-    assert generic._cumnorm is None and generic._evaluate is None
     E = 0.9 * max_efficiency(p, pl)
     grid = np.linspace(0.0, pl.T, 81)
     series_drive = ClosedFormSolution(p, pl, E).Omega(grid)
