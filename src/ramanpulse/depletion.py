@@ -10,27 +10,27 @@ their first two derivatives, and the system rates. d is independent of the
 detuning and of the target efficiency E. G(t) = int_0^t d is available on
 two routes: adaptive quadrature of d for arbitrary envelopes, and an exact
 sum over harmonics for the cosine series, whose linear chirp only shifts
-two of the five weights of d. The running maximum of G
-sets the efficiency bound, so it is located with a grid scan plus
-golden-section refinement. The drive phase phi(t) is integrated together
-with G in one ODE pass, solve_g_phi.
+two of the five weights of d. The maximum of G sets the efficiency bound;
+as G' = d, it sits at the end T or where d falls through zero, and both
+routes take it from one search over those times. The drive phase phi(t) is
+integrated together with G in one ODE pass, solve_g_phi.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.integrate import quad, solve_ivp
+from scipy.optimize import brentq
 
 from .errors import DomainError, NumericError, ValidationError
 from .model import EmitterParams
 from .pulse import CosineSeriesPulse, as_envelope
 
 TWO_PI = 2.0 * math.pi
-
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 # r^2 = 1 - E^2 G below this counts as an emptied ground state: the drive
 # diverges there and the phase integration cannot proceed.
@@ -46,8 +46,8 @@ N_SEARCH_GRID = 1001
 class DepletionProfile:
     """Sampled depletion data on a time grid.
 
-    G_max is the maximum of G over t >= 0 (d vanishes beyond the pulse, so
-    the search domain [0, T] is exhaustive), refined beyond the grid.
+    G_max is the maximum of G over t >= 0, reached at argmax_t: the largest
+    G at the grid, at T and at the falling zeros of d, whatever the grid.
     """
 
     grid: np.ndarray
@@ -217,12 +217,14 @@ def g_matrix(p: EmitterParams, T, order: int, tau,
 
 
 def series_g(p: EmitterParams, pulse: CosineSeriesPulse):
-    """G(t) of one series pulse as the callable sum_k A_k h_k(t) + B_k u_k(t).
+    """G(t) and d(t) = G'(t) of one series pulse, as two callables.
 
     The weights, the family coefficients and v x v are contracted here,
-    once, into the 2 (2L + 1) coefficients (A, B); each call then costs one
-    row of helper integrals. t is clipped to [0, T]: d vanishes beyond the
-    support, so G stays constant there.
+    once, into the 2 (2L + 1) coefficients (A, B), and with z = Gamma + i w_k
+        G = sum_k A_k h_k + B_k u_k = Re[(A - i B) . expm1(z t) / z],
+        d = Re[(A - i B) . e^(z t)],
+    so each call costs one row of exponentials. d vanishes outside (0, T),
+    and G stays constant beyond the support.
     """
     if not isinstance(pulse, CosineSeriesPulse):
         raise ValidationError("analytic G needs a CosineSeriesPulse")
@@ -238,45 +240,40 @@ def series_g(p: EmitterParams, pulse: CosineSeriesPulse):
         hu = _helper_integrals(omega, tt.ravel(), gamma)
         return (coeffs @ hu).real.reshape(tt.shape)[()]
 
-    return G
+    def d(t):
+        tt = np.asarray(t, dtype=float)
+        e = np.exp(np.multiply.outer(gamma + 1j * omega, tt.ravel()))
+        inside = (tt > 0.0) & (tt < pulse.T)  # f = f' = 0 at both ends
+        return np.where(inside, (coeffs @ e).real.reshape(tt.shape), 0.0)[()]
+
+    return G, d
 
 
 def integrated_depletion_analytic(p: EmitterParams, pulse: CosineSeriesPulse, t):
     """G(t) by the exact per-harmonic route, chirped or not."""
-    return series_g(p, pulse)(t)
+    return series_g(p, pulse)[0](t)
 
 
-def _golden_max(fun, lo: float, hi: float, tol: float):
-    """Golden-section maximizer on [lo, hi] for a unimodal bracket."""
-    a, b = lo, hi
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = fun(c), fun(d)
-    while (b - a) > tol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = fun(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = fun(d)
-    mid = 0.5 * (a + b)
-    return mid, fun(mid)
+def _search_times(d, grid, T: float) -> np.ndarray:
+    """The times where G can reach its maximum over [0, T], grid first.
 
-
-def _refine_max(ts, vals, g_from):
-    """Golden-section refinement of the maximum of G sampled on grid ts.
-
-    g_from(j, s) evaluates G(s) for s in the bracket starting at ts[j].
+    G' = d, so max G is at T or where d falls through zero. brentq finds
+    the zero in each step d[i] > 0 >= d[i + 1] of N_SEARCH_GRID uniform
+    samples; where a scalar call rounds a d of order eps max|d| to the
+    other sign than the sample did, that end is the zero.
     """
-    i = int(np.argmax(vals))
-    j = max(i - 1, 0)
-    t_ref, v_ref = _golden_max(lambda s: g_from(j, s), ts[j],
-                               ts[min(i + 1, ts.size - 1)], tol=1e-6 * ts[-1])
-    if v_ref >= vals[i]:
-        return float(v_ref), float(t_ref)
-    return float(vals[i]), float(ts[i])
+    ts = np.linspace(0.0, T, N_SEARCH_GRID)
+    ds = d(ts)
+    zeros = []
+    for i in np.flatnonzero((ds[:-1] > 0.0) & (ds[1:] <= 0.0)):
+        a, b = ts[i], ts[i + 1]
+        if d(b) > 0.0:
+            zeros.append(b)
+        elif d(a) <= 0.0:
+            zeros.append(a)
+        else:
+            zeros.append(brentq(d, a, b, xtol=1e-15 * b))
+    return np.concatenate([grid, [T], zeros])
 
 
 def analytic_profile(p: EmitterParams, pulse: CosineSeriesPulse,
@@ -284,14 +281,13 @@ def analytic_profile(p: EmitterParams, pulse: CosineSeriesPulse,
     """DepletionProfile through the closed-form route (any series pulse)."""
     if grid is None:
         grid = np.linspace(0.0, pulse.T, N_SEARCH_GRID)
-    grid = np.asarray(grid, dtype=float)
-    G_of = series_g(p, pulse)
-    G = np.atleast_1d(G_of(grid))
-    d = np.atleast_1d(depletion_rate(p, pulse, grid))
-    ts = np.linspace(0.0, pulse.T, N_SEARCH_GRID)
-    gmax, targ = _refine_max(ts, G_of(ts), lambda j, s: float(G_of(s)))
-    gmax = max(gmax, float(G.max()))
-    return DepletionProfile(grid=grid, d=d, G=G, G_max=gmax, argmax_t=targ)
+    grid = np.atleast_1d(np.asarray(grid, dtype=float))
+    G_of, d_of = series_g(p, pulse)
+    times = _search_times(d_of, grid, pulse.T)
+    G = G_of(times)
+    i = int(np.argmax(G))
+    return DepletionProfile(grid=grid, d=d_of(grid), G=G[:grid.size],
+                            G_max=float(G[i]), argmax_t=float(times[i]))
 
 
 def integrated_depletion_numeric(p: EmitterParams, env, t_grid,
@@ -300,9 +296,9 @@ def integrated_depletion_numeric(p: EmitterParams, env, t_grid,
 
     Integrates interval by interval, each to an estimated absolute error of
     1e-9 (scaled up when G itself is large), in one pass over the supplied
-    grid merged with the maximum search's internal uniform grid. The search
-    refines the grid maximum by golden section; disable it with
-    refine_max=False when only samples of G are needed.
+    grid merged with the end T and the falling zeros of d, where G has its
+    interior maxima. refine_max=False skips the zeros and takes G_max from
+    the grid samples, when only samples of G are needed.
     """
     env = as_envelope(env)
     grid = np.asarray(t_grid, dtype=float)
@@ -313,43 +309,27 @@ def integrated_depletion_numeric(p: EmitterParams, env, t_grid,
     if grid[0] < 0 or grid[-1] > env.T * (1 + 1e-12):
         raise ValidationError("t_grid must lie within [0, T]")
 
-    def d_fun(t):
-        return float(depletion_rate(p, env, t))
+    d = partial(depletion_rate, p, env)
 
     def segment(a, b):
         if b <= a:
             return 0.0
-        val, err = quad(d_fun, a, b, epsabs=1e-12, epsrel=1e-10, limit=200)
+        val, err = quad(d, a, b, epsabs=1e-12, epsrel=1e-10, limit=200)
         if err > max(1e-9, 1e-9 * abs(val)):
             raise NumericError(
                 f"quadrature of d(t) did not converge on [{a:.6g}, {b:.6g}]: "
                 f"estimated error {err:.3e}")
         return val
 
-    ts = np.linspace(0.0, env.T, N_SEARCH_GRID) if refine_max else np.empty(0)
-    if ts.size:
-        # a search node within 1e-9 T of an output node (such as i T/100
-        # and 10 i T/1000, an ulp apart) is that node: one quad call per time
-        right = np.clip(np.searchsorted(grid, ts), 0, grid.size - 1)
-        left = np.maximum(right - 1, 0)
-        near = np.where(np.abs(grid[left] - ts) < np.abs(grid[right] - ts),
-                        grid[left], grid[right])
-        ts = np.where(np.abs(near - ts) <= 1e-9 * env.T, near, ts)
-    nodes = np.union1d(grid, ts)
+    times = _search_times(d, grid, env.T) if refine_max else grid
+    nodes = np.unique(times)
     G_nodes = np.cumsum([segment(a, b)
                          for a, b in zip(np.r_[0.0, nodes[:-1]], nodes)])
-    G = G_nodes[np.searchsorted(nodes, grid)]
-    d_samples = np.atleast_1d(depletion_rate(p, env, grid))
-
-    if refine_max:
-        Gs = G_nodes[np.searchsorted(nodes, ts)]
-        gmax, targ = _refine_max(ts, Gs, lambda j, s: Gs[j] + segment(ts[j], s))
-        gmax = max(gmax, float(G.max()))
-    else:
-        i = int(np.argmax(G))
-        gmax, targ = float(G[i]), float(grid[i])
-    return DepletionProfile(grid=grid, d=d_samples, G=G, G_max=float(gmax),
-                            argmax_t=float(targ))
+    G = G_nodes[np.searchsorted(nodes, times)]
+    i = int(np.argmax(G))
+    return DepletionProfile(grid=grid, d=np.atleast_1d(d(grid)),
+                            G=G[:grid.size], G_max=float(G[i]),
+                            argmax_t=float(times[i]))
 
 
 def solve_g_phi(p: EmitterParams, env, E: float, t_end: float):

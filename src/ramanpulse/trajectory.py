@@ -118,7 +118,7 @@ class ClosedFormSolution:
         p, env, T = self.p, self.env, self.env.T
         series = isinstance(env, CosineSeriesPulse)
         if series:
-            self.G = depletion.series_g(p, env)
+            self.G = depletion.series_g(p, env)[0]
             if self.E == 0.0 or (p.Delta == 0.0 and env.chirp == 0.0):
                 # no phase source; the phase grows as E^2
                 self.phi = lambda t: np.zeros_like(np.asarray(t, dtype=float))[()]

@@ -169,12 +169,56 @@ def test_profile_invariants(siv_params):
 
 
 def test_numeric_profile_refined_max(siv_params):
-    pl = sin2_pulse(0.2)
-    grid = np.linspace(0.0, 0.2, 21)
+    # both routes put G_max at a falling zero of d = G'; each pulse has two
+    for T in (0.2, 0.44):
+        pl = sin2_pulse(T)
+        grid = np.linspace(0.0, T, 21)
+        num = integrated_depletion_numeric(siv_params, pl, grid)
+        ana = analytic_profile(siv_params, pl, grid=grid)
+        assert num.G_max == pytest.approx(ana.G_max, rel=1e-13, abs=0.0)
+        assert abs(num.argmax_t - ana.argmax_t) <= 1e-12 * T
+        d = depletion_rate(siv_params, pl,
+                           np.linspace(0.0, T, depletion.N_SEARCH_GRID))
+        assert np.count_nonzero((d[:-1] > 0) & (d[1:] <= 0)) == 2
+        for prof in (num, ana):
+            assert (abs(depletion_rate(siv_params, pl, prof.argmax_t))
+                    <= 1e-12 * np.max(np.abs(d)))
+
+
+def test_maximum_search_covers_the_whole_pulse(siv_params):
+    # an output grid that stops at T/2 changes the samples, not G_max: the
+    # search runs over [0, T], its end included
+    for T in (0.2, 0.44, 5.0):
+        pl = sin2_pulse(T)
+        for route in (analytic_profile, integrated_depletion_numeric):
+            full = route(siv_params, pl, np.linspace(0.0, T, 21))
+            half = route(siv_params, pl, np.linspace(0.0, T / 2, 11))
+            assert full.argmax_t > T / 2
+            assert half.G_max == pytest.approx(full.G_max, rel=1e-14, abs=0.0)
+            assert half.argmax_t == pytest.approx(full.argmax_t, rel=1e-14)
+    # d > 0 throughout: G grows to the end, where its maximum sits
+    flat = _const_envelope(1.0, T=0.5)
+    full, half = (integrated_depletion_numeric(siv_params, flat,
+                                               np.linspace(0.0, end, 11))
+                  for end in (0.5, 0.25))
+    assert full.argmax_t == half.argmax_t == 0.5
+    assert half.G_max == pytest.approx(full.G_max, rel=1e-14, abs=0.0)
+    assert half.G_max > 1.5 * half.G[-1]
+
+
+def test_maximum_search_takes_sign_noise_at_the_end(siv_params):
+    # a constrained L = 2 pulse whose d is rounding noise, 1e-17 of max |d|,
+    # over its last steps: the array call that samples d and the scalar call at
+    # the same node round it to opposite signs
+    pl = CosineSeriesPulse(10.024794570135297,
+                           (0.30289567006111495, -0.07572391751527874,
+                            -0.003028956700611152, 0.001703788144093773))
+    grid = np.linspace(0.0, pl.T, 11)
+    ana = analytic_profile(siv_params, pl, grid)
     num = integrated_depletion_numeric(siv_params, pl, grid)
-    ana = analytic_profile(siv_params, pl, grid=grid)
-    assert num.G_max == pytest.approx(ana.G_max, rel=1e-8)
-    assert num.argmax_t == pytest.approx(ana.argmax_t, abs=1e-4)
+    assert ana.G_max >= integrated_depletion_analytic(
+        siv_params, pl, np.linspace(0.0, pl.T, depletion.N_SEARCH_GRID)).max()
+    assert num.G_max == pytest.approx(ana.G_max, rel=1e-12, abs=0.0)
 
 
 def test_numeric_grid_validation(siv_params):
@@ -366,11 +410,16 @@ def test_harmonic_sum_matches_g_matrix_and_quadrature(
     assert np.all(np.abs(G - contracted) <= 1e-13 * np.abs(contracted))
     num = integrated_depletion_numeric(p, pl, ts, refine_max=False).G
     assert np.all(np.abs(G - num) <= 1e-10 * np.abs(num))
+    tt = np.linspace(0.0, T, 201)
+    d = depletion_rate(p, pl, tt)
+    assert (np.max(np.abs(depletion.series_g(p, pl)[1](tt) - d))
+            <= 1e-12 * np.max(np.abs(d)))
 
 
-def test_numeric_search_nodes_merge_with_output_nodes(siv_params, monkeypatch):
-    # i T/100 and 10 i T/1000 differ by an ulp: the search grid must reuse
-    # the output node instead of adding a zero-width quad segment
+def test_numeric_quadrature_once_per_interval_and_falling_zero(siv_params,
+                                                              monkeypatch):
+    # one quad call per output interval, plus one per falling zero of d,
+    # which splits the interval it lies in
     pl = CosineSeriesPulse(1.3, (1.0, 0.1)).normalize()
     grid = np.linspace(0.0, pl.T, 101)
     calls = []
@@ -382,11 +431,11 @@ def test_numeric_search_nodes_merge_with_output_nodes(siv_params, monkeypatch):
 
     monkeypatch.setattr(depletion, "quad", counting_quad)
     prof = integrated_depletion_numeric(siv_params, pl, grid)
-    # the pass over the nodes is one chain of segments; golden section follows
-    chain = 1
-    while chain < len(calls) and calls[chain][0] == calls[chain - 1][1]:
-        chain += 1
-    assert chain == 1000
+    d = depletion_rate(siv_params, pl,
+                       np.linspace(0.0, pl.T, depletion.N_SEARCH_GRID))
+    falling = np.count_nonzero((d[:-1] > 0) & (d[1:] <= 0))
+    assert falling == 2
+    assert len(calls) == grid.size - 1 + falling
     exact = analytic_profile(siv_params, pl, grid)
     assert np.allclose(prof.G, exact.G, rtol=1e-10, atol=0.0)
     assert prof.G_max == pytest.approx(exact.G_max, rel=1e-10)

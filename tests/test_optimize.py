@@ -218,7 +218,7 @@ def _reference_scan(p, axes, constrained, max_candidates=None):
         for ratios in shapes:
             free = (1.0, *ratios)
             v = tuple(slaved_series(free)) if constrained else free
-            G = depletion.series_g(p, CosineSeriesPulse(T, v))(tau * T)
+            G = depletion.series_g(p, CosineSeriesPulse(T, v))[0](tau * T)
             merits.append(optimize._merit(p, T, G.max() / series_norm_sq(T, v)))
             points.append((T, ratios))
     return np.array(merits), points, False
