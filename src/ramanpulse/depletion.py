@@ -8,8 +8,9 @@ v = exp(i theta) f turns the ground-state dynamics into
 with a depletion rate d(t) that is a closed-form expression in f, theta,
 their first two derivatives, and the system rates. d is independent of the
 detuning and of the target efficiency E. G(t) = int_0^t d is available on
-two routes: adaptive quadrature of d for arbitrary envelopes, and an exact
-sum over harmonics for the cosine series, whose linear chirp only shifts
+two routes: adaptive quadrature of d for arbitrary envelopes, and for the
+cosine series exact real rows on one table of sines (_series_rows), which
+give G, d and a grid scan's quadratic form X; a linear chirp only shifts
 two of the five weights of d. The maximum of G sets the efficiency bound;
 as G' = d, it sits at the end T or where d falls through zero, and both
 routes take it from one search over those times. The drive phase phi(t) is
@@ -28,15 +29,11 @@ from scipy.optimize import brentq
 
 from .errors import DomainError, NumericError, ValidationError
 from .model import EmitterParams
-from .pulse import CosineSeriesPulse, as_envelope
-
-TWO_PI = 2.0 * math.pi
+from .pulse import TWO_PI, CosineSeriesPulse, _harmonic_coefficients, as_envelope
 
 # r^2 = 1 - E^2 G below this counts as an emptied ground state: the drive
 # diverges there and the phase integration cannot proceed.
 R2_FLOOR = 1e-10
-
-_TINY = np.finfo(float).tiny  # smallest normal float
 
 # uniform samples of G over [0, T] in every search for its maximum
 N_SEARCH_GRID = 1001
@@ -103,70 +100,57 @@ def _rate(p: EmitterParams, t, f, df, d2f, dth, d2th):
 
 # ---------------------------------------------------------------------------
 # Exact integrals for the cosine series
-#
-# With f = sum_n v_n f_n, f_n = 1 - cos(w_n t), w_n = 2 pi n / T, every term
-# of G(t) reduces to combinations of
-#     h_k(t) = int_0^t e^(Gamma tau) cos(w_k tau) dtau
-#     u_k(t) = int_0^t e^(Gamma tau) sin(w_k tau) dtau
-# h is even and u odd in the frequency index; h_0 is the plain exponential
-# integral. The five families below were re-derived from the product-to-sum
-# identities and are cross-checked against quadrature in the test suite.
-# Each family is a fixed linear combination of the rows h_k, u_k, so a pulse
-# contracts the combinations with its weights and coefficients once, and
-# G(t) = sum_k A_k h_k(t) + B_k u_k(t) costs one row of h and u per time.
 # ---------------------------------------------------------------------------
 
 
-def _helper_integrals(omega, t, Gamma: float):
-    """h + i u at every frequency of the 1-d array omega and every time t.
+def _series_rows(Gamma: float, T, C):
+    """Rows on _sine_table of G = sum_k C_k h_k + C_(K + k) u_k and of d = G'.
 
-    h + i u = int_0^t e^(z tau) dtau = expm1(z t) / z with z = Gamma + i omega,
-    and t itself at z = 0. A subnormal Gamma counts as zero: 1/z overflows
-    there, and the two agree to double precision. Complex, of shape
-    omega.shape + t.shape.
+    C, as from pulse._harmonic_coefficients, has shape T.shape + (rows, 2K).
+    With z = Gamma + i w_k, h_k + i u_k = expm1(z t) / z, and on t = tau T,
+    where w_k t = 2 pi k tau does not depend on T,
+        e^(z t) = e^(Gamma t) (1 - 2 sin^2(pi k tau) + i sin(2 pi k tau)).
+    So with P - i Q = (A - i B) / z for A = C[..., :K], B = C[..., K:],
+        G = expm1(Gamma t) sum P + e^(Gamma t) [-2 P, Q, c] . table,
+        d = e^(Gamma t) (sum A + [-2 A, B, 0] . table),
+    where c = A_0 T carries h_0 = t at the pole z = 0. A subnormal Gamma
+    counts as zero: 1/z overflows there, and the two agree to double
+    precision. Returns that Gamma, then the rows and sum of G and of d.
     """
-    if abs(Gamma) < _TINY:
+    if abs(Gamma) < np.finfo(float).tiny:
         Gamma = 0.0
-    z = Gamma + 1j * np.asarray(omega, dtype=float)
-    t = np.asarray(t, dtype=float)
-    z = z.reshape(z.shape + (1,) * t.ndim)
-    pole = z == 0.0
-    return np.where(pole, t, np.expm1(z * t) / np.where(pole, 1.0, z))
-
-
-def _harmonic_coefficients(T, order: int, weights) -> np.ndarray:
-    """The weighted sum of the five families on the helper integrals.
-
-    For the weights (w1..w5) of I1..I5 returns C of shape
-    T.shape + (order, order, 2K), K = 2 order + 1, with
-    sum_f w_f I_f(t)[n, m] = sum_k C[n, m, k] h_k(t) + C[n, m, K + k] u_k(t);
-    T is one duration or an array of them.
-    By the product-to-sum identities
-        I1 = h_0 - h_n - h_m + (h_|m-n| + h_(m+n)) / 2
-        I2 = w_m (u_m - u_(m+n) / 2 - sgn(m - n) u_|m-n| / 2)
-        I3 = w_n w_m (h_|m-n| - h_(m+n)) / 2
-        I4 = w_m^2 (2 h_m - h_|m-n| - h_(m+n)) / 2
-        I5 = w_n w_m^2 (u_(m+n) - sgn(m - n) u_|m-n|) / 2
-    (u is odd in the frequency, h even), collected per helper integral.
-    """
-    w1, w2, w3, w4, w5 = weights
-    K = 2 * order + 1
     T = np.asarray(T, dtype=float)
-    n, m = np.indices((order, order)) + 1
-    wn, wm = TWO_PI * n / T[..., None, None], TWO_PI * m / T[..., None, None]
-    dk, sk = np.abs(m - n), m + n
-    a, b, c = np.full(wn.shape, w1), 0.5 * w3 * wn * wm, 0.5 * w4 * wm * wm
-    du, su = 0.5 * w2 * wm, 0.5 * w5 * wn * wm * wm
-    columns = (0 * n, n, m, dk, sk, K + m, K + sk, K + dk)
-    values = (a, -a, 2.0 * c - a, 0.5 * a + b - c, 0.5 * a - b - c,
-              2.0 * du, su - du, -np.sign(m - n) * (du + su))
-    size = order * order * 2 * K
-    rows = (2 * K * np.arange(order * order).reshape(order, order)
-            + size * np.arange(T.size).reshape(T.shape + (1, 1, 1)))
-    C = np.bincount((rows + np.stack(columns)).ravel(),
-                    np.stack(values, axis=-3).ravel(),
-                    T.size * size)
-    return C.reshape(T.shape + (order, order, 2 * K))
+    K = C.shape[-1] // 2
+    A, B = C[..., :K], C[..., K:]
+    z = Gamma + 1j * TWO_PI * np.arange(K) / T[..., None, None]
+    pole = z == 0.0
+    r = np.where(pole, 0.0, 1.0 / np.where(pole, 1.0, z))
+    P = A * r.real + B * r.imag
+    Q = B * r.real - A * r.imag
+    c = np.where(pole[..., :1], A[..., :1] * T[..., None, None], 0.0)
+    return (Gamma, np.concatenate([-2.0 * P, Q, c], axis=-1), P.sum(axis=-1),
+            np.concatenate([-2.0 * A, B, 0.0 * c], axis=-1), A.sum(axis=-1))
+
+
+def _sine_table(K: int):
+    """tau -> rows sin^2(pi k tau), sin(2 pi k tau), k < K, and tau (1-d)."""
+    angles = np.multiply.outer((np.pi, TWO_PI), np.arange(K))[..., None]
+
+    def table(tau):
+        s = np.sin(angles * tau)
+        s[0] *= s[0]
+        return np.concatenate([s.reshape(2 * K, -1), tau[None]])
+    return table
+
+
+def _g_on_table(Gamma: float, T, tau, rows, P_sum, table):
+    """G = expm1(Gamma t) P_sum + e^(Gamma t) rows . table(tau), t = T tau."""
+    G = rows @ table(tau)
+    if Gamma != 0.0:
+        Gt = Gamma * T * tau
+        G *= np.exp(Gt)
+        G += np.expm1(Gt) * P_sum[..., None]
+    return G
 
 
 def g_matrix(p: EmitterParams, T, order: int, tau,
@@ -177,74 +161,49 @@ def g_matrix(p: EmitterParams, T, order: int, tau,
     T.shape + (nt, order, order). The pulse coefficients enter bilinearly,
     so a grid scan reuses one X per duration for every candidate, and one
     call builds X for a block of durations. A linear chirp theta = chirp * t
-    only shifts two of the five weights.
-
-    On t = tau T the phase of harmonic k, w_k t = 2 pi k tau, does not
-    depend on T, and with z = Gamma + i w_k
-        h_k + i u_k = expm1(z t) / z
-                    = [expm1(Gamma t)
-                       + e^(Gamma t) (i sin(2 pi k tau) - 2 sin^2(pi k tau))] / z.
-    Contracted with the family coefficients, X = expm1(Gamma t) S_0 +
-    e^(Gamma t) S(tau): S is one matrix product of per-duration coefficients
-    with a table of the two sines that every duration shares, so a duration
-    costs one exp and one expm1 row. At the pole z = 0, h_0 = t; a subnormal
-    Gamma counts as zero, as in _helper_integrals.
+    only shifts two of the five weights. Each pair (n, m) is one row of
+    _series_rows applied to the sine table of tau, which every duration
+    shares, so a duration costs one exp and one expm1 row.
     """
-    Gamma = p.Gamma1 - p.Gamma2
-    if abs(Gamma) < _TINY:
-        Gamma = 0.0
     T = np.asarray(T, dtype=float)
     tau = np.asarray(tau, dtype=float)
-    K = 2 * order + 1
     C = _harmonic_coefficients(T, order, _rate_weights(p, chirp)).reshape(
-        T.shape + (order * order, 2 * K))
-    z = Gamma + 1j * TWO_PI * np.arange(K) / T[..., None, None]
-    pole = z == 0.0
-    r = np.where(pole, 0.0, 1.0 / np.where(pole, 1.0, z))
-    # sum_k C[k] h_k + C[K + k] u_k = sum_k P_k Re(expm1(z t)) + Q_k Im(expm1(z t))
-    P = C[..., :K] * r.real + C[..., K:] * r.imag
-    Q = C[..., K:] * r.real - C[..., :K] * r.imag
-    half = np.sin(np.pi * np.arange(K)[:, None] * tau)
-    table = np.concatenate([2.0 * half * half,
-                            np.sin(TWO_PI * np.arange(K)[:, None] * tau), [tau]])
-    t_coef = np.where(pole[..., 0], C[..., 0] * T[..., None], 0.0)  # h_0 = t
-    X = np.concatenate([-P, Q, t_coef[..., None]], axis=-1) @ table
-    if Gamma != 0.0:
-        Gt = Gamma * T[..., None] * tau
-        X *= np.exp(Gt)[..., None, :]
-        X += np.expm1(Gt)[..., None, :] * P.sum(axis=-1)[..., None]
+        T.shape + (order * order, -1))
+    Gamma, rows, P_sum, _, _ = _series_rows(p.Gamma1 - p.Gamma2, T, C)
+    X = _g_on_table(Gamma, T[..., None, None], tau, rows, P_sum,
+                    _sine_table(2 * order + 1))
     return np.moveaxis(X.reshape(T.shape + (order, order, -1)), -1, -3)
 
 
 def series_g(p: EmitterParams, pulse: CosineSeriesPulse):
     """G(t) and d(t) = G'(t) of one series pulse, as two callables.
 
-    The weights, the family coefficients and v x v are contracted here,
-    once, into the 2 (2L + 1) coefficients (A, B), and with z = Gamma + i w_k
-        G = sum_k A_k h_k + B_k u_k = Re[(A - i B) . expm1(z t) / z],
-        d = Re[(A - i B) . e^(z t)],
-    so each call costs one row of exponentials. d vanishes outside (0, T),
-    and G stays constant beyond the support.
+    The coefficients are contracted with v x v here, once, into one row of
+    _series_rows each for G and d, so a call costs one sine table and one
+    exponential per time. d vanishes outside (0, T), and G stays constant
+    beyond the support.
     """
     if not isinstance(pulse, CosineSeriesPulse):
         raise ValidationError("analytic G needs a CosineSeriesPulse")
-    v = np.asarray(pulse.coeffs)
-    C = _harmonic_coefficients(pulse.T, pulse.order, _rate_weights(p, pulse.chirp))
-    A, B = np.split(np.einsum("n,nmk,m->k", v, C, v), 2)
-    coeffs = A - 1j * B  # A h + B u = Re[(A - i B)(h + i u)]
-    omega = TWO_PI * np.arange(A.size) / pulse.T
-    gamma = p.Gamma1 - p.Gamma2
+    T, K = pulse.T, 2 * pulse.order + 1
+    C = _harmonic_coefficients(T, pulse.order, _rate_weights(p, pulse.chirp))
+    vv = np.outer(pulse.coeffs, pulse.coeffs).ravel()
+    Gamma, G_rows, P_sum, d_rows, A_sum = _series_rows(
+        p.Gamma1 - p.Gamma2, T, (vv @ C.reshape(-1, 2 * K))[None])
+    table = _sine_table(K)
 
     def G(t):
-        tt = np.clip(np.asarray(t, dtype=float), 0.0, pulse.T)
-        hu = _helper_integrals(omega, tt.ravel(), gamma)
-        return (coeffs @ hu).real.reshape(tt.shape)[()]
+        tt = np.clip(np.asarray(t, dtype=float), 0.0, T)
+        flat = tt.ravel()
+        return _g_on_table(Gamma, T, flat / T, G_rows, P_sum,
+                           table).reshape(tt.shape)[()]
 
     def d(t):
         tt = np.asarray(t, dtype=float)
-        e = np.exp(np.multiply.outer(gamma + 1j * omega, tt.ravel()))
-        inside = (tt > 0.0) & (tt < pulse.T)  # f = f' = 0 at both ends
-        return np.where(inside, (coeffs @ e).real.reshape(tt.shape), 0.0)[()]
+        flat = tt.ravel()
+        val = np.exp(Gamma * flat) * (A_sum + d_rows @ table(flat / T))
+        inside = (tt > 0.0) & (tt < T)  # f = f' = 0 at both ends
+        return np.where(inside, val.reshape(tt.shape), 0.0)[()]
 
     return G, d
 

@@ -48,7 +48,6 @@ class OptimizationConfig:
     constrained: bool = False
     T_range: tuple | None = None
     T_samples: int = 500
-    ratio_range: tuple = (-1.0, 1.0)
     ratio_samples: int = 201
     refine: bool = True
     max_candidates: int | None = None
@@ -62,8 +61,6 @@ class OptimizationConfig:
             ends = [finite(x, "T_range end") for x in self.T_range]
             if len(ends) != 2 or not 0.0 < ends[0] < ends[1]:
                 raise ValidationError("T_range must be (lo, hi) with 0 < lo < hi")
-        if not -1.0 <= self.ratio_range[0] < self.ratio_range[1] <= 1.0:
-            raise ValidationError("ratio_range must be an interval inside [-1, 1]")
 
 
 def full_config(L: int, constrained: bool = False, **kw) -> OptimizationConfig:
@@ -246,14 +243,14 @@ def _result(p: EmitterParams, cfg: OptimizationConfig, best: _Best,
 def optimize_shape(p: EmitterParams, cfg: OptimizationConfig) -> OptimizationResult:
     """Exhaustive grid search over duration and coefficient ratios.
 
-    Ratios run over cfg.ratio_range with the endpoints and zero on the
-    grid exactly, so each search space nests inside the next order and the
+    Ratios run over [-1, 1] with the endpoints and zero on the grid
+    exactly, so each search space nests inside the next order and the
     best objective can only improve with L. An optional refinement pass
     rescans a local box between the grid neighbors of the optimum.
     """
     T_range = cfg.T_range if cfg.T_range is not None else default_T_range(p)
-    ratio_axis = np.linspace(*cfg.ratio_range, cfg.ratio_samples)
-    if cfg.ratio_samples % 2 == 1 and cfg.ratio_range == (-1.0, 1.0):
+    ratio_axis = np.linspace(-1.0, 1.0, cfg.ratio_samples)
+    if cfg.ratio_samples % 2 == 1:
         ratio_axis[cfg.ratio_samples // 2] = 0.0  # exact zero for nesting
     axes = [np.linspace(*T_range, cfg.T_samples)] + [ratio_axis] * (cfg.L - 1)
     best, trace = _search(p, axes, cfg.constrained,

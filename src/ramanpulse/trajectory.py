@@ -73,9 +73,9 @@ def max_efficiency(p: EmitterParams, env) -> float:
     if isinstance(env, CosineSeriesPulse):
         profile = depletion.analytic_profile(p, env)
     else:
+        # the maximum search covers [0, T] whatever the grid
         e = as_envelope(env)
-        profile = depletion.integrated_depletion_numeric(
-            p, e, np.linspace(0.0, e.T, 101))
+        profile = depletion.integrated_depletion_numeric(p, e, [e.T])
     return bounds.e_max(profile)
 
 

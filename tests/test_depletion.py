@@ -13,8 +13,8 @@ from ramanpulse import (CosineSeriesPulse, DomainError, EmitterParams,
                         cooperativity, ghz, sin2_pulse)
 from ramanpulse import checks, depletion
 from ramanpulse.trajectory import max_efficiency
-from ramanpulse.depletion import (_harmonic_coefficients, _helper_integrals,
-                                  analytic_profile, depletion_rate,
+from ramanpulse.pulse import _harmonic_coefficients
+from ramanpulse.depletion import (analytic_profile, depletion_rate,
                                   integrated_depletion_analytic,
                                   integrated_depletion_numeric,
                                   phase_evolution)
@@ -57,19 +57,34 @@ def test_rate_domain_errors():
                        env, 0.1)
 
 
+def _series_integrals(Gamma, T, C, t):
+    """G and d = G' of sum_k C_k h_k + C_(K + k) u_k, one row per row of C."""
+    K = C.shape[-1] // 2
+    Gamma, G_rows, P_sum, d_rows, A_sum = depletion._series_rows(Gamma, T, C)
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    table = depletion._sine_table(K)
+    G = depletion._g_on_table(Gamma, T, t / T, G_rows, P_sum, table)
+    return G, np.exp(Gamma * t) * (A_sum[:, None] + d_rows @ table(t / T))
+
+
+def _helper_integrals(Gamma, T, K, t):
+    """h_k(t) and u_k(t) at w_k = 2 pi k / T, k < K, from unit rows."""
+    G, _ = _series_integrals(Gamma, T, np.eye(2 * K), t)
+    return G[:K], G[K:]
+
+
 def test_helper_integrals_start_at_zero():
     rng = np.random.default_rng(2)
     for _ in range(10):
-        w = rng.uniform(-30, 30)
+        T = rng.uniform(0.2, 3.0)
         g = rng.uniform(-5, 5)
-        hu = _helper_integrals([w], 0.0, g)[0]
-        assert hu.real == pytest.approx(0.0, abs=1e-14)
-        assert hu.imag == pytest.approx(0.0, abs=1e-14)
+        h, u = _helper_integrals(g, T, 5, 0.0)
+        assert np.all(h == 0.0) and np.all(u == 0.0)
 
 
 def test_subnormal_rate_difference_is_the_equal_rate_limit():
     # Gamma1 - Gamma2 = -5e-324: 1/Gamma overflows, so h_0 is t itself
-    assert _helper_integrals([0.0], 0.5, -5e-324)[0].real == 0.5
+    assert _helper_integrals(-5e-324, 1.0, 1, 0.5)[0][0] == 0.5
     p = EmitterParams(g=ghz(2), kappa=ghz(5), gamma_tilde=ghz(1), Gamma2=5e-324)
     pl = sin2_pulse(1.0)
     equal = EmitterParams(g=ghz(2), kappa=ghz(5), gamma_tilde=ghz(1))
@@ -78,16 +93,25 @@ def test_subnormal_rate_difference_is_the_equal_rate_limit():
 
 
 def test_helper_integrals_against_quadrature():
+    # h_k, u_k and their derivatives e^(g t) cos(w_k t), e^(g t) sin(w_k t),
+    # at the pole k = 0 too, with and without a rate gap
     rng = np.random.default_rng(9)
+    K = 4
     for _ in range(10):
-        w = rng.uniform(-20, 20)
+        T = rng.uniform(0.3, 3.0)
         g = rng.choice([0.0, rng.uniform(-3, 3)])
         t = rng.uniform(0.1, 2.0)
-        h_ref, _ = quad(lambda x: math.exp(g * x) * math.cos(w * x), 0, t)
-        u_ref, _ = quad(lambda x: math.exp(g * x) * math.sin(w * x), 0, t)
-        hu = _helper_integrals([w], t, g)[0]
-        assert hu.real == pytest.approx(h_ref, abs=1e-10)
-        assert hu.imag == pytest.approx(u_ref, abs=1e-10)
+        G, d = _series_integrals(g, T, np.eye(2 * K), t)
+        for k in range(K):
+            w = 2 * math.pi * k / T
+            h_ref, _ = quad(lambda x: math.exp(g * x) * math.cos(w * x), 0, t)
+            u_ref, _ = quad(lambda x: math.exp(g * x) * math.sin(w * x), 0, t)
+            assert G[k, 0] == pytest.approx(h_ref, abs=1e-10)
+            assert G[K + k, 0] == pytest.approx(u_ref, abs=1e-10)
+            assert d[k, 0] == pytest.approx(math.exp(g * t) * math.cos(w * t),
+                                            abs=1e-12)
+            assert d[K + k, 0] == pytest.approx(
+                math.exp(g * t) * math.sin(w * t), abs=1e-12)
 
 
 def test_diagonal_family_closed_form():
@@ -97,8 +121,7 @@ def test_diagonal_family_closed_form():
     ts = np.linspace(0.05, T, 7)
     # unit weight on I1 alone: C spells I1 in the helper integrals h_k, u_k
     C = _harmonic_coefficients(T, m, (1.0, 0.0, 0.0, 0.0, 0.0))
-    hu = _helper_integrals(2 * math.pi * np.arange(2 * m + 1) / T, ts, 0.0)
-    I1 = C[m - 1, m - 1] @ np.concatenate([hu.real, hu.imag])
+    I1 = _series_integrals(0.0, T, C[m - 1, m - 1][None], ts)[0][0]
     expected = 1.5 * ts + np.sin(2 * w * ts) / (4 * w) - 2 * np.sin(w * ts) / w
     assert np.max(np.abs(I1 - expected)) < 1e-12
 
@@ -439,3 +462,26 @@ def test_numeric_quadrature_once_per_interval_and_falling_zero(siv_params,
     exact = analytic_profile(siv_params, pl, grid)
     assert np.allclose(prof.G, exact.G, rtol=1e-10, atol=0.0)
     assert prof.G_max == pytest.approx(exact.G_max, rel=1e-10)
+
+
+def test_generic_bound_quadrature_once_per_falling_zero(siv_params,
+                                                        monkeypatch):
+    # the bound of a generic envelope reads only G_max, so quadrature runs
+    # from zero to each falling zero of d and on to T, not over a grid
+    pl = sin2_pulse(0.44)
+    env = Envelope(T=pl.T, f=pl.f, df=pl.df, d2f=pl.d2f)
+    calls = []
+    plain_quad = depletion.quad
+
+    def counting_quad(fun, a, b, **kw):
+        calls.append((a, b))
+        return plain_quad(fun, a, b, **kw)
+
+    monkeypatch.setattr(depletion, "quad", counting_quad)
+    E_max = max_efficiency(siv_params, env)
+    d = depletion_rate(siv_params, pl,
+                       np.linspace(0.0, pl.T, depletion.N_SEARCH_GRID))
+    falling = np.count_nonzero((d[:-1] > 0) & (d[1:] <= 0))
+    assert falling == 2
+    assert len(calls) == falling + 1
+    assert E_max == pytest.approx(max_efficiency(siv_params, pl), rel=1e-12)

@@ -125,8 +125,6 @@ def test_config_validation():
     with pytest.raises(ValidationError):
         OptimizationConfig(T_range=(0.0, 1.0))
     with pytest.raises(ValidationError):
-        OptimizationConfig(ratio_range=(-2.0, 1.0))
-    with pytest.raises(ValidationError):
         full_config(4)
 
 

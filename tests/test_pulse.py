@@ -9,7 +9,7 @@ from scipy.integrate import quad
 from ramanpulse import (CosineSeriesPulse, Envelope, ValidationError,
                         as_envelope, constrained_series, load_pulse,
                         save_pulse, sin2_pulse, write_samples)
-from ramanpulse.pulse import write_csv
+from ramanpulse.pulse import NORM_SWITCH, write_csv
 
 TWO_PI = 2.0 * math.pi
 
@@ -211,17 +211,38 @@ def test_write_csv_format(tmp_path):
                                        (0.345, (1.0, -0.2, 0.11)),
                                        (1.2, (0.4, 0.3, -0.2, 0.1))])
 def test_cumulative_norm_harmonic_sum_against_quadrature(T, coeffs):
-    # per-harmonic closed form above w_max t = 0.05, power series below
+    # per-harmonic closed form above w_max t = NORM_SWITCH, power series below
     pl = CosineSeriesPulse(T, coeffs).normalize()
     w_max = 2 * math.pi * pl.order / T
     ts = np.r_[np.geomspace(1e-3, 0.5, 30) / w_max, np.linspace(0.0, T, 21)]
-    assert np.any(ts * w_max < 0.05) and np.any(ts * w_max > 0.05)
+    assert np.any(ts * w_max < NORM_SWITCH) and np.any(ts * w_max > NORM_SWITCH)
     got = pl.cumulative_norm(ts)
     for t, value in zip(ts, got):
         ref, _ = quad(lambda x: pl.f(x) ** 2, 0.0, t, epsabs=0.0, epsrel=1e-13,
                       limit=200)
         assert value == pytest.approx(ref, rel=1e-6, abs=0.0)
     assert pl.cumulative_norm(2 * T) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_cumulative_norm_against_mpmath_on_both_sides_of_the_switch():
+    # the full-grid L=3 optimum against 40-digit quadrature of f^2, on both
+    # sides of the switch to the power series, and of w_max t = 0.05
+    import mpmath
+    T = 0.344942025959689
+    v = (1.4631658561574354, -0.292633171231487, 0.16094824417731804)
+    pl = CosineSeriesPulse(T, v)
+    w_max = 2 * math.pi * pl.order / T
+    ts = np.array([0.01, 0.049, 0.051, 0.99, 1.01, 0.99 * NORM_SWITCH,
+                   1.01 * NORM_SWITCH, 2.0 * NORM_SWITCH]) / w_max
+    with mpmath.workdps(40):
+        def f2(x):
+            return sum(c * (1 - mpmath.cos(2 * mpmath.pi * n * x / T))
+                       for n, c in enumerate(v, start=1)) ** 2
+
+        for t, value in zip(ts, pl.cumulative_norm(ts)):
+            ref = mpmath.quad(f2, [0, t])
+            assert abs(value - ref) <= 1e-12 * ref
+            assert abs(pl.cumulative_norm(t) - ref) <= 1e-12 * ref
 
 
 def test_series_evaluate_is_one_pass_of_f_df_d2f():
