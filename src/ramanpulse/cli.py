@@ -83,9 +83,13 @@ def _bound_curves(p: EmitterParams, data: dict, out: Path, T_values):
         ps = dataclasses.replace(p, Gamma1=frac1 * p.gamma_tilde,
                                  Gamma2=frac2 * p.gamma_tilde)
         rows = []
-        for T in T_values:
-            pl = sin2_pulse(float(T))
-            profile = depletion.analytic_profile(p=ps, pulse=pl)
+        # one g_max search over the sin^2 pulses (v1 as in sin2_pulse) of all
+        # durations; the bounds read G at the end T, where d = 0
+        for T, G_max, argmax_t, G_end in zip(T_values, *depletion.g_max(
+                ps, T_values, np.sqrt(2.0 / (3.0 * T_values))[:, None])):
+            profile = depletion.DepletionProfile(
+                grid=np.array([T]), d=np.zeros(1), G=np.array([G_end]),
+                G_max=float(G_max), argmax_t=float(argmax_t))
             res = bounds.compute_bounds(ps, profile)
             e_sim = bounds.simplified_bound(profile)
             e_slow = math.sqrt(max(res.E2_slow, 0.0))

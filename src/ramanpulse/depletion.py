@@ -12,9 +12,11 @@ two routes: adaptive quadrature of d for arbitrary envelopes, and for the
 cosine series exact real rows on one table of sines (_series_rows), which
 give G, d and a grid scan's quadratic form X; a linear chirp only shifts
 two of the five weights of d. The maximum of G sets the efficiency bound;
-as G' = d, it sits at the end T or where d falls through zero, and both
-routes take it from one search over those times. The drive phase phi(t) is
-integrated together with G in one ODE pass, solve_g_phi.
+as G' = d, it sits at the end T or where d falls through zero. g_max finds
+it for a block of series pulses at once: one shared grid, then every
+falling zero of d refined together (_falling_zeros, which the quadrature
+route uses too). The drive phase phi(t) is integrated together with G in
+one ODE pass, solve_g_phi.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from functools import partial
 
 import numpy as np
 from scipy.integrate import quad, solve_ivp
-from scipy.optimize import brentq
 
 from .errors import DomainError, NumericError, ValidationError
 from .model import EmitterParams
@@ -37,6 +38,9 @@ R2_FLOOR = 1e-10
 
 # uniform samples of G over [0, T] in every search for its maximum
 N_SEARCH_GRID = 1001
+# durations per pass of g_max: each array of samples stays at 125 kB, so a
+# long sweep takes no more memory than a short one
+G_MAX_ROWS = 16
 
 
 @dataclass
@@ -44,7 +48,8 @@ class DepletionProfile:
     """Sampled depletion data on a time grid.
 
     G_max is the maximum of G over t >= 0, reached at argmax_t: the largest
-    G at the grid, at T and at the falling zeros of d, whatever the grid.
+    G at the grid (the search grid on the exact route), at T and at the
+    falling zeros of d, whatever the grid.
     """
 
     grid: np.ndarray
@@ -143,9 +148,9 @@ def _sine_table(K: int):
     return table
 
 
-def _g_on_table(Gamma: float, T, tau, rows, P_sum, table):
-    """G = expm1(Gamma t) P_sum + e^(Gamma t) rows . table(tau), t = T tau."""
-    G = rows @ table(tau)
+def _g_on_table(Gamma: float, T, tau, rows, P_sum, tab):
+    """G = expm1(Gamma t) P_sum + e^(Gamma t) rows . tab, tab the table at tau."""
+    G = rows @ tab
     if Gamma != 0.0:
         Gt = Gamma * T * tau
         G *= np.exp(Gt)
@@ -171,32 +176,40 @@ def g_matrix(p: EmitterParams, T, order: int, tau,
         T.shape + (order * order, -1))
     Gamma, rows, P_sum, _, _ = _series_rows(p.Gamma1 - p.Gamma2, T, C)
     X = _g_on_table(Gamma, T[..., None, None], tau, rows, P_sum,
-                    _sine_table(2 * order + 1))
+                    _sine_table(2 * order + 1)(tau))
     return np.moveaxis(X.reshape(T.shape + (order, order, -1)), -1, -3)
+
+
+def _pulse_rows(p: EmitterParams, T, V, chirp: float):
+    """_series_rows of one G row and one d row per pulse: T is one duration
+    or a 1-d array, V one row of v per duration, contracted with v x v."""
+    T, V = np.asarray(T, dtype=float), np.asarray(V, dtype=float)
+    L = V.shape[-1]
+    C = _harmonic_coefficients(T, L, _rate_weights(p, chirp))
+    vv = (V[..., :, None] * V[..., None, :]).reshape(T.shape + (1, L * L))
+    return _series_rows(p.Gamma1 - p.Gamma2, T,
+                        vv @ C.reshape(T.shape + (L * L, -1)))
 
 
 def series_g(p: EmitterParams, pulse: CosineSeriesPulse):
     """G(t) and d(t) = G'(t) of one series pulse, as two callables.
 
-    The coefficients are contracted with v x v here, once, into one row of
-    _series_rows each for G and d, so a call costs one sine table and one
-    exponential per time. d vanishes outside (0, T), and G stays constant
-    beyond the support.
+    One row of _series_rows each for G and d, so a call costs one sine
+    table and one exponential per time. d vanishes outside (0, T), and G
+    stays constant beyond the support.
     """
     if not isinstance(pulse, CosineSeriesPulse):
         raise ValidationError("analytic G needs a CosineSeriesPulse")
-    T, K = pulse.T, 2 * pulse.order + 1
-    C = _harmonic_coefficients(T, pulse.order, _rate_weights(p, pulse.chirp))
-    vv = np.outer(pulse.coeffs, pulse.coeffs).ravel()
-    Gamma, G_rows, P_sum, d_rows, A_sum = _series_rows(
-        p.Gamma1 - p.Gamma2, T, (vv @ C.reshape(-1, 2 * K))[None])
-    table = _sine_table(K)
+    T = pulse.T
+    Gamma, G_rows, P_sum, d_rows, A_sum = _pulse_rows(p, T, pulse.coeffs,
+                                                      pulse.chirp)
+    table = _sine_table(2 * pulse.order + 1)
 
     def G(t):
         tt = np.clip(np.asarray(t, dtype=float), 0.0, T)
         flat = tt.ravel()
         return _g_on_table(Gamma, T, flat / T, G_rows, P_sum,
-                           table).reshape(tt.shape)[()]
+                           table(flat / T)).reshape(tt.shape)[()]
 
     def d(t):
         tt = np.asarray(t, dtype=float)
@@ -213,40 +226,107 @@ def integrated_depletion_analytic(p: EmitterParams, pulse: CosineSeriesPulse, t)
     return series_g(p, pulse)[0](t)
 
 
-def _search_times(d, grid, T: float) -> np.ndarray:
-    """The times where G can reach its maximum over [0, T], grid first.
+def _falling_zeros(d, ts, ds):
+    """Rows r and times of the zeros where d falls through zero, all at once.
 
-    G' = d, so max G is at T or where d falls through zero. brentq finds
-    the zero in each step d[i] > 0 >= d[i + 1] of N_SEARCH_GRID uniform
-    samples; where a scalar call rounds a d of order eps max|d| to the
-    other sign than the sample did, that end is the zero.
+    ds samples d at the times ts, a row per pulse; d(t, r) is d of rows r at
+    times t. Each step ds[r, i] > 0 >= ds[r, i + 1] brackets one; where d at
+    an end rounds to the other sign than its sample did, that end is the
+    zero. The rest are refined together by Chandrupatla's method (Adv. Eng.
+    Softw. 28, 145 (1997)) to a bracket of 4 eps t or a d of 4 eps max|ds|,
+    in at most 100 passes; a nan in d ends its bracket.
     """
-    ts = np.linspace(0.0, T, N_SEARCH_GRID)
-    ds = d(ts)
-    zeros = []
-    for i in np.flatnonzero((ds[:-1] > 0.0) & (ds[1:] <= 0.0)):
-        a, b = ts[i], ts[i + 1]
-        if d(b) > 0.0:
-            zeros.append(b)
-        elif d(a) <= 0.0:
-            zeros.append(a)
-        else:
-            zeros.append(brentq(d, a, b, xtol=1e-15 * b))
-    return np.concatenate([grid, [T], zeros])
+    r, i = np.nonzero((ds[:, :-1] > 0.0) & (ds[:, 1:] <= 0.0))
+    a, b = ts[r, i], ts[r, i + 1]
+    fa, fb = d(np.concatenate([a, b]), np.concatenate([r, r])).reshape(2, -1)
+    zeros = np.where(fb >= 0.0, b, a)
+    k = np.flatnonzero((fa > 0.0) & (fb < 0.0))
+    # x1: the newest point, x2: the other end of its bracket, x3: the point
+    # the newest replaced; t places the next point between x1 and x2
+    x1, f1, x2, f2 = a[k], fa[k], b[k], fb[k]
+    t, eps = f1 / (f1 - f2), 4.0 * np.finfo(float).eps  # a secant step first
+    tol, ftol = eps * b[k], eps * np.abs(ds).max(axis=1)[r[k]]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(100):
+            if not k.size:
+                break
+            x = x1 + t * (x2 - x1)
+            f = d(x, r[k])
+            same = (f > 0.0) == (f1 > 0.0)
+            x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
+            x2, f2 = np.where(same, x2, x1), np.where(same, f2, f1)
+            x1, f1 = x, f
+            near = np.abs(f1) < np.abs(f2)
+            zeros[k] = np.where(near, x1, x2)
+            tl = 0.5 * tol / np.abs(x2 - x1)
+            go = (tl <= 0.5) & (np.where(near, np.abs(f1), np.abs(f2)) > ftol)
+            k, x1, f1, x2, f2, x3, f3, tol, ftol, tl = (
+                y[go] for y in (k, x1, f1, x2, f2, x3, f3, tol, ftol, tl))
+            xi, phi = (x1 - x2) / (x3 - x2), (f1 - f2) / (f3 - f2)
+            iqi = (1.0 - np.sqrt(1.0 - xi) < phi) & (phi < np.sqrt(xi))
+            t = np.where(iqi, f1 / (f1 - f2) * f3 / (f3 - f2)
+                         - (x3 - x1) / (x2 - x1) * f1 / (f3 - f1)
+                         * f2 / (f2 - f3), 0.5)
+            t = np.minimum(np.maximum(t, tl), 1.0 - tl)
+    return r, zeros
+
+
+def _max_search(p: EmitterParams, T, V, chirp: float):
+    """g_max's search: its grid t, G and d there, then G_max and argmax_t."""
+    T = np.asarray(T, dtype=float)
+    Gamma, *rows = _pulse_rows(p, T, V, chirp)
+    G_rows, P_sum, d_rows, A_sum = (x[:, 0] for x in rows)
+    table = _sine_table(G_rows.shape[-1] // 2)
+    tau = np.linspace(0.0, 1.0, N_SEARCH_GRID)
+    tab, t = table(tau), np.multiply.outer(T, tau)
+    G = _g_on_table(Gamma, T[:, None], tau, G_rows, P_sum, tab)
+    d = np.exp(Gamma * t) * (d_rows @ tab + A_sum[:, None])
+
+    def at(rows, total, shift):  # G or d of the rows r at the times t
+        return lambda t, r: (np.exp(Gamma * t) * np.einsum(
+            "ij,ji->i", rows[r], table(t / T[r])) + shift(Gamma * t) * total[r])
+
+    r, zeros = _falling_zeros(at(d_rows, A_sum, np.exp), t, d)
+    slot = np.arange(r.size) - np.searchsorted(r, r)
+    G_z, t_z = np.full((2, T.size, slot.max(initial=-1) + 1), -np.inf)
+    G_z[r, slot], t_z[r, slot] = at(G_rows, P_sum, np.expm1)(zeros, r), zeros
+    G_all, t_all = np.hstack([G, G_z]), np.hstack([t, t_z])
+    i = (np.arange(T.size), np.argmax(G_all, axis=1))
+    return t, G, d, G_all[i], t_all[i]
+
+
+def g_max(p: EmitterParams, T, V, chirp: float = 0.0):
+    """G_max, argmax_t and G(T) of one series pulse per duration, as arrays.
+
+    T is a 1-d array of durations, V one row of coefficients v each. G and d
+    are sampled at t = tau T, N_SEARCH_GRID uniform tau on one sine table
+    for all rows; the falling zeros of d = G' are refined together and G is
+    evaluated once at each. G_max is the largest G on the grid and there.
+    The durations go in passes of G_MAX_ROWS.
+    """
+    T, V, out = np.asarray(T, dtype=float), np.asarray(V, dtype=float), []
+    for i in range(0, T.size, G_MAX_ROWS):
+        _, G, _, G_max, argmax_t = _max_search(
+            p, T[i:i + G_MAX_ROWS], V[i:i + G_MAX_ROWS], chirp)
+        out.append((G_max, argmax_t, G[:, -1]))
+    return tuple(np.concatenate(x) for x in zip(*out))
 
 
 def analytic_profile(p: EmitterParams, pulse: CosineSeriesPulse,
                      grid=None) -> DepletionProfile:
-    """DepletionProfile through the closed-form route (any series pulse)."""
-    if grid is None:
-        grid = np.linspace(0.0, pulse.T, N_SEARCH_GRID)
-    grid = np.atleast_1d(np.asarray(grid, dtype=float))
-    G_of, d_of = series_g(p, pulse)
-    times = _search_times(d_of, grid, pulse.T)
-    G = G_of(times)
-    i = int(np.argmax(G))
-    return DepletionProfile(grid=grid, d=d_of(grid), G=G[:grid.size],
-                            G_max=float(G[i]), argmax_t=float(times[i]))
+    """DepletionProfile of a series pulse from a one-row g_max search; G and d
+    are sampled on the grid, by default the search grid."""
+    if not isinstance(pulse, CosineSeriesPulse):
+        raise ValidationError("analytic G needs a CosineSeriesPulse")
+    t, G, d, G_max, argmax_t = _max_search(p, [pulse.T], [pulse.coeffs],
+                                           pulse.chirp)
+    if grid is None:  # d = 0 at both ends, as f = f' = 0 there
+        grid, G, d = t[0], G[0], np.where((t[0] > 0) & (t[0] < pulse.T), d[0], 0)
+    else:
+        grid = np.atleast_1d(np.asarray(grid, dtype=float))
+        G, d = (f(grid) for f in series_g(p, pulse))
+    return DepletionProfile(grid=grid, d=d, G=G, G_max=float(G_max[0]),
+                            argmax_t=float(argmax_t[0]))
 
 
 def integrated_depletion_numeric(p: EmitterParams, env, t_grid,
@@ -280,7 +360,11 @@ def integrated_depletion_numeric(p: EmitterParams, env, t_grid,
                 f"estimated error {err:.3e}")
         return val
 
-    times = _search_times(d, grid, env.T) if refine_max else grid
+    times = grid
+    if refine_max:
+        ts = np.linspace(0.0, env.T, N_SEARCH_GRID)[None]
+        times = np.concatenate([grid, [env.T],
+                                _falling_zeros(lambda t, r: d(t), ts, d(ts))[1]])
     nodes = np.unique(times)
     G_nodes = np.cumsum([segment(a, b)
                          for a, b in zip(np.r_[0.0, nodes[:-1]], nodes)])

@@ -106,14 +106,21 @@ class CosineSeriesPulse:
         power series is int_0^t f^2 = t y^2 sum_j b_j y^j in y = (w_L t)^2,
         w_L = 2 pi L / T, from f = sum_j a_j y^j by 1 - cos x =
         -sum_j (-x^2)^j / (2 j)!, cut after 18 terms: at NORM_SWITCH the
-        first term left out is below 2e-22 sum |v_n|.
+        first term left out is below 2e-22 sum |v_n|. Each a_j is summed in
+        exact integers and rounded once, as int / int is correctly rounded:
+        on a constrained pulse a_1 cancels to the rounding level, where a
+        float sum gets even its sign wrong.
         """
         L, v = self.order, np.asarray(self.coeffs)
         c = np.einsum("n,nmk,m->k", v, _harmonic_coefficients(
             self.T, L, (1.0, 0.0, 0.0, 0.0, 0.0))[..., :2 * L + 1], v)
         j = np.arange(1, 19)
-        a = (-np.cumprod(-1.0 / ((2 * j - 1) * (2 * j)))
-             * (v @ (np.arange(1, L + 1)[:, None] / L) ** (2 * j)))
+        ratios = [x.as_integer_ratio() for x in self.coeffs]
+        den = max(q for _, q in ratios)  # powers of two: v_n = num_n / den
+        num = [p * (den // q) for p, q in ratios]
+        a = np.array([sum(m * n ** (2 * i) for n, m in enumerate(num, start=1))
+                      / (-den * (-L * L) ** i * math.factorial(2 * i))
+                      for i in range(1, j.size + 1)])
         return c[0], c[1:] / self._w, np.convolve(a, a)[:j.size] / (2 * j + 3)
 
     @property

@@ -2,8 +2,8 @@ import json
 
 import pytest
 
-from ramanpulse import checks
-from ramanpulse.cli import DEFAULT_PARAMS, main, run_checks
+from ramanpulse import checks, cli, depletion
+from ramanpulse.cli import DECOHERENCE_SETS, DEFAULT_PARAMS, main, run_checks
 from ramanpulse.model import params_from_dict
 
 
@@ -101,6 +101,36 @@ def test_figures_subcommand(tmp_path):
     assert row["E_max"] == pytest.approx(0.988, abs=1e-3)
     assert (tmp_path / "drive_vs_efficiency.csv").exists()
     assert (tmp_path / "shapes" / "envelope_L3_con.csv").exists()
+
+
+def test_figures_bound_curves_one_g_max_call_per_set(tmp_path, monkeypatch):
+    # every duration of a bound curve comes from one g_max call per
+    # decoherence set, none from a one-pulse analytic_profile
+    calls = {"g_max": 0, "analytic_profile in _bound_curves": 0}
+    inside = []
+
+    def counted(name, fun, only_inside=False):
+        def wrapper(*args, **kwargs):
+            if inside or not only_inside:
+                calls[name] += 1
+            return fun(*args, **kwargs)
+        return wrapper
+
+    def bound_curves(*args, **kwargs):
+        inside.append(True)
+        try:
+            return plain_curves(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    plain_curves = cli._bound_curves
+    monkeypatch.setattr(cli, "_bound_curves", bound_curves)
+    monkeypatch.setattr(depletion, "g_max", counted("g_max", depletion.g_max))
+    monkeypatch.setattr(depletion, "analytic_profile", counted(
+        "analytic_profile in _bound_curves", depletion.analytic_profile, True))
+    assert main(["figures", "--out", str(tmp_path), "--grid", "desk"]) == 0
+    assert len(DECOHERENCE_SETS) == 6
+    assert calls == {"g_max": 6, "analytic_profile in _bound_curves": 0}
 
 
 @pytest.mark.parametrize("text", ["{not json", "5"])

@@ -13,7 +13,7 @@ from ramanpulse import (CosineSeriesPulse, DomainError, EmitterParams,
                         cooperativity, ghz, sin2_pulse)
 from ramanpulse import checks, depletion
 from ramanpulse.trajectory import max_efficiency
-from ramanpulse.pulse import _harmonic_coefficients
+from ramanpulse.pulse import _harmonic_coefficients, slaved_series
 from ramanpulse.depletion import (analytic_profile, depletion_rate,
                                   integrated_depletion_analytic,
                                   integrated_depletion_numeric,
@@ -62,9 +62,9 @@ def _series_integrals(Gamma, T, C, t):
     K = C.shape[-1] // 2
     Gamma, G_rows, P_sum, d_rows, A_sum = depletion._series_rows(Gamma, T, C)
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    table = depletion._sine_table(K)
-    G = depletion._g_on_table(Gamma, T, t / T, G_rows, P_sum, table)
-    return G, np.exp(Gamma * t) * (A_sum[:, None] + d_rows @ table(t / T))
+    tab = depletion._sine_table(K)(t / T)
+    G = depletion._g_on_table(Gamma, T, t / T, G_rows, P_sum, tab)
+    return G, np.exp(Gamma * t) * (A_sum[:, None] + d_rows @ tab)
 
 
 def _helper_integrals(Gamma, T, K, t):
@@ -242,6 +242,21 @@ def test_maximum_search_takes_sign_noise_at_the_end(siv_params):
     assert ana.G_max >= integrated_depletion_analytic(
         siv_params, pl, np.linspace(0.0, pl.T, depletion.N_SEARCH_GRID)).max()
     assert num.G_max == pytest.approx(ana.G_max, rel=1e-12, abs=0.0)
+
+
+def test_falling_zeros_take_sign_noise_at_the_step_end():
+    # the samples put falling zeros in (1, 2), (3, 4) and (5, 6); evaluated
+    # again, d rounds to the other sign at 2 and at 3, so those ends are the
+    # zeros, and the clean step is refined to the zero of d = 5.5 - t
+    def d(t, r):
+        return np.array([{2.0: 1e-17, 3.0: -1e-17, 4.0: -1.0}.get(x, 5.5 - x)
+                         for x in t])
+
+    ts = np.arange(7.0)[None]
+    ds = np.array([[5.5, 4.5, -1.0, 1.0, -1.0, 0.5, -0.5]])
+    r, zeros = depletion._falling_zeros(d, ts, ds)
+    assert r.tolist() == [0, 0, 0]
+    assert zeros.tolist() == [2.0, 3.0, 5.5]
 
 
 def test_numeric_grid_validation(siv_params):
@@ -485,3 +500,48 @@ def test_generic_bound_quadrature_once_per_falling_zero(siv_params,
     assert falling == 2
     assert len(calls) == falling + 1
     assert E_max == pytest.approx(max_efficiency(siv_params, pl), rel=1e-12)
+
+
+def test_g_max_batch_matches_one_row_calls_and_quadrature(siv_params):
+    # one g_max call per (params, chirp); each row against a one-row call and
+    # against the quadrature route
+    unequal = EmitterParams(g=ghz(6), kappa=ghz(30), kappa_tilde=ghz(1.0),
+                            gamma_tilde=ghz(0.1), Gamma1=ghz(0.02),
+                            Gamma2=ghz(0.005), Delta=ghz(1.0))
+    subnormal = EmitterParams(g=ghz(6), kappa=ghz(30), gamma_tilde=ghz(0.1),
+                              Gamma1=5e-324)
+    perfect = EmitterParams(g=ghz(6), kappa=ghz(30), gamma_tilde=ghz(0.1))
+    desk_l3_constrained = (1.5376551479467162, -0.38441378698667905,
+                           0.18451861775360612, -0.10379172248640343,
+                           0.061506205917868706, -0.04271264299851994)
+    sin2_T = np.array([0.2, 0.3, 0.44, 300.0])  # the last is flat at T
+    batches = [
+        (perfect, 0.0, sin2_T, np.sqrt(2.0 / (3.0 * sin2_T))[:, None]),
+        (siv_params, 0.0, np.array([0.3507904868147897, 0.5, 0.25]),
+         np.vstack([desk_l3_constrained, slaved_series(
+             [[1.0, -0.2, 0.1], [1.0, 0.3, -0.05]])])),
+        (unequal, 2.5, np.array([0.3, 0.5, 0.8]),
+         np.array([[1.0, 0.2], [1.0, -0.1], [0.5, 0.05]])),
+        (unequal, -40.0, np.array([0.4, 0.6]), np.array([[1.0], [0.7]])),
+        (subnormal, 0.0, np.array([1.1, 1.3]),
+         slaved_series([[1.0, 0.2], [1.0, -0.3]])),
+    ]
+    for p, chirp, T, V in batches:
+        G_max, argmax_t, G_end = depletion.g_max(p, T, V, chirp)
+        assert G_max.shape == argmax_t.shape == G_end.shape == T.shape
+        for j, (Tj, v) in enumerate(zip(T, V)):
+            one = [x[0] for x in depletion.g_max(p, [Tj], [v], chirp)]
+            assert G_max[j] == pytest.approx(one[0], rel=1e-15, abs=0.0)
+            assert abs(argmax_t[j] - one[1]) <= 1e-12 * Tj
+            pl = CosineSeriesPulse(Tj, tuple(v), chirp)
+            assert G_end[j] == pytest.approx(
+                integrated_depletion_analytic(p, pl, Tj), rel=1e-15, abs=0.0)
+            num = integrated_depletion_numeric(p, pl, [Tj])
+            assert G_max[j] == pytest.approx(num.G_max, rel=1e-13, abs=0.0)
+            assert abs(argmax_t[j] - num.argmax_t) <= 1e-12 * Tj
+    d = depletion_rate(perfect, sin2_pulse(0.44),
+                       np.linspace(0.0, 0.44, depletion.N_SEARCH_GRID))
+    assert np.count_nonzero((d[:-1] > 0) & (d[1:] <= 0)) == 2
+    G_max, argmax_t, G_end = depletion.g_max(
+        perfect, sin2_T[-1:], np.sqrt(2.0 / (3.0 * sin2_T[-1:]))[:, None])
+    assert argmax_t[0] == sin2_T[-1] and G_max[0] == G_end[0]

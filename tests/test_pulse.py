@@ -255,3 +255,24 @@ def test_series_evaluate_is_one_pass_of_f_df_d2f():
     generic = Envelope(T=0.5, f=pl.f, df=pl.df, d2f=pl.d2f)
     assert all(np.array_equal(a, b)
                for a, b in zip(generic.evaluate(ts), (f, df, d2f)))
+
+
+def test_cumulative_norm_of_constrained_pulse_at_small_t():
+    # the desk L=3 constrained optimum: f''(0) = 0, so the leading series
+    # coefficient cancels to the rounding level, and its float sum has the
+    # wrong sign; each coefficient is rounded once from its exact value
+    import mpmath
+    T = 0.3507904868147897
+    v = (1.5376551479467162, -0.38441378698667905, 0.18451861775360612,
+         -0.10379172248640343, 0.061506205917868706, -0.04271264299851994)
+    pl = CosineSeriesPulse(T, v)
+    ts = np.array([1e-3, 1e-2, 0.05, 0.5, 3.9]) / (2 * math.pi * pl.order / T)
+    with mpmath.workdps(40):
+        def f2(x):
+            return sum(c * (1 - mpmath.cos(2 * mpmath.pi * n * x / T))
+                       for n, c in enumerate(v, start=1)) ** 2
+
+        for t, value in zip(ts, pl.cumulative_norm(ts)):
+            ref = mpmath.quad(f2, [0, t])
+            assert abs(value - ref) <= 1e-12 * ref
+            assert abs(pl.cumulative_norm(t) - ref) <= 1e-12 * ref
