@@ -207,9 +207,9 @@ def series_g(p: EmitterParams, pulse: CosineSeriesPulse):
 
     def G(t):
         tt = np.clip(np.asarray(t, dtype=float), 0.0, T)
-        flat = tt.ravel()
-        return _g_on_table(Gamma, T, flat / T, G_rows, P_sum,
-                           table(flat / T)).reshape(tt.shape)[()]
+        tau = tt.ravel() / T
+        return _g_on_table(Gamma, T, tau, G_rows, P_sum,
+                           table(tau)).reshape(tt.shape)[()]
 
     def d(t):
         tt = np.asarray(t, dtype=float)
