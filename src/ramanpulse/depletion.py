@@ -305,6 +305,10 @@ def g_max(p: EmitterParams, T, V, chirp: float = 0.0):
     The durations go in passes of G_MAX_ROWS.
     """
     T, V, out = np.asarray(T, dtype=float), np.asarray(V, dtype=float), []
+    if T.ndim != 1 or V.ndim != 2 or len(V) != T.size or V.shape[1] < 1:
+        raise ValidationError("g_max needs 1-d T and one row of V per duration")
+    if not (np.all(T > 0) and np.isfinite(T).all() and np.isfinite(V).all()):
+        raise ValidationError("g_max needs finite durations T > 0 and finite V")
     for i in range(0, T.size, G_MAX_ROWS):
         _, G, _, G_max, argmax_t = _max_search(
             p, T[i:i + G_MAX_ROWS], V[i:i + G_MAX_ROWS], chirp)

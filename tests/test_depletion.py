@@ -244,6 +244,21 @@ def test_maximum_search_takes_sign_noise_at_the_end(siv_params):
     assert num.G_max == pytest.approx(ana.G_max, rel=1e-12, abs=0.0)
 
 
+@pytest.mark.parametrize("T,V", [
+    (np.array(0.5), [[1.0]]),                       # T not 1-d
+    (np.array([0.5, 0.6]), [[1.0]]),                # one row for two durations
+    (np.array([0.5]), [1.0]),                       # V not 2-d
+    (np.array([0.5]), np.ones((1, 0))),             # no coefficients
+    (np.array([0.0]), [[1.0]]),
+    (np.array([-0.5]), [[1.0]]),
+    (np.array([np.inf]), [[1.0]]),
+    (np.array([0.5]), [[np.nan]]),
+])
+def test_g_max_rejects_bad_input(siv_params, T, V):
+    with pytest.raises(ValidationError):
+        depletion.g_max(siv_params, T, V)
+
+
 def test_falling_zeros_take_sign_noise_at_the_step_end():
     # the samples put falling zeros in (1, 2), (3, 4) and (5, 6); evaluated
     # again, d rounds to the other sign at 2 and at 3, so those ends are the
