@@ -30,8 +30,8 @@ from .protocol import (PROTOCOLS, ProtocolResult, ProtocolState, apply_gate,
 from .pulse import (CosineSeriesPulse, Envelope, as_envelope,
                     constrained_series, load_pulse, save_pulse, sin2_pulse,
                     write_samples)
-from .trajectory import (ClosedFormSolution, InitialState, Trajectory,
-                         closed_form_trajectory, drive_omega, max_efficiency,
+from .trajectory import (Amplitudes, ClosedFormSolution, InitialState,
+                         Trajectory, closed_form_trajectory, max_efficiency,
                          virtual_coupling)
 from .verify import (CompareReport, DensityMatrix, LindbladResult,
                      OdeSolution, compare, integrate_nonhermitian,

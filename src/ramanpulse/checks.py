@@ -18,8 +18,7 @@ import numpy as np
 from . import bounds, depletion, optimize, protocol, verify
 from .model import EmitterParams, RawRates, ghz
 from .pulse import CosineSeriesPulse, sin2_pulse
-from .trajectory import (ClosedFormSolution, InitialState,
-                         closed_form_trajectory, max_efficiency)
+from .trajectory import ClosedFormSolution, InitialState, max_efficiency
 
 _RELATIONS = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
               ">=": operator.ge}
@@ -136,8 +135,8 @@ def c4_synthesis_closure(p: EmitterParams, pulse: CosineSeriesPulse):
     E = 0.99 * max_efficiency(p, pulse)
     grid = np.linspace(0.0, pulse.T, 301)
     init = InitialState(0.6, 0.8)
-    traj = closed_form_trajectory(p, pulse, E, init, grid)
     cf = ClosedFormSolution(p, pulse, E)
+    traj = cf.trajectory(init, grid)
     ode = verify.integrate_nonhermitian(p, cf.Omega, init, grid)
     lam_expected = E * math.exp(-p.Gamma2 * pulse.T / 2)
     lam_ode = abs(ode.lam[-1] / init.alpha0)

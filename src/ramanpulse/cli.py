@@ -24,8 +24,7 @@ from .errors import (DomainError, NumericError, RamanPulseError,
 from .model import EmitterParams, RawRates, params_from_dict, read_json_object
 from .pulse import (CosineSeriesPulse, load_pulse, sin2_pulse, write_csv,
                     write_json, write_samples)
-from .trajectory import (ClosedFormSolution, InitialState,
-                         closed_form_trajectory, drive_omega, max_efficiency)
+from .trajectory import ClosedFormSolution, InitialState, max_efficiency
 
 # Cavity-QED numbers typical of solid-state defect emitters in a one-sided
 # cavity, with equal ground-state decoherence at a tenth of the optical
@@ -164,7 +163,7 @@ def cmd_optimize(args) -> int:
 
     E = args.s * result.E_max
     grid = np.linspace(0.0, result.pulse.T, args.samples)
-    om = drive_omega(p, result.pulse, E, grid)
+    om = ClosedFormSolution(p, result.pulse, E).Omega(grid)
     drive_path = out / f"optimize_{tag}_drive.csv"
     write_csv(drive_path, ("t_ns", "re_Omega", "im_Omega", "abs_Omega"),
               ((t, o.real, o.imag, abs(o)) for t, o in zip(grid, om)),
@@ -201,7 +200,7 @@ def cmd_trajectory(args) -> int:
     E_max = max_efficiency(p, pl)
     E = args.s * E_max
     grid = np.linspace(0.0, pl.T, args.samples)
-    traj = closed_form_trajectory(p, pl, E, init, grid)
+    traj = ClosedFormSolution(p, pl, E).trajectory(init, grid)
     traj.to_csv(out / "trajectory.csv",
                 header=_provenance(data, f"E={E:.8g} alpha0={args.alpha0} beta0={args.beta0}"))
     print(f"wrote {out / 'trajectory.csv'}")
@@ -245,22 +244,19 @@ def cmd_verify(args) -> int:
     p, raw = params_from_dict(syn["params"])
     pl = CosineSeriesPulse.from_dict(syn["pulse"]).normalize()
     E = float(syn["efficiency"])
-    a0 = _complex_pair(syn["alpha0"], "alpha0")
-    b0 = _complex_pair(syn["beta0"], "beta0")
-    init = InitialState(a0, b0)
+    init = InitialState(_complex_pair(syn["alpha0"], "alpha0"),
+                        _complex_pair(syn["beta0"], "beta0"))
     out = _out_dir(args)
 
     grid = np.linspace(0.0, pl.T, args.samples)
-    traj = closed_form_trajectory(p, pl, E, init, grid)
     cf = ClosedFormSolution(p, pl, E)
+    traj = cf.trajectory(init, grid)
     ode = verify.integrate_nonhermitian(p, cf.Omega, init, grid)
     rep = verify.compare(traj, ode)
-    F_closed = traj.fidelity(init)
-    F_ode = float(abs(np.conj(a0) * ode.lam[-1] + np.conj(b0) * ode.beta[-1]) ** 2)
 
     report = {
-        "F_closed": F_closed,
-        "F_ode": F_ode,
+        "F_closed": traj.fidelity(init),
+        "F_ode": ode.fidelity(init),
         "p_e": float(traj.p_e[-1]),
         "max_amp_dev": rep.max_dev,
         "amplitudes_match": rep.passed,
@@ -345,12 +341,15 @@ def cmd_figures(args) -> int:
     # shape optimization table and optimal envelopes / drives
     factory = optimize.full_config if args.grid == "full" else optimize.desk_config
     table = []
+    best = None  # the unconstrained L=1 optimum, for the drive below
     shapes_dir = out / "shapes"
     shapes_dir.mkdir(parents=True, exist_ok=True)
     for L in (1, 2, 3):
         for constrained in (False, True):
             cfg = factory(L, constrained=constrained, refine=False)
             res = optimize.optimize_shape(p, cfg)
+            if (L, constrained) == (1, False):
+                best = res
             tag = f"L{L}_{'con' if constrained else 'unc'}"
             table.append({
                 "L": L, "constrained": constrained,
@@ -365,16 +364,14 @@ def cmd_figures(args) -> int:
     print(f"wrote {out / 'optimized_pulses.json'}")
 
     # drive for the single-term optimum at several efficiency fractions
-    best = optimize.optimize_shape(p, factory(1, refine=False))
     drive_path = out / "drive_vs_efficiency.csv"
     grid = np.linspace(0.0, best.pulse.T, 241)
     rows = []
     for s in s_list:
-        cf = ClosedFormSolution(p, best.pulse, s * best.E_max)
-        om = np.asarray(cf.Omega(grid))
-        al = np.abs(np.asarray(cf.alpha(grid)))
-        rows += [(f"{s:g}", t, o.real, o.imag, abs(o), a)
-                 for t, o, a in zip(grid, om, al)]
+        traj = ClosedFormSolution(p, best.pulse, s * best.E_max).trajectory(
+            InitialState(1.0), grid)
+        rows += [(f"{s:g}", t, o.real, o.imag, abs(o), abs(a))
+                 for t, o, a in zip(grid, traj.Omega, traj.alpha)]
     write_csv(drive_path, ("s", "t_ns", "re_Omega", "im_Omega", "abs_Omega",
                            "abs_alpha"), rows,
               _provenance(data, "drive for the optimal single-term pulse"))

@@ -28,7 +28,7 @@ from functools import partial
 import numpy as np
 from scipy.integrate import quad, solve_ivp
 
-from .errors import DomainError, NumericError, ValidationError
+from .errors import DomainError, NumericError, ValidationError, time_grid
 from .model import EmitterParams
 from .pulse import TWO_PI, CosineSeriesPulse, _harmonic_coefficients, as_envelope
 
@@ -344,11 +344,9 @@ def integrated_depletion_numeric(p: EmitterParams, env, t_grid,
     the grid samples, when only samples of G are needed.
     """
     env = as_envelope(env)
-    grid = np.asarray(t_grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 1:
-        raise ValidationError("t_grid must be a one-dimensional array")
-    if np.any(np.diff(grid) < 0):
-        raise ValidationError("t_grid must be sorted")
+    grid = time_grid(t_grid)
+    if grid.size < 1:
+        raise ValidationError("t_grid must not be empty")
     if grid[0] < 0 or grid[-1] > env.T * (1 + 1e-12):
         raise ValidationError("t_grid must lie within [0, T]")
 
@@ -438,9 +436,7 @@ def phase_evolution(p: EmitterParams, env, E: float, t_grid) -> np.ndarray:
     and proportional to E^2, so it vanishes in the weak-extraction limit.
     """
     env = as_envelope(env)
-    grid = np.asarray(t_grid, dtype=float)
-    if grid.ndim != 1 or np.any(np.diff(grid) < 0):
-        raise ValidationError("t_grid must be a sorted one-dimensional array")
+    grid = time_grid(t_grid)
     if E < 0:
         raise ValidationError("efficiency E must be >= 0")
     if E == 0.0 or grid.size == 0 or grid[-1] == 0.0:

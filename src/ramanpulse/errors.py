@@ -1,6 +1,8 @@
-"""Exception types shared across the package, and the input number check."""
+"""Exception types shared across the package, and the input checks."""
 
 import cmath
+
+import numpy as np
 
 
 class RamanPulseError(Exception):
@@ -19,6 +21,21 @@ def finite(value, name: str, kind=float):
         raise ValidationError(f"{name} must be a number, got {value!r}") from None
     if not cmath.isfinite(out):
         raise ValidationError(f"{name} must be finite, got {value!r}")
+    return out
+
+
+def time_grid(grid, name: str = "t_grid") -> np.ndarray:
+    """grid as a float array; must be one-dimensional, finite and sorted."""
+    try:
+        out = np.asarray(grid, dtype=float)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{name} must be an array of numbers") from None
+    if out.ndim != 1:
+        raise ValidationError(f"{name} must be a one-dimensional array")
+    if not np.all(np.isfinite(out)):
+        raise ValidationError(f"{name} must be finite")
+    if np.any(np.diff(out) < 0):
+        raise ValidationError(f"{name} must be sorted")
     return out
 
 

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bounds, depletion
-from .errors import PoleError, ValidationError, finite
+from .errors import PoleError, ValidationError, finite, time_grid
 from .model import EmitterParams
 from .pulse import CosineSeriesPulse, as_envelope, write_csv
 
@@ -38,8 +38,8 @@ class InitialState:
 
 
 @dataclass
-class Trajectory:
-    """Amplitudes, drive, and error probability sampled on a grid."""
+class Amplitudes:
+    """The five amplitudes of the single-excitation ansatz on a time grid."""
 
     grid: np.ndarray
     alpha: np.ndarray
@@ -47,10 +47,20 @@ class Trajectory:
     zeta: np.ndarray
     eta: np.ndarray
     lam: np.ndarray
-    Omega: np.ndarray
-    E: float
-    p_e: np.ndarray
-    drive_irrelevant: bool = False
+
+    def amplitudes(self) -> dict:
+        """The amplitude arrays by name, in the order of the CSV columns."""
+        return {"alpha": self.alpha, "beta": self.beta, "zeta": self.zeta,
+                "eta": self.eta, "lambda": self.lam}
+
+    def norm(self) -> np.ndarray:
+        return sum(np.abs(amp) ** 2 for amp in self.amplitudes().values())
+
+    def max_dev(self, other: "Amplitudes") -> dict:
+        """Largest deviation from other, per amplitude name."""
+        theirs = other.amplitudes()
+        return {name: float(np.max(np.abs(amp - theirs[name])))
+                for name, amp in self.amplitudes().items()}
 
     def fidelity(self, init: InitialState) -> float:
         """Overlap with the target flying-qubit state at the end of the grid."""
@@ -58,12 +68,25 @@ class Trajectory:
                + np.conj(init.beta0) * self.beta[-1])
         return float(abs(amp) ** 2)
 
+
+@dataclass
+class Trajectory(Amplitudes):
+    """Closed-form amplitudes and drive sampled on a grid."""
+
+    Omega: np.ndarray
+    E: float
+    drive_irrelevant: bool = False
+
+    @property
+    def p_e(self) -> np.ndarray:
+        """Probability of an error (a jump) by each grid time."""
+        return 1.0 - self.norm()
+
     def to_csv(self, path: str | Path, header: str = ""):
-        names = ("alpha", "beta", "zeta", "eta", "lambda", "Omega")
-        arrays = (self.alpha, self.beta, self.zeta, self.eta, self.lam, self.Omega)
-        cols = (["t_ns"] + [f"{part}_{name}" for name in names
+        arrays = {**self.amplitudes(), "Omega": self.Omega}
+        cols = (["t_ns"] + [f"{part}_{name}" for name in arrays
                             for part in ("re", "im")] + ["p_e"])
-        parts = [part for arr in arrays for part in (arr.real, arr.imag)]
+        parts = [part for arr in arrays.values() for part in (arr.real, arr.imag)]
         write_csv(path, cols, np.column_stack([self.grid, *parts, self.p_e]),
                   header)
 
@@ -82,11 +105,12 @@ def max_efficiency(p: EmitterParams, env) -> float:
 class ClosedFormSolution:
     """Continuum closed-form solution for fixed (params, envelope, E).
 
-    Exposes the amplitudes with the initial |1> amplitude divided out, plus
-    the drive Omega(t); those are what the verification integrators need.
-    For a series pulse G(t) is exact and, with no phase source (resonant
-    cavity, zero chirp), so is the phase, which makes the synthesized drive
-    itself exact.
+    trajectory(init, grid) samples every amplitude and the drive for one
+    initial qubit state; Omega(t) is the drive alone, which the verification
+    integrators call. Both read one jet of the amplitudes with the initial
+    |1> amplitude divided out. For a series pulse G(t) is exact and, with no
+    phase source (resonant cavity, zero chirp), so is the phase, which makes
+    the synthesized drive itself exact.
 
     The drive diverges where r^2 = 1 - E^2 G(t) vanishes. The minimum of
     r^2 is 1 - (E / E_max)^2, at the depletion maximum; the constructor
@@ -130,101 +154,68 @@ class ClosedFormSolution:
 
     # -- amplitudes with alpha0 divided out ----------------------------------
 
-    def r2(self, t):
-        return np.maximum(1.0 - self.E ** 2 * self.G(t), 0.0)[()]
-
-    def _v(self, t):
-        """v, v' and v'' at t from one evaluation of the envelope."""
-        env = self.env
+    def _jet(self, t):
+        """eta, zeta, alpha and the drive numerator at t, from one envelope
+        pass: v, v' and v'' give eta, eta' and eta'', and those zeta and zeta'."""
+        p, env = self.p, self.env
+        t_arr = np.asarray(t, dtype=float)
         f, df, d2f = env.evaluate(t)
         ph = np.exp(1j * env.theta(t))
         dth, d2th = env.dtheta(t), env.d2theta(t)
-        return (ph * f, ph * (df + 1j * dth * f),
-                ph * (d2f + 2j * dth * df + 1j * d2th * f - dth ** 2 * f))
-
-    def _eta_jet(self, t):
-        """eta, eta' and eta''."""
-        p = self.p
-        v, dv, d2v = self._v(t)
-        scale = (self.E * np.exp(-0.5 * p.Gamma2 * np.asarray(t, dtype=float))
-                 / math.sqrt(p.kappa))
-        return (scale * v, scale * (dv - 0.5 * p.Gamma2 * v),
-                scale * (d2v - p.Gamma2 * dv + 0.25 * p.Gamma2 ** 2 * v))
-
-    def _zeta_jet(self, t):
-        """eta, zeta and zeta'."""
-        p = self.p
-        eta, deta, d2eta = self._eta_jet(t)
+        v, dv = ph * f, ph * (df + 1j * dth * f)
+        d2v = ph * (d2f + 2j * dth * df + 1j * d2th * f - dth ** 2 * f)
+        scale = self.E * np.exp(-0.5 * p.Gamma2 * t_arr) / math.sqrt(p.kappa)
+        eta = scale * v
+        deta = scale * (dv - 0.5 * p.Gamma2 * v)
+        d2eta = scale * (d2v - p.Gamma2 * dv + 0.25 * p.Gamma2 ** 2 * v)
         a = (p.Gamma2 + p.kappa + p.kappa_tilde) / (2.0 * p.g)
-        return eta, a * eta + deta / p.g, a * deta + d2eta / p.g
-
-    def eta(self, t):
-        return self._eta_jet(t)[0][()]
-
-    def lam(self, t):
-        p = self.p
-        decay = np.exp(-0.5 * p.Gamma2 * np.asarray(t, dtype=float))
-        cum = np.sqrt(np.maximum(np.asarray(self.env.cumulative_norm(t)), 0.0))
-        return (self.E * decay * cum)[()]
-
-    def zeta(self, t):
-        return self._zeta_jet(t)[1][()]
-
-    def alpha(self, t):
-        p = self.p
-        t_arr = np.asarray(t, dtype=float)
-        r = np.sqrt(self.r2(t))
-        return (np.exp(1j * self.phi(t) - 0.5 * p.Gamma1 * t_arr) * r)[()]
+        zeta, dzeta = a * eta + deta / p.g, a * deta + d2eta / p.g
+        num = (0.5 * p.gamma_tilde + 1j * p.Delta) * zeta + p.g * eta + dzeta
+        r = np.sqrt(np.maximum(1.0 - self.E ** 2 * self.G(t), 0.0))
+        alpha = np.exp(1j * self.phi(t) - 0.5 * p.Gamma1 * t_arr) * r
+        return eta, zeta, alpha, num
 
     def Omega(self, t):
         """Drive Rabi frequency; diverges where the ground state empties."""
+        return _drive(*self._jet(t)[2:])[()]
+
+    def trajectory(self, init: InitialState, grid) -> Trajectory:
+        """Sample the solution for a given initial qubit state.
+
+        The drive is synthesized when the initial |1> amplitude is nonzero;
+        for alpha0 = 0 no emission occurs, and the drive is zeroed and
+        flagged as irrelevant.
+        """
+        grid = time_grid(grid, "grid")
         p = self.p
-        eta, zeta, dzeta = self._zeta_jet(t)
-        num = (0.5 * p.gamma_tilde + 1j * p.Delta) * zeta + p.g * eta + dzeta
-        alpha = self.alpha(t)
-        tiny = np.abs(alpha) < 1e-14
-        if np.any(tiny & (np.abs(num) > 1e-12)):
-            raise PoleError(
-                "drive diverges: alpha(t) vanished with a finite numerator; "
-                "lower the target efficiency below E_max")
-        safe = np.where(tiny, 1.0, alpha)
-        return (np.where(tiny, 0.0, -num / safe))[()]
+        a0, b0 = complex(init.alpha0), complex(init.beta0)
+        eta, zeta, alpha, num = self._jet(grid)
+        decay = np.exp(-0.5 * p.Gamma2 * grid)
+        cum = np.sqrt(np.maximum(np.asarray(self.env.cumulative_norm(grid)), 0.0))
+
+        drive_irrelevant = a0 == 0.0
+        Omega = (np.zeros_like(grid, dtype=complex) if drive_irrelevant
+                 else _drive(alpha, num))
+        return Trajectory(grid=grid, alpha=a0 * alpha, beta=b0 * decay,
+                          zeta=a0 * zeta, eta=a0 * eta,
+                          lam=a0 * (self.E * decay * cum), Omega=Omega, E=self.E,
+                          drive_irrelevant=drive_irrelevant)
+
+
+def _drive(alpha, num):
+    """Omega = -num / alpha; PoleError where alpha vanishes and num does not."""
+    tiny = np.abs(alpha) < 1e-14
+    if np.any(tiny & (np.abs(num) > 1e-12)):
+        raise PoleError(
+            "drive diverges: alpha(t) vanished with a finite numerator; "
+            "lower the target efficiency below E_max")
+    return np.where(tiny, 0.0, -num / np.where(tiny, 1.0, alpha))
 
 
 def closed_form_trajectory(p: EmitterParams, env, E: float,
                            init: InitialState, grid) -> Trajectory:
-    """Sample the closed-form solution for a given initial qubit state.
-
-    The drive is synthesized when the initial |1> amplitude is nonzero;
-    for alpha0 = 0 no emission occurs, and the drive is zeroed and flagged
-    as irrelevant.
-    """
-    grid = np.asarray(grid, dtype=float)
-    cf = ClosedFormSolution(p, env, E)
-    a0, b0 = complex(init.alpha0), complex(init.beta0)
-    beta = b0 * np.exp(-0.5 * p.Gamma2 * grid)
-    eta = a0 * np.asarray(cf.eta(grid))
-    lam = a0 * np.asarray(cf.lam(grid))
-    zeta = a0 * np.asarray(cf.zeta(grid))
-    alpha = a0 * np.asarray(cf.alpha(grid))
-
-    drive_irrelevant = a0 == 0.0
-    Omega = np.zeros_like(grid, dtype=complex)
-    if not drive_irrelevant:
-        Omega = np.asarray(cf.Omega(grid), dtype=complex)
-
-    norm = (np.abs(alpha) ** 2 + np.abs(beta) ** 2 + np.abs(zeta) ** 2
-            + np.abs(eta) ** 2 + np.abs(lam) ** 2)
-    p_e = 1.0 - norm
-    return Trajectory(grid=grid, alpha=alpha, beta=beta, zeta=zeta, eta=eta,
-                      lam=lam, Omega=Omega, E=cf.E, p_e=p_e,
-                      drive_irrelevant=drive_irrelevant)
-
-
-def drive_omega(p: EmitterParams, env, E: float, grid) -> np.ndarray:
-    """Synthesized drive samples; raises PoleError too close to the bound."""
-    grid = np.asarray(grid, dtype=float)
-    return np.asarray(ClosedFormSolution(p, env, E).Omega(grid), dtype=complex)
+    """ClosedFormSolution(p, env, E) sampled on grid for init."""
+    return ClosedFormSolution(p, env, E).trajectory(init, grid)
 
 
 def virtual_coupling(env, t, kappa: float | None = None):

@@ -15,29 +15,18 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .errors import ModelError, NumericError, ValidationError
+from .errors import ModelError, NumericError, ValidationError, time_grid
 from .model import EmitterParams, RawRates, combine_rates
 from .pulse import as_envelope
-from .trajectory import InitialState, Trajectory, virtual_coupling
+from .trajectory import Amplitudes, InitialState, virtual_coupling
 
 
 @dataclass
-class OdeSolution:
+class OdeSolution(Amplitudes):
     """Amplitudes from forward integration of the no-jump equations."""
 
-    grid: np.ndarray
-    alpha: np.ndarray
-    beta: np.ndarray
-    zeta: np.ndarray
-    eta: np.ndarray
-    lam: np.ndarray
     err_est: dict
     nfev: int
-
-    def norm(self) -> np.ndarray:
-        return (np.abs(self.alpha) ** 2 + np.abs(self.beta) ** 2
-                + np.abs(self.zeta) ** 2 + np.abs(self.eta) ** 2
-                + np.abs(self.lam) ** 2)
 
 
 def integrate_nonhermitian(p: EmitterParams, Omega, init: InitialState,
@@ -50,9 +39,11 @@ def integrate_nonhermitian(p: EmitterParams, Omega, init: InitialState,
     that the initial |1> phase rides on the photon. DOP853 runs at rtol
     1e-10, atol 1e-12; err_est holds each amplitude's largest difference
     from a second pass at tolerances 100 times looser. Omega is the drive,
-    a callable of t.
+    a callable of t; grid must hold at least two strictly increasing times.
     """
-    grid = np.asarray(grid, dtype=float)
+    grid = time_grid(grid, "grid")
+    if grid.size < 2 or np.any(np.diff(grid) <= 0):
+        raise ValidationError("grid must hold two or more strictly increasing times")
     g, kappa = p.g, p.kappa
     half_eta_rate = 0.5 * (p.Gamma2 + p.kappa + p.kappa_tilde)
 
@@ -67,6 +58,7 @@ def integrate_nonhermitian(p: EmitterParams, Omega, init: InitialState,
         return [da, db, dz, de, dm]
 
     y0 = np.array([init.alpha0, init.beta0, 0.0, 0.0, 0.0], dtype=complex)
+    phase = init.alpha0 / abs(init.alpha0) if init.alpha0 != 0 else 1.0
 
     def solve(rt, at):
         sol = solve_ivp(rhs, (grid[0], grid[-1]), y0, method="DOP853",
@@ -74,22 +66,13 @@ def integrate_nonhermitian(p: EmitterParams, Omega, init: InitialState,
         if not sol.success:
             raise NumericError(
                 f"amplitude integration failed at t = {sol.t[-1]:.6g}: {sol.message}")
-        return sol
+        a, b, z, e, m = sol.y
+        return OdeSolution(grid=grid, alpha=a, beta=b, zeta=z, eta=e,
+                           lam=phase * np.sqrt(np.maximum(m.real, 0.0)),
+                           err_est={}, nfev=sol.nfev)
 
-    sol = solve(1e-10, 1e-12)
-    phase = 1.0
-    if init.alpha0 != 0:
-        phase = init.alpha0 / abs(init.alpha0)
-    lam = phase * np.sqrt(np.maximum(sol.y[4].real, 0.0))
-
-    loose = solve(1e-8, 1e-10)
-    err_est = {name: float(np.max(np.abs(sol.y[i] - loose.y[i])))
-               for i, name in enumerate(("alpha", "beta", "zeta", "eta"))}
-    lam_loose = phase * np.sqrt(np.maximum(loose.y[4].real, 0.0))
-    err_est["lambda"] = float(np.max(np.abs(lam - lam_loose)))
-
-    out = OdeSolution(grid=grid, alpha=sol.y[0], beta=sol.y[1], zeta=sol.y[2],
-                      eta=sol.y[3], lam=lam, err_est=err_est, nfev=sol.nfev)
+    out = solve(1e-10, 1e-12)
+    out.err_est = out.max_dev(solve(1e-8, 1e-10))
     if np.any(out.norm() > 1.0 + 1e-9):
         raise NumericError("integrated state norm exceeded one beyond tolerance")
     return out
@@ -101,7 +84,7 @@ class CompareReport:
     passed: bool
 
 
-def compare(closed: Trajectory, ode: OdeSolution) -> CompareReport:
+def compare(closed: Amplitudes, ode: Amplitudes) -> CompareReport:
     """Per-amplitude maximum deviation between the two solutions.
 
     passed: every amplitude agrees to 1e-6.
@@ -109,13 +92,7 @@ def compare(closed: Trajectory, ode: OdeSolution) -> CompareReport:
     if closed.grid.shape != ode.grid.shape or not np.allclose(
             closed.grid, ode.grid, rtol=0.0, atol=0.0):
         raise ValidationError("trajectories must share one time grid")
-    devs = {
-        "alpha": float(np.max(np.abs(closed.alpha - ode.alpha))),
-        "beta": float(np.max(np.abs(closed.beta - ode.beta))),
-        "zeta": float(np.max(np.abs(closed.zeta - ode.zeta))),
-        "eta": float(np.max(np.abs(closed.eta - ode.eta))),
-        "lambda": float(np.max(np.abs(closed.lam - ode.lam))),
-    }
+    devs = closed.max_dev(ode)
     passed = all(v <= 1e-6 for v in devs.values())
     return CompareReport(max_dev=devs, passed=passed)
 
@@ -174,16 +151,12 @@ class DensityMatrix:
     """12 x 12 state of emitter, cavity mode, and virtual mode."""
 
     matrix: np.ndarray
-    labels: tuple = BASIS_LABELS
-
-    def trace(self) -> float:
-        return float(np.trace(self.matrix).real)
 
     def min_eigenvalue(self) -> float:
         return float(np.linalg.eigvalsh(0.5 * (self.matrix + self.matrix.conj().T))[0])
 
     def population(self, label: str) -> float:
-        i = self.labels.index(label)
+        i = BASIS_LABELS.index(label)
         return float(self.matrix[i, i].real)
 
 

@@ -5,6 +5,8 @@ import pytest
 from ramanpulse import checks, cli, depletion
 from ramanpulse.cli import DECOHERENCE_SETS, DEFAULT_PARAMS, main, run_checks
 from ramanpulse.model import params_from_dict
+from ramanpulse.pulse import sin2_pulse
+from ramanpulse.trajectory import ClosedFormSolution
 
 
 def test_version_flag(capsys):
@@ -131,6 +133,27 @@ def test_figures_bound_curves_one_g_max_call_per_set(tmp_path, monkeypatch):
     assert main(["figures", "--out", str(tmp_path), "--grid", "desk"]) == 0
     assert len(DECOHERENCE_SETS) == 6
     assert calls == {"g_max": 6, "analytic_profile in _bound_curves": 0}
+
+
+def test_verify_and_c4_synthesize_once(tmp_path, monkeypatch, siv_params):
+    # the closed-form trajectory and the drive fed to the oracles come from
+    # one ClosedFormSolution
+    out = tmp_path / "run"
+    assert main(["trajectory", "--out", str(out), "--samples", "101"]) == 0
+    calls = []
+    plain_init = ClosedFormSolution.__init__
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        plain_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ClosedFormSolution, "__init__", counted)
+    assert main(["verify", "--synthesis", str(out / "synthesis.json"),
+                 "--out", str(out), "--samples", "101", "--skip-lindblad"]) == 0
+    assert len(calls) == 1
+    records = checks.c4_synthesis_closure(siv_params, sin2_pulse(0.44))
+    assert all(record.passed for record in records)
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("text", ["{not json", "5"])

@@ -8,7 +8,7 @@ from ramanpulse import (CosineSeriesPulse, DomainError, EmitterParams,
                         sin2_pulse)
 from ramanpulse import Envelope, depletion
 from ramanpulse.trajectory import (ClosedFormSolution, closed_form_trajectory,
-                                   drive_omega, max_efficiency, virtual_coupling)
+                                   max_efficiency, virtual_coupling)
 
 
 @pytest.fixture(scope="module")
@@ -65,7 +65,7 @@ def test_drive_independent_of_initial_state(setup):
 
 def test_drive_real_on_resonance(setup):
     p, pl, E_max, grid = setup
-    om = drive_omega(p, pl, 0.99 * E_max, grid)
+    om = ClosedFormSolution(p, pl, 0.99 * E_max).Omega(grid)
     assert np.max(np.abs(om.imag)) < 1e-10
 
 
@@ -79,7 +79,7 @@ def test_initial_phase_rides_on_photon(setup):
 
 def test_drive_grows_toward_the_bound(setup):
     p, pl, E_max, grid = setup
-    peaks = [np.max(np.abs(drive_omega(p, pl, s * E_max, grid)))
+    peaks = [np.max(np.abs(ClosedFormSolution(p, pl, s * E_max).Omega(grid)))
              for s in (0.9, 0.99, 0.999)]
     assert peaks[0] < peaks[1] < peaks[2]
 
@@ -89,7 +89,7 @@ def test_pole_error_at_the_bound(setup):
     prof = depletion.analytic_profile(p, pl)
     grid = np.array([0.0, prof.argmax_t, 0.44])
     with pytest.raises(PoleError):
-        drive_omega(p, pl, E_max, grid)
+        ClosedFormSolution(p, pl, E_max).Omega(grid)
 
 
 def test_drive_invalid_at_the_bound_off_grid(setup):
@@ -101,7 +101,7 @@ def test_drive_invalid_at_the_bound_off_grid(setup):
     with pytest.raises(PoleError):
         closed_form_trajectory(p, pl, E_max, InitialState(1.0), grid)
     with pytest.raises(PoleError):
-        drive_omega(p, pl, E_max, grid)
+        ClosedFormSolution(p, pl, E_max).Omega(grid)
 
 
 @pytest.mark.parametrize("Delta", [0.0, ghz(1.0)])

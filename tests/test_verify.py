@@ -6,7 +6,7 @@ import pytest
 from ramanpulse import (EmitterParams, Envelope, InitialState, ModelError,
                         RawRates, ValidationError, emitter_from_raw, ghz,
                         sin2_pulse)
-from ramanpulse import bounds, verify
+from ramanpulse import bounds, depletion, verify
 from ramanpulse.trajectory import (ClosedFormSolution, closed_form_trajectory,
                                    max_efficiency)
 from ramanpulse.verify import (compare, integrate_nonhermitian,
@@ -32,6 +32,7 @@ def test_ode_reproduces_closed_form(synthesis):
     assert max(rep.max_dev.values()) < 1e-8
     expected = E * math.exp(-p.Gamma2 * 0.44 / 2)
     assert abs(ode.lam[-1] / init.alpha0 - expected) / expected < 1e-6
+    assert abs(ode.fidelity(init) - traj.fidelity(init)) < 1e-8
 
 
 def test_ode_norm_monotone(synthesis):
@@ -41,6 +42,31 @@ def test_ode_norm_monotone(synthesis):
     assert np.all(np.diff(norm) <= 1e-12)
     assert norm[0] == pytest.approx(1.0, abs=1e-12)
     assert all(v < 1e-7 for v in ode.err_est.values())
+
+
+_BAD_GRIDS = {"0-d": np.array(0.2), "2-d": np.zeros((2, 2)),
+              "unsorted": [0.0, 0.3, 0.2, 0.44], "NaN": [0.0, np.nan, 0.44],
+              "inf": [0.0, 0.2, np.inf], "text": ["a", "b"]}
+
+
+@pytest.mark.parametrize("fn, grid", [
+    *(pytest.param(fn, grid, id=f"{fn} {key}")
+      for fn in ("ode", "closed", "quad", "phase")
+      for key, grid in _BAD_GRIDS.items()),
+    pytest.param("ode", [], id="ode empty"),
+    pytest.param("ode", [0.2], id="ode one point"),
+    pytest.param("ode", [0.0, 0.2, 0.2, 0.44], id="ode repeated time"),
+    pytest.param("quad", [], id="quad empty")])
+def test_bad_time_grid_is_a_validation_error(synthesis, fn, grid):
+    # one grid check (1-d, finite, sorted) in front of every sampler, plus
+    # each one's own rule: two increasing times for the ODE, one for quad
+    p, pl, E, _, init, _, cf = synthesis
+    run = {"ode": lambda: integrate_nonhermitian(p, cf.Omega, init, grid),
+           "closed": lambda: closed_form_trajectory(p, pl, E, init, grid),
+           "quad": lambda: depletion.integrated_depletion_numeric(p, pl, grid),
+           "phase": lambda: depletion.phase_evolution(p, pl, E, grid)}[fn]
+    with pytest.raises(ValidationError):
+        run()
 
 
 def test_ode_free_decay(siv_params):
@@ -190,7 +216,7 @@ def test_lindblad_density_matrix_diagnostics(siv_raw, siv_params):
     assert res.trace_drift < 1e-6
     assert res.herm_dev < 1e-10
     assert res.rho.min_eigenvalue() > -1e-8
-    assert res.rho.trace() == pytest.approx(1.0, abs=1e-6)
+    assert np.trace(res.rho.matrix).real == pytest.approx(1.0, abs=1e-6)
     # captured photon dominates the final state
     assert res.rho.population("0;0c;1v") > 0.9
 
