@@ -9,28 +9,30 @@ with a depletion rate d(t) that is a closed-form expression in f, theta,
 their first two derivatives, and the system rates. d is independent of the
 detuning and of the target efficiency E. G(t) = int_0^t d is available on
 two routes: adaptive quadrature of d for arbitrary envelopes, and for the
-cosine series exact real rows on one table of sines (_series_rows), which
-give G, d and a grid scan's quadratic form X; a linear chirp only shifts
-two of the five weights of d. The maximum of G sets the efficiency bound;
-as G' = d, it sits at the end T or where d falls through zero. g_max finds
-it for a block of series pulses at once: one shared grid, then every
-falling zero of d refined together (_falling_zeros, which the quadrature
-route uses too). The drive phase phi(t) is integrated together with G in
-one ODE pass, solve_g_phi.
+cosine series exact real rows (_series_rows) on the envelope's table of
+sines (pulse._sine_table, kept per order for the search grid), which give
+G, d and a grid scan's quadratic form X; a linear chirp only shifts two of
+the five weights of d. The maximum of G sets the efficiency bound; as
+G' = d, it sits at the end T or where d falls through zero. g_max finds it
+for a block of series pulses at once: one shared grid, then every falling
+zero of d refined together (_falling_zeros, which the quadrature route
+uses too). The drive phase phi(t) is integrated together with G in one
+ODE pass, solve_g_phi.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 from scipy.integrate import quad, solve_ivp
 
 from .errors import DomainError, NumericError, ValidationError, time_grid
 from .model import EmitterParams
-from .pulse import TWO_PI, CosineSeriesPulse, _harmonic_coefficients, as_envelope
+from .pulse import (TWO_PI, CosineSeriesPulse, _harmonic_coefficients,
+                    _sine_table, as_envelope)
 
 # r^2 = 1 - E^2 G below this counts as an emptied ground state: the drive
 # diverges there and the phase integration cannot proceed.
@@ -38,6 +40,8 @@ R2_FLOOR = 1e-10
 
 # uniform samples of G over [0, T] in every search for its maximum
 N_SEARCH_GRID = 1001
+SEARCH_TAU = np.linspace(0.0, 1.0, N_SEARCH_GRID)
+SEARCH_TAU.setflags(write=False)
 # durations per pass of g_max: each array of samples stays at 125 kB, so a
 # long sweep takes no more memory than a short one
 G_MAX_ROWS = 16
@@ -137,24 +141,20 @@ def _series_rows(Gamma: float, T, C):
             np.concatenate([-2.0 * A, B, 0.0 * c], axis=-1), A.sum(axis=-1))
 
 
-def _sine_table(K: int):
-    """tau -> rows sin^2(pi k tau), sin(2 pi k tau), k < K, and tau (1-d)."""
-    angles = np.multiply.outer((np.pi, TWO_PI), np.arange(K))[..., None]
-
-    def table(tau):
-        s = np.sin(angles * tau)
-        s[0] *= s[0]
-        return np.concatenate([s.reshape(2 * K, -1), tau[None]])
-    return table
+@lru_cache(maxsize=None)
+def _search_table(K: int):
+    """_sine_table(K) of SEARCH_TAU, built once per order; read-only."""
+    tab = _sine_table(K)(SEARCH_TAU)
+    tab.setflags(write=False)
+    return tab
 
 
-def _g_on_table(Gamma: float, T, tau, rows, P_sum, tab):
-    """G = expm1(Gamma t) P_sum + e^(Gamma t) rows . tab, tab the table at tau."""
-    G = rows @ tab
+def _g_on_table(Gamma: float, T, tau, G, P):
+    """expm1(Gamma t) P + e^(Gamma t) G at t = tau T, G = rows . table(tau)."""
     if Gamma != 0.0:
         Gt = Gamma * T * tau
         G *= np.exp(Gt)
-        G += np.expm1(Gt) * P_sum[..., None]
+        G += np.expm1(Gt) * P
     return G
 
 
@@ -168,15 +168,17 @@ def g_matrix(p: EmitterParams, T, order: int, tau,
     call builds X for a block of durations. A linear chirp theta = chirp * t
     only shifts two of the five weights. Each pair (n, m) is one row of
     _series_rows applied to the sine table of tau, which every duration
-    shares, so a duration costs one exp and one expm1 row.
+    shares (cached for SEARCH_TAU), so a duration costs one exp and one
+    expm1 row.
     """
     T = np.asarray(T, dtype=float)
     tau = np.asarray(tau, dtype=float)
     C = _harmonic_coefficients(T, order, _rate_weights(p, chirp)).reshape(
         T.shape + (order * order, -1))
     Gamma, rows, P_sum, _, _ = _series_rows(p.Gamma1 - p.Gamma2, T, C)
-    X = _g_on_table(Gamma, T[..., None, None], tau, rows, P_sum,
-                    _sine_table(2 * order + 1)(tau))
+    K = 2 * order + 1
+    tab = _search_table(K) if tau is SEARCH_TAU else _sine_table(K)(tau)
+    X = _g_on_table(Gamma, T[..., None, None], tau, rows @ tab, P_sum[..., None])
     return np.moveaxis(X.reshape(T.shape + (order, order, -1)), -1, -3)
 
 
@@ -194,29 +196,25 @@ def _pulse_rows(p: EmitterParams, T, V, chirp: float):
 def series_g(p: EmitterParams, pulse: CosineSeriesPulse):
     """G(t) and d(t) = G'(t) of one series pulse, as two callables.
 
-    One row of _series_rows each for G and d, so a call costs one sine
-    table and one exponential per time. d vanishes outside (0, T), and G
-    stays constant beyond the support.
+    One row of _series_rows each for G and d on the pulse's sine table
+    (pulse._pass), so a call costs one table and one exponential per time.
+    d vanishes outside (0, T), and G stays constant beyond the support.
     """
     if not isinstance(pulse, CosineSeriesPulse):
         raise ValidationError("analytic G needs a CosineSeriesPulse")
     T = pulse.T
     Gamma, G_rows, P_sum, d_rows, A_sum = _pulse_rows(p, T, pulse.coeffs,
                                                       pulse.chirp)
-    table = _sine_table(2 * pulse.order + 1)
+    rows = np.vstack([pulse._rows[0][:3], G_rows, d_rows])
 
     def G(t):
-        tt = np.clip(np.asarray(t, dtype=float), 0.0, T)
-        tau = tt.ravel() / T
-        return _g_on_table(Gamma, T, tau, G_rows, P_sum,
-                           table(tau)).reshape(tt.shape)[()]
+        _, tau, *_, G, _ = pulse._pass(t, rows)
+        return _g_on_table(Gamma, T, tau, G, P_sum[0])
 
-    def d(t):
-        tt = np.asarray(t, dtype=float)
-        flat = tt.ravel()
-        val = np.exp(Gamma * flat) * (A_sum + d_rows @ table(flat / T))
-        inside = (tt > 0.0) & (tt < T)  # f = f' = 0 at both ends
-        return np.where(inside, val.reshape(tt.shape), 0.0)[()]
+    def d(t):  # f = f' = 0 at both ends
+        t, *_, d = pulse._pass(t, rows)
+        return np.where((t > 0.0) & (t < T), np.exp(Gamma * t) * (A_sum[0] + d),
+                        0.0)[()]
 
     return G, d
 
@@ -276,10 +274,10 @@ def _max_search(p: EmitterParams, T, V, chirp: float):
     T = np.asarray(T, dtype=float)
     Gamma, *rows = _pulse_rows(p, T, V, chirp)
     G_rows, P_sum, d_rows, A_sum = (x[:, 0] for x in rows)
-    table = _sine_table(G_rows.shape[-1] // 2)
-    tau = np.linspace(0.0, 1.0, N_SEARCH_GRID)
-    tab, t = table(tau), np.multiply.outer(T, tau)
-    G = _g_on_table(Gamma, T[:, None], tau, G_rows, P_sum, tab)
+    K = G_rows.shape[-1] // 2
+    table, tab = _sine_table(K), _search_table(K)
+    t = np.multiply.outer(T, SEARCH_TAU)
+    G = _g_on_table(Gamma, T[:, None], SEARCH_TAU, G_rows @ tab, P_sum[:, None])
     d = np.exp(Gamma * t) * (d_rows @ tab + A_sum[:, None])
 
     def at(rows, total, shift):  # G or d of the rows r at the times t

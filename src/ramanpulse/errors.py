@@ -24,16 +24,22 @@ def finite(value, name: str, kind=float):
     return out
 
 
-def time_grid(grid, name: str = "t_grid") -> np.ndarray:
-    """grid as a float array; must be one-dimensional, finite and sorted."""
+def finite_times(t, name: str = "t"):
+    """t as a float numpy scalar or array of any shape; must be finite."""
     try:
-        out = np.asarray(grid, dtype=float)
+        out = np.asarray(t, dtype=float)[()]
     except (TypeError, ValueError):
         raise ValidationError(f"{name} must be an array of numbers") from None
+    if not np.isfinite(out).all():
+        raise ValidationError(f"{name} must be finite")
+    return out
+
+
+def time_grid(grid, name: str = "t_grid") -> np.ndarray:
+    """grid as a float array; must be one-dimensional, finite and sorted."""
+    out = np.asarray(finite_times(grid, name))
     if out.ndim != 1:
         raise ValidationError(f"{name} must be a one-dimensional array")
-    if not np.all(np.isfinite(out)):
-        raise ValidationError(f"{name} must be finite")
     if np.any(np.diff(out) < 0):
         raise ValidationError(f"{name} must be sorted")
     return out

@@ -167,7 +167,7 @@ def _scan(p: EmitterParams, axes, constrained: bool, max_candidates, best: _Best
         fits = max(max_candidates - best.evaluations, 0) // ncand
         if fits < Ts.size:
             best.partial, Ts = True, Ts[:fits]
-    tau = np.linspace(0.0, 1.0, depletion.N_SEARCH_GRID)
+    tau = depletion.SEARCH_TAU
     coarse = np.r_[0:tau.size - 1:COARSE, tau.size - 1]
     row = 8 * tau.size  # bytes of one duration's samples
     chunk = max(1, min(ncand, BLOCK_BYTES // row))

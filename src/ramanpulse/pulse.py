@@ -7,6 +7,9 @@ The workhorse family is the cosine series
 which is real and symmetric and vanishes together with its first derivative
 at both ends of the support. Coefficients carry units of ns^(-1/2) so that
 the normalized amplitude obeys int_0^T f(t)^2 dt = 1.
+
+Closed forms of a series at t = tau T (f, f', f'', the norm, and G and d in
+depletion) are rows on _sine_table of tau: a sample is one table, one matmul.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -64,15 +67,27 @@ def _harmonic_coefficients(T, order: int, weights) -> np.ndarray:
     return C.reshape(T.shape + (order, order, 2 * K))
 
 
+@lru_cache(maxsize=None)
+def _sine_table(K: int):
+    """tau -> rows sin^2(pi k tau), sin(2 pi k tau) (k < K) and tau, shaped as tau."""
+    angles = np.append(np.multiply.outer((np.pi, TWO_PI), np.arange(K)), 0.0)
+
+    def table(tau):
+        s = np.sin(np.multiply.outer(angles, tau))
+        s[:K] *= s[:K]
+        s[-1] = tau
+        return s
+    return table
+
+
 @dataclass(frozen=True)
 class CosineSeriesPulse:
     """Cosine-series envelope with an optional linear phase chirp.
 
     theta(t) = chirp * t; a zero chirp gives a real pulse. Derivatives are
-    analytic, no finite differencing is involved for this family. The pulse
-    is itself an envelope: it has every method of Envelope, with f, f' and
-    f'' in one pass and the exact cumulative norm, whose weights come from
-    _harmonic_coefficients, which depletion uses for G.
+    analytic. The pulse is itself an envelope, with every method of
+    Envelope: f, f', f'' and the exact cumulative norm are rows on
+    _sine_table, the norm's weights from _harmonic_coefficients.
     """
 
     T: float
@@ -88,32 +103,28 @@ class CosineSeriesPulse:
         if len(coeffs) < 1:
             raise ValidationError("need at least one series coefficient")
         object.__setattr__(self, "coeffs", coeffs)
-        # per-pulse constants, not dataclass fields: the harmonic frequencies
-        # w_k = 2 pi k / T, k = 1..2L, and the weights v_n, v_n w_n and
-        # v_n w_n^2 of f, f' and f'' (see _eval)
-        L = len(coeffs)
-        v = np.asarray(coeffs)
-        w = TWO_PI * np.arange(1, 2 * L + 1) / self.T
-        vw = v * w[:L]
-        object.__setattr__(self, "_w", w)
-        object.__setattr__(self, "_jet_weights", (v, vw, vw * w[:L]))
 
     @cached_property
-    def _norm_weights(self):
-        """c_0, c_k / w_k and the series b_j of cumulative_norm, on first use.
+    def _rows(self):
+        """Rows on _sine_table(2L + 1) of f, f', f'' - f''(0) and the closed
+        norm; f''(0); the powers j and terms b_j of the norm's power series.
 
-        c is the builder's I1 at zero rate gap, contracted with v x v. The
-        power series is int_0^t f^2 = t y^2 sum_j b_j y^j in y = (w_L t)^2,
-        w_L = 2 pi L / T, from f = sum_j a_j y^j by 1 - cos x =
-        -sum_j (-x^2)^j / (2 j)!, cut after 18 terms: at NORM_SWITCH the
-        first term left out is below 2e-22 sum |v_n|. Each a_j is summed in
-        exact integers and rounded once, as int / int is correctly rounded:
-        on a constrained pulse a_1 cancels to the rounding level, where a
-        float sum gets even its sign wrong.
+        With w_n = 2 pi n / T, s_n = sin^2(pi n tau): f = sum 2 v_n s_n,
+        f' = sum v_n w_n sin(2 pi n tau), f'' = sum v_n w_n^2 (1 - 2 s_n),
+        norm = c_0 t + sum_k c_k sin(2 pi k tau) / w_k (c: the builder's I1
+        at zero rate gap, with v x v) = t y^2 sum_j b_j y^j, y = (w_L t)^2, by
+        1 - cos x = -sum_j (-x^2)^j / (2 j)! to 18 terms (2e-22 sum |v_n| left
+        at NORM_SWITCH), each term of f summed in exact integers.
         """
-        L, v = self.order, np.asarray(self.coeffs)
+        L, v, T = self.order, np.asarray(self.coeffs), self.T
+        K = 2 * L + 1
+        w = TWO_PI * np.arange(1, K) / T
         c = np.einsum("n,nmk,m->k", v, _harmonic_coefficients(
-            self.T, L, (1.0, 0.0, 0.0, 0.0, 0.0))[..., :2 * L + 1], v)
+            T, L, (1.0, 0.0, 0.0, 0.0, 0.0))[..., :K], v)
+        rows, n = np.zeros((4, 2 * K + 1)), np.arange(1, L + 1)
+        rows[0, n], rows[1, K + n] = 2.0 * v, v * w[:L]
+        rows[2, n] = -2.0 * v * w[:L] ** 2
+        rows[3, K + 1:2 * K], rows[3, 2 * K] = c[1:] / w, c[0] * T
         j = np.arange(1, 19)
         ratios = [x.as_integer_ratio() for x in self.coeffs]
         den = max(q for _, q in ratios)  # powers of two: v_n = num_n / den
@@ -121,27 +132,29 @@ class CosineSeriesPulse:
         a = np.array([sum(m * n ** (2 * i) for n, m in enumerate(num, start=1))
                       / (-den * (-L * L) ** i * math.factorial(2 * i))
                       for i in range(1, j.size + 1)])
-        return c[0], c[1:] / self._w, np.convolve(a, a)[:j.size] / (2 * j + 3)
+        return rows, v @ w[:L] ** 2, j - 1, np.convolve(a, a)[:j.size] / (2 * j + 3)
 
     @property
     def order(self) -> int:
         return len(self.coeffs)
 
-    def _eval(self, t):
-        """f, f' and f'' at t in one pass over the harmonics.
-
-        Zeros outside [0, T]. The derivatives of 1 - cos(w t) are w sin(w t)
-        and w^2 cos(w t); f itself uses the half-angle identity
-        1 - cos x = 2 sin^2(x / 2), stable for small w t.
-        """
-        t = np.asarray(t, dtype=float)
+    def _pass(self, t, rows):
+        """t, tau = clip(t, 0, T) / T, f, f', f'' (zeros outside [0, T]) and
+        the other rows of rows . table(tau), rows led by those of _rows.
+        Booleans select by products, as a numpy call costs more than a
+        scalar's arithmetic; a numpy float goes left of a boolean, and a
+        python complex left of a numpy float, where products stay cheap."""
+        t = np.asarray(t, dtype=float)[()]
         inside = (t >= 0.0) & (t <= self.T)
-        wt = np.multiply.outer(np.where(inside, t, 0.0), self._w[:self.order])
-        half = np.sin(0.5 * wt)
-        v, vw, vw2 = self._jet_weights
-        f, df, d2f = np.where(inside, (2.0 * (half * half) @ v, np.sin(wt) @ vw,
-                                       np.cos(wt) @ vw2), 0.0)
-        return f[()], df[()], d2f[()]
+        tau = t / self.T * inside + (t > self.T)
+        tab = _sine_table(2 * self.order + 1)(tau)
+        f, df, d2f, *rest = (rows @ tab.reshape(len(tab), -1)).reshape((-1,) + t.shape)
+        return t, tau, f * inside, df * inside, (d2f + self._rows[1]) * inside, *rest
+
+    def _eval(self, t):
+        """f, f' and f'' at t in one pass over the sine table, zeros outside
+        [0, T]; f in the half-angle form 2 sin^2(x / 2), stable at small t."""
+        return self._pass(t, self._rows[0])[2:5]
 
     def f(self, t):
         return self._eval(t)[0]
@@ -169,6 +182,15 @@ class CosineSeriesPulse:
         """Complex envelope exp(i theta) f."""
         return np.exp(1j * np.asarray(self.theta(t))) * np.asarray(self.f(t))
 
+    def v_and_norm(self, t):
+        """v(t) and int_0^t |v|^2 (see cumulative_norm) from one table pass."""
+        powers, series = self._rows[2:]
+        t, tau, f, _, _, closed = self._pass(t, self._rows[0])
+        y = (TWO_PI * self.order * tau) ** 2
+        return (np.exp(1j * self.chirp * t) * f,
+                self.T * tau * y * y * (y[..., None] ** powers @ series)
+                * (y < NORM_SWITCH ** 2) + closed * (y >= NORM_SWITCH ** 2))
+
     def norm_sq(self) -> float:
         """int_0^T f^2 dt, exact for the series."""
         return float(series_norm_sq(self.T, self.coeffs))
@@ -185,19 +207,13 @@ class CosineSeriesPulse:
     def cumulative_norm(self, t):
         """int_0^t f(tau)^2 dtau, exact; constant for t beyond T.
 
-        The product-to-sum identities turn f^2 into a sum over the
-        harmonics k = 0..2L, so the integral is c_0 t plus a sum of
-        c_k sin(w_k t) / w_k. That closed form cancels for small t, where
-        the integral scales as t^5 (t^9 when f''(0) = 0) against terms of
-        size t: it is off by up to 6e-9 at w_L t = 1 and 1e-12 at
-        NORM_SWITCH, below which the power series takes over.
+        By product-to-sum identities the integral is c_0 t plus a sum of
+        c_k sin(w_k t) / w_k, k = 1..2L, a row on the sine table. It cancels
+        for small t, where the integral scales as t^5 (t^9 when f''(0) = 0)
+        against terms of size t: it is off by up to 6e-9 at w_L t = 1 and
+        1e-12 at NORM_SWITCH, below which the power series takes over.
         """
-        tt = np.clip(np.asarray(t, dtype=float), 0.0, self.T)
-        c0, weights, series = self._norm_weights
-        y = (tt * self._w[self.order - 1]) ** 2
-        return np.where(y < NORM_SWITCH ** 2,
-                        tt * y * y * (y[..., None] ** np.arange(series.size) @ series),
-                        c0 * tt + np.sin(np.multiply.outer(tt, self._w)) @ weights)[()]
+        return self.v_and_norm(t)[1]
 
     def to_dict(self) -> dict:
         theta = {"type": "none"} if self.chirp == 0.0 else \
@@ -224,8 +240,8 @@ class Envelope:
     """Generic envelope: callables for f, theta, and their derivatives.
 
     Derivative callables that are not supplied are replaced by central
-    finite differences with step h = T * 1e-6. All callables must accept
-    numpy arrays.
+    finite differences of step T * 1e-6 (first) and T * 1e-4 (second, near
+    eps^(1/4) T, where truncation and roundoff balance); all take arrays.
     """
 
     def __init__(self, T, f, theta=None, df=None, d2f=None, dtheta=None,
@@ -233,10 +249,10 @@ class Envelope:
         self.T = finite(T, "envelope support T")
         if self.T <= 0:
             raise ValidationError("envelope support T must be > 0")
-        h = self.T * 1e-6
+        h, h2 = self.T * 1e-6, self.T * 1e-4
         self.f = f
         self.df = df if df is not None else self._fd1(f, h)
-        self.d2f = d2f if d2f is not None else self._fd2(f, h)
+        self.d2f = d2f if d2f is not None else self._fd2(f, h2)
         if theta is None:
             self.theta = lambda t: np.zeros_like(np.asarray(t, dtype=float))[()]
             self.dtheta = self.theta
@@ -244,7 +260,7 @@ class Envelope:
         else:
             self.theta = theta
             self.dtheta = dtheta if dtheta is not None else self._fd1(theta, h)
-            self.d2theta = d2theta if d2theta is not None else self._fd2(theta, h)
+            self.d2theta = d2theta if d2theta is not None else self._fd2(theta, h2)
 
     @staticmethod
     def _fd1(fun, h):
@@ -268,16 +284,16 @@ class Envelope:
         """Complex envelope exp(i theta) f."""
         return np.exp(1j * np.asarray(self.theta(t))) * np.asarray(self.f(t))
 
+    def v_and_norm(self, t):
+        """v(t) and int_0^t |v|^2."""
+        return self.v(t), self.cumulative_norm(t)
+
     def cumulative_norm(self, t):
-        """int_0^t |v|^2 dtau by quadrature."""
+        """int_0^t |v|^2 dtau by quadrature, for each t."""
         from scipy.integrate import quad
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        out = np.empty_like(t_arr)
-        for i, ti in enumerate(t_arr):
-            hi = min(max(ti, 0.0), self.T)
-            val, _ = quad(lambda x: float(self.f(x)) ** 2, 0.0, hi, limit=200)
-            out[i] = val
-        return out[0] if np.isscalar(t) or np.ndim(t) == 0 else out
+        return np.vectorize(lambda hi: quad(
+            lambda x: float(self.f(x)) ** 2, 0.0, min(max(hi, 0.0), self.T),
+            limit=200)[0], otypes=[float])(t)[()]
 
 
 def as_envelope(env):

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bounds, depletion
-from .errors import PoleError, ValidationError, finite, time_grid
+from .errors import PoleError, ValidationError, finite, finite_times, time_grid
 from .model import EmitterParams
 from .pulse import CosineSeriesPulse, as_envelope, write_csv
 
@@ -107,10 +107,11 @@ class ClosedFormSolution:
 
     trajectory(init, grid) samples every amplitude and the drive for one
     initial qubit state; Omega(t) is the drive alone, which the verification
-    integrators call. Both read one jet of the amplitudes with the initial
-    |1> amplitude divided out. For a series pulse G(t) is exact and, with no
-    phase source (resonant cavity, zero chirp), so is the phase, which makes
-    the synthesized drive itself exact.
+    integrators call one t at a time. Both read one jet of the amplitudes
+    with the initial |1> amplitude divided out (one path for scalars and
+    grids). For a series pulse f, f', f'' and the exact G(t) are rows on one
+    sine table; with no phase source (resonant cavity, zero chirp) the phase
+    is exact too, which makes the synthesized drive itself exact.
 
     The drive diverges where r^2 = 1 - E^2 G(t) vanishes. The minimum of
     r^2 is 1 - (E / E_max)^2, at the depletion maximum; the constructor
@@ -139,45 +140,57 @@ class ClosedFormSolution:
     # -- G(t) and phi(t): exact for a series, else one ODE pass -------------
 
     def _setup_g_phi(self):
+        """G, phi and _envelope: t -> f, f', f'', theta', theta'', G; for a
+        series one pass over its sine table, else env and the phase ODE."""
         p, env, T = self.p, self.env, self.env.T
         series = isinstance(env, CosineSeriesPulse)
         if series:
-            self.G = depletion.series_g(p, env)[0]
+            Gamma, G_row, P, _, _ = depletion._pulse_rows(p, T, env.coeffs, env.chirp)
+            rows = np.vstack([env._rows[0][:3], G_row])
+
+            def envelope(t):
+                _, tau, f, df, d2f, G = env._pass(t, rows)
+                return (f, df, d2f, env.chirp, 0.0,
+                        depletion._g_on_table(Gamma, T, tau, G, P[0]))
+            self._envelope, self.G = envelope, lambda t: envelope(t)[-1]
             if self.E == 0.0 or (p.Delta == 0.0 and env.chirp == 0.0):
-                # no phase source; the phase grows as E^2
-                self.phi = lambda t: np.zeros_like(np.asarray(t, dtype=float))[()]
+                self.phi = lambda t: 0.0 * t  # no phase source; it grows as E^2
                 return
         dense = depletion.solve_g_phi(p, env, self.E, T)
         if not series:
             self.G = lambda t: dense(np.clip(t, 0.0, T))[0][()]
+            self._envelope = lambda t: (*env.evaluate(t), env.dtheta(t),
+                                        env.d2theta(t), self.G(t))
         self.phi = lambda t: dense(np.clip(t, 0.0, T))[1][()]
 
     # -- amplitudes with alpha0 divided out ----------------------------------
 
     def _jet(self, t):
         """eta, zeta, alpha and the drive numerator at t, from one envelope
-        pass: v, v' and v'' give eta, eta' and eta'', and those zeta and zeta'."""
+        pass: v, v' and v'' give eta, eta' and eta'', and those zeta and zeta'.
+        t is finite; a scalar stays on numpy scalars."""
         p, env = self.p, self.env
-        t_arr = np.asarray(t, dtype=float)
-        f, df, d2f = env.evaluate(t)
+        t = finite_times(t)
+        f, df, d2f, dth, d2th, G = self._envelope(t)
         ph = np.exp(1j * env.theta(t))
-        dth, d2th = env.dtheta(t), env.d2theta(t)
-        v, dv = ph * f, ph * (df + 1j * dth * f)
-        d2v = ph * (d2f + 2j * dth * df + 1j * d2th * f - dth ** 2 * f)
-        scale = self.E * np.exp(-0.5 * p.Gamma2 * t_arr) / math.sqrt(p.kappa)
+        # a complex python number goes left of a numpy float: see pulse._pass
+        v, dv = ph * f, ph * (1j * dth * f + df)
+        d2v = ph * (2j * dth * df + d2f + 1j * d2th * f - dth ** 2 * f)
+        scale = self.E * np.exp(-0.5 * p.Gamma2 * t) / math.sqrt(p.kappa)
         eta = scale * v
         deta = scale * (dv - 0.5 * p.Gamma2 * v)
         d2eta = scale * (d2v - p.Gamma2 * dv + 0.25 * p.Gamma2 ** 2 * v)
         a = (p.Gamma2 + p.kappa + p.kappa_tilde) / (2.0 * p.g)
         zeta, dzeta = a * eta + deta / p.g, a * deta + d2eta / p.g
         num = (0.5 * p.gamma_tilde + 1j * p.Delta) * zeta + p.g * eta + dzeta
-        r = np.sqrt(np.maximum(1.0 - self.E ** 2 * self.G(t), 0.0))
-        alpha = np.exp(1j * self.phi(t) - 0.5 * p.Gamma1 * t_arr) * r
+        r2 = 1.0 - self.E ** 2 * G
+        r = np.sqrt(r2 * (r2 > 0.0))  # r2 clipped at 0
+        alpha = np.exp(1j * self.phi(t) - 0.5 * p.Gamma1 * t) * r
         return eta, zeta, alpha, num
 
     def Omega(self, t):
         """Drive Rabi frequency; diverges where the ground state empties."""
-        return _drive(*self._jet(t)[2:])[()]
+        return _drive(*self._jet(t)[2:])
 
     def trajectory(self, init: InitialState, grid) -> Trajectory:
         """Sample the solution for a given initial qubit state.
@@ -203,13 +216,13 @@ class ClosedFormSolution:
 
 
 def _drive(alpha, num):
-    """Omega = -num / alpha; PoleError where alpha vanishes and num does not."""
-    tiny = np.abs(alpha) < 1e-14
-    if np.any(tiny & (np.abs(num) > 1e-12)):
+    """-num / alpha, 0 where alpha vanishes; PoleError where num does not."""
+    tiny = abs(alpha) < 1e-14
+    if np.count_nonzero(tiny & (abs(num) > 1e-12)):
         raise PoleError(
             "drive diverges: alpha(t) vanished with a finite numerator; "
             "lower the target efficiency below E_max")
-    return np.where(tiny, 0.0, -num / np.where(tiny, 1.0, alpha))
+    return -num * (abs(alpha) >= 1e-14) / (alpha + tiny)
 
 
 def closed_form_trajectory(p: EmitterParams, env, E: float,
@@ -224,17 +237,13 @@ def virtual_coupling(env, t, kappa: float | None = None):
     Returns 0 at t = 0 where the expression is 0/0. When kappa is given the
     magnitude is clamped to 1e3 sqrt(kappa) wherever the accumulated norm is
     below 1e-12; only the master-equation oracle consumes the clamped
-    values, and the virtual mode is essentially unoccupied there.
+    values, and the virtual mode is essentially unoccupied there. t is finite.
     """
-    env = as_envelope(env)
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    cum = np.atleast_1d(np.asarray(env.cumulative_norm(t_arr), dtype=float))
-    pos = cum > 0.0
-    out = np.where(pos, -np.conj(env.v(t_arr)) / np.sqrt(np.where(pos, cum, 1.0)), 0.0)
+    v, cum = as_envelope(env).v_and_norm(finite_times(t))
+    pos = cum > 0.0  # products with booleans select, as in pulse._pass
+    out = -np.conj(v) * pos / np.sqrt(cum + (cum <= 0.0))
     if kappa is not None:
-        cap = 1e3 * math.sqrt(kappa)
-        mag = np.abs(out)
-        clamp = pos & (cum < 1e-12) & (mag > cap)
-        out = np.where(clamp, out * (cap / np.where(clamp, mag, 1.0)), out)
-    return out[0] if np.ndim(t) == 0 else out
+        mag = abs(out) / (1e3 * math.sqrt(kappa))
+        out = out / ((mag - 1.0) * (pos & (cum < 1e-12) & (mag > 1.0)) + 1.0)
+    return out
 

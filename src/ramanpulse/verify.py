@@ -298,14 +298,10 @@ def lindblad_simulate(p_raw: RawRates, p: EmitterParams, env, Omega,
         raise NumericError(f"master-equation integration failed: {sol.message}")
     states = sol.y.T.reshape(-1, _N_BLOCKS, _DIM, _DIM)
 
-    trace_drift = 0.0
-    herm_dev = 0.0
-    marker_max = 0.0
-    for rho_k in states[:, _TOTAL]:
-        trace_drift = max(trace_drift, abs(np.trace(rho_k).real - 1.0))
-        herm_dev = max(herm_dev, float(np.max(np.abs(rho_k - rho_k.conj().T))))
-        marker = float(sum(rho_k[i, i].real for i in _MARKER_INDICES))
-        marker_max = max(marker_max, marker)
+    total = states[:, _TOTAL]
+    trace_drift = float(np.max(np.abs(np.trace(total, axis1=1, axis2=2).real - 1.0)))
+    herm_dev = float(np.max(np.abs(total - total.conj().transpose(0, 2, 1))))
+    marker_max = float(np.max(sum(total[:, i, i].real for i in _MARKER_INDICES)))
     if trace_drift > 1e-6:
         raise NumericError(f"trace drifted by {trace_drift:.3e} (> 1e-6)")
     if herm_dev > 1e-10:

@@ -63,7 +63,7 @@ def _series_integrals(Gamma, T, C, t):
     Gamma, G_rows, P_sum, d_rows, A_sum = depletion._series_rows(Gamma, T, C)
     t = np.atleast_1d(np.asarray(t, dtype=float))
     tab = depletion._sine_table(K)(t / T)
-    G = depletion._g_on_table(Gamma, T, t / T, G_rows, P_sum, tab)
+    G = depletion._g_on_table(Gamma, T, t / T, G_rows @ tab, P_sum[:, None])
     return G, np.exp(Gamma * t) * (A_sum[:, None] + d_rows @ tab)
 
 

@@ -215,6 +215,63 @@ def test_scalar_drive_matches_array_drive(siv_params, Delta, chirp):
     assert np.allclose(scalar, drive, rtol=1e-14, atol=1e-14 * np.max(np.abs(drive)))
 
 
+def _drive_case(p, kind):
+    pl = CosineSeriesPulse(0.345, (1.0, -0.2, 0.11),
+                           chirp=2.5 if kind == "chirped" else 0.0).normalize()
+    if kind == "detuned":
+        p = EmitterParams(g=p.g, kappa=p.kappa, gamma_tilde=p.gamma_tilde,
+                          Gamma1=p.Gamma1, Gamma2=p.Gamma2, Delta=ghz(1.0))
+    env = Envelope(T=pl.T, f=pl.f, df=pl.df, d2f=pl.d2f) if kind == "envelope" else pl
+    return p, env, ClosedFormSolution(p, env, 0.9 * max_efficiency(p, pl))
+
+
+@pytest.mark.parametrize("kind", ["resonant", "detuned", "chirped", "envelope"])
+def test_scalar_calls_match_grid_calls(siv_params, kind):
+    # one code path: a scalar t gives the grid's value, also outside [0, T]
+    p, env, cf = _drive_case(siv_params, kind)
+    ts = np.r_[-0.05, np.linspace(0.0, env.T, 31), env.T + 0.05]
+    calls = {"Omega": cf.Omega,
+             "g_v": lambda t: virtual_coupling(env, t),
+             "g_v clamped": lambda t: virtual_coupling(env, t, kappa=p.kappa)}
+    for name, fun in calls.items():
+        grid = np.asarray(fun(ts))
+        scalar = np.array([fun(t) for t in ts])
+        assert grid.shape == ts.shape and np.ndim(fun(ts[5])) == 0, name
+        assert np.max(np.abs(scalar - grid)) <= 1e-13 * np.max(np.abs(grid)), name
+
+
+def test_scalar_drive_sample_builds_one_sine_table(monkeypatch, siv_params):
+    # Omega reads f, f', f'' and G, and g_v reads f and the norm, from one
+    # sine table each
+    from ramanpulse import pulse
+    _, pl, cf = _drive_case(siv_params, "resonant")
+    builds, plain = [], pulse._sine_table
+
+    def counted(K):
+        table = plain(K)
+
+        def build(tau):
+            builds.append(K)
+            return table(tau)
+        return build
+
+    monkeypatch.setattr(pulse, "_sine_table", counted)
+    cf.Omega(0.1)
+    assert builds == [7]
+    virtual_coupling(pl, 0.1, kappa=siv_params.kappa)
+    assert builds == [7, 7]
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, [0.1, math.nan]])
+@pytest.mark.parametrize("call", ["Omega", "g_v", "g_v clamped"])
+def test_non_finite_time_is_rejected(siv_params, t, call):
+    _, pl, cf = _drive_case(siv_params, "resonant")
+    fun = {"Omega": cf.Omega, "g_v": lambda t: virtual_coupling(pl, t),
+           "g_v clamped": lambda t: virtual_coupling(pl, t, siv_params.kappa)}[call]
+    with pytest.raises(ValidationError, match="finite"):
+        fun(t)
+
+
 def test_series_and_generic_envelope_give_the_same_drive(siv_params):
     # the generic envelope has neither the one-pass evaluation nor the exact
     # norm: G, phi and int |v|^2 come from quadrature and the phase ODE
