@@ -121,6 +121,24 @@ def _bound_curves(p: EmitterParams, data: dict, out: Path, T_values):
     print(f"wrote {out / 'bound_summary.json'}")
 
 
+def _depletion_curves(p: EmitterParams, data: dict, out: Path):
+    """One CSV per decoherence set of G and d of a few sin^2 pulses (series_g)."""
+    out.mkdir(parents=True, exist_ok=True)
+    for frac1, frac2 in DECOHERENCE_SETS:
+        ps = dataclasses.replace(p, Gamma1=frac1 * p.gamma_tilde,
+                                 Gamma2=frac2 * p.gamma_tilde)
+        name = out / f"depletion_G1_{frac1:g}_G2_{frac2:g}.csv"
+        rows = []
+        for T in (0.1, 0.25, 0.44, 1.0, 3.0):
+            jet, d = depletion.series_g(ps, sin2_pulse(T))
+            grid = np.linspace(0.0, T, 121)
+            rows += [(T, t, d_val, g_val, math.exp(ps.Gamma2 * t) * g_val)
+                     for t, d_val, g_val in zip(grid, d(grid), jet(grid)[3])]
+        write_csv(name, ("T_ns", "t_ns", "d_per_ns", "G", "G_weighted"), rows,
+                  _provenance(data, f"(Gamma1,Gamma2)/gamma_tilde=({frac1:g},{frac2:g})"))
+        print(f"wrote {name}")
+
+
 def cmd_bound(args) -> int:
     if not (math.isfinite(args.T_min) and math.isfinite(args.T_max)
             and 0.0 < args.T_min < args.T_max):
@@ -243,7 +261,7 @@ def cmd_verify(args) -> int:
             f"synthesis file {args.synthesis} lacks {', '.join(missing)}")
     p, raw = params_from_dict(syn["params"])
     pl = CosineSeriesPulse.from_dict(syn["pulse"]).normalize()
-    E = float(syn["efficiency"])
+    E = finite(syn["efficiency"], "synthesis efficiency")
     init = InitialState(_complex_pair(syn["alpha0"], "alpha0"),
                         _complex_pair(syn["beta0"], "beta0"))
     out = _out_dir(args)
@@ -300,22 +318,7 @@ def cmd_figures(args) -> int:
     # bound curves per decoherence set
     _bound_curves(p, data, out / "bounds", np.geomspace(0.04, 12.0, 160))
 
-    # integrated depletion curves for a few durations
-    dep_dir = out / "depletion"
-    dep_dir.mkdir(parents=True, exist_ok=True)
-    for frac1, frac2 in DECOHERENCE_SETS:
-        ps = dataclasses.replace(p, Gamma1=frac1 * p.gamma_tilde,
-                                 Gamma2=frac2 * p.gamma_tilde)
-        name = dep_dir / f"depletion_G1_{frac1:g}_G2_{frac2:g}.csv"
-        rows = []
-        for T in (0.1, 0.25, 0.44, 1.0, 3.0):
-            profile = depletion.analytic_profile(
-                ps, sin2_pulse(T), grid=np.linspace(0.0, T, 121))
-            rows += [(T, t, d, g_val, math.exp(ps.Gamma2 * t) * g_val)
-                     for t, d, g_val in zip(profile.grid, profile.d, profile.G)]
-        write_csv(name, ("T_ns", "t_ns", "d_per_ns", "G", "G_weighted"), rows,
-                  _provenance(data, f"(Gamma1,Gamma2)/gamma_tilde=({frac1:g},{frac2:g})"))
-        print(f"wrote {name}")
+    _depletion_curves(p, data, out / "depletion")
 
     # optimal duration versus ground-state decoherence
     dur_path = out / "optimal_duration.csv"

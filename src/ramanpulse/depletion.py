@@ -9,15 +9,15 @@ with a depletion rate d(t) that is a closed-form expression in f, theta,
 their first two derivatives, and the system rates. d is independent of the
 detuning and of the target efficiency E. G(t) = int_0^t d is available on
 two routes: adaptive quadrature of d for arbitrary envelopes, and for the
-cosine series exact real rows (_series_rows) on the envelope's table of
-sines (pulse._sine_table, kept per order for the search grid), which give
-G, d and a grid scan's quadratic form X; a linear chirp only shifts two of
-the five weights of d. The maximum of G sets the efficiency bound; as
-G' = d, it sits at the end T or where d falls through zero. g_max finds it
-for a block of series pulses at once: one shared grid, then every falling
-zero of d refined together (_falling_zeros, which the quadrature route
-uses too). The drive phase phi(t) is integrated together with G in one
-ODE pass, solve_g_phi.
+cosine series exact real rows (pulse._series_rows) on the envelope's table
+of sines, which give G and d (series_g, the one sampler) and a grid scan's
+quadratic form X; a linear chirp only shifts two of the five weights of d.
+The maximum of G sets the efficiency bound; as G' = d, it sits at the end
+T or where d falls through zero. g_max finds it for a block of series
+pulses at once (analytic_profile: one pulse): one shared grid, then every
+falling zero of d refined together (_falling_zeros, which the quadrature
+route uses too). The drive phase phi(t) is integrated together with G in
+one ODE pass, solve_g_phi.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from scipy.integrate import quad, solve_ivp
 
 from .errors import DomainError, NumericError, ValidationError, time_grid
 from .model import EmitterParams
-from .pulse import (TWO_PI, CosineSeriesPulse, _harmonic_coefficients,
+from .pulse import (CosineSeriesPulse, _harmonic_coefficients, _series_rows,
                     _sine_table, as_envelope)
 
 # r^2 = 1 - E^2 G below this counts as an emptied ground state: the drive
@@ -112,35 +112,6 @@ def _rate(p: EmitterParams, t, f, df, d2f, dth, d2th):
 # ---------------------------------------------------------------------------
 
 
-def _series_rows(Gamma: float, T, C):
-    """Rows on _sine_table of G = sum_k C_k h_k + C_(K + k) u_k and of d = G'.
-
-    C, as from pulse._harmonic_coefficients, has shape T.shape + (rows, 2K).
-    With z = Gamma + i w_k, h_k + i u_k = expm1(z t) / z, and on t = tau T,
-    where w_k t = 2 pi k tau does not depend on T,
-        e^(z t) = e^(Gamma t) (1 - 2 sin^2(pi k tau) + i sin(2 pi k tau)).
-    So with P - i Q = (A - i B) / z for A = C[..., :K], B = C[..., K:],
-        G = expm1(Gamma t) sum P + e^(Gamma t) [-2 P, Q, c] . table,
-        d = e^(Gamma t) (sum A + [-2 A, B, 0] . table),
-    where c = A_0 T carries h_0 = t at the pole z = 0. A subnormal Gamma
-    counts as zero: 1/z overflows there, and the two agree to double
-    precision. Returns that Gamma, then the rows and sum of G and of d.
-    """
-    if abs(Gamma) < np.finfo(float).tiny:
-        Gamma = 0.0
-    T = np.asarray(T, dtype=float)
-    K = C.shape[-1] // 2
-    A, B = C[..., :K], C[..., K:]
-    z = Gamma + 1j * TWO_PI * np.arange(K) / T[..., None, None]
-    pole = z == 0.0
-    r = np.where(pole, 0.0, 1.0 / np.where(pole, 1.0, z))
-    P = A * r.real + B * r.imag
-    Q = B * r.real - A * r.imag
-    c = np.where(pole[..., :1], A[..., :1] * T[..., None, None], 0.0)
-    return (Gamma, np.concatenate([-2.0 * P, Q, c], axis=-1), P.sum(axis=-1),
-            np.concatenate([-2.0 * A, B, 0.0 * c], axis=-1), A.sum(axis=-1))
-
-
 @lru_cache(maxsize=None)
 def _search_table(K: int):
     """_sine_table(K) of SEARCH_TAU, built once per order; read-only."""
@@ -158,27 +129,22 @@ def _g_on_table(Gamma: float, T, tau, G, P):
     return G
 
 
-def g_matrix(p: EmitterParams, T, order: int, tau,
-             chirp: float = 0.0) -> np.ndarray:
-    """Quadratic form X with G(t) = v . X(t) . v at the times t = tau T.
+def g_matrix(p: EmitterParams, T, order: int) -> np.ndarray:
+    """Quadratic form X with G(t) = v . X(t) . v at t = SEARCH_TAU T.
 
     T is one duration or a 1-d array of them; the shape is
-    T.shape + (nt, order, order). The pulse coefficients enter bilinearly,
-    so a grid scan reuses one X per duration for every candidate, and one
-    call builds X for a block of durations. A linear chirp theta = chirp * t
-    only shifts two of the five weights. Each pair (n, m) is one row of
-    _series_rows applied to the sine table of tau, which every duration
-    shares (cached for SEARCH_TAU), so a duration costs one exp and one
-    expm1 row.
+    T.shape + (N_SEARCH_GRID, order, order). The pulse coefficients enter
+    bilinearly, so a grid scan reuses one X per duration for every
+    candidate, and one call builds X for a block of durations. Each pair
+    (n, m) is one row of _series_rows on the search grid's sine table, so a
+    duration costs one exp and one expm1 row.
     """
     T = np.asarray(T, dtype=float)
-    tau = np.asarray(tau, dtype=float)
-    C = _harmonic_coefficients(T, order, _rate_weights(p, chirp)).reshape(
+    C = _harmonic_coefficients(T, order, _rate_weights(p)).reshape(
         T.shape + (order * order, -1))
     Gamma, rows, P_sum, _, _ = _series_rows(p.Gamma1 - p.Gamma2, T, C)
-    K = 2 * order + 1
-    tab = _search_table(K) if tau is SEARCH_TAU else _sine_table(K)(tau)
-    X = _g_on_table(Gamma, T[..., None, None], tau, rows @ tab, P_sum[..., None])
+    X = _g_on_table(Gamma, T[..., None, None], SEARCH_TAU,
+                    rows @ _search_table(2 * order + 1), P_sum[..., None])
     return np.moveaxis(X.reshape(T.shape + (order, order, -1)), -1, -3)
 
 
@@ -194,34 +160,34 @@ def _pulse_rows(p: EmitterParams, T, V, chirp: float):
 
 
 def series_g(p: EmitterParams, pulse: CosineSeriesPulse):
-    """G(t) and d(t) = G'(t) of one series pulse, as two callables.
+    """The one sampler of a series pulse's G: t -> (f, f', f'', G), and t -> d.
 
-    One row of _series_rows each for G and d on the pulse's sine table
-    (pulse._pass), so a call costs one table and one exponential per time.
-    d vanishes outside (0, T), and G stays constant beyond the support.
+    All are rows on the pulse's sine table (pulse._pass; G and d one row of
+    _series_rows each), so a call costs one table, one matmul and one
+    exponential. d = G' vanishes outside (0, T), G is constant beyond T.
     """
     if not isinstance(pulse, CosineSeriesPulse):
         raise ValidationError("analytic G needs a CosineSeriesPulse")
     T = pulse.T
     Gamma, G_rows, P_sum, d_rows, A_sum = _pulse_rows(p, T, pulse.coeffs,
                                                       pulse.chirp)
-    rows = np.vstack([pulse._rows[0][:3], G_rows, d_rows])
+    G_rows, d_rows = (np.vstack([pulse._rows[0][:3], x]) for x in (G_rows, d_rows))
 
-    def G(t):
-        _, tau, *_, G, _ = pulse._pass(t, rows)
-        return _g_on_table(Gamma, T, tau, G, P_sum[0])
+    def jet(t):
+        _, tau, f, df, d2f, G = pulse._pass(t, G_rows)
+        return f, df, d2f, _g_on_table(Gamma, T, tau, G, P_sum[0])
 
     def d(t):  # f = f' = 0 at both ends
-        t, *_, d = pulse._pass(t, rows)
+        t, *_, d = pulse._pass(t, d_rows)
         return np.where((t > 0.0) & (t < T), np.exp(Gamma * t) * (A_sum[0] + d),
                         0.0)[()]
 
-    return G, d
+    return jet, d
 
 
 def integrated_depletion_analytic(p: EmitterParams, pulse: CosineSeriesPulse, t):
     """G(t) by the exact per-harmonic route, chirped or not."""
-    return series_g(p, pulse)[0](t)
+    return series_g(p, pulse)[0](t)[3]
 
 
 def _falling_zeros(d, ts, ds):
@@ -280,20 +246,21 @@ def _max_search(p: EmitterParams, T, V, chirp: float):
     G = _g_on_table(Gamma, T[:, None], SEARCH_TAU, G_rows @ tab, P_sum[:, None])
     d = np.exp(Gamma * t) * (d_rows @ tab + A_sum[:, None])
 
-    def at(rows, total, shift):  # G or d of the rows r at the times t
-        return lambda t, r: (np.exp(Gamma * t) * np.einsum(
-            "ij,ji->i", rows[r], table(t / T[r])) + shift(Gamma * t) * total[r])
+    def at(rows, t, r):  # the rows r times the table at the times t
+        return np.einsum("ij,ji->i", rows[r], table(t / T[r]))
 
-    r, zeros = _falling_zeros(at(d_rows, A_sum, np.exp), t, d)
+    r, zeros = _falling_zeros(lambda t, r: np.exp(Gamma * t) * at(d_rows, t, r)
+                              + np.exp(Gamma * t) * A_sum[r], t, d)
     slot = np.arange(r.size) - np.searchsorted(r, r)
     G_z, t_z = np.full((2, T.size, slot.max(initial=-1) + 1), -np.inf)
-    G_z[r, slot], t_z[r, slot] = at(G_rows, P_sum, np.expm1)(zeros, r), zeros
+    G_z[r, slot] = _g_on_table(Gamma, 1.0, zeros, at(G_rows, zeros, r), P_sum[r])
+    t_z[r, slot] = zeros
     G_all, t_all = np.hstack([G, G_z]), np.hstack([t, t_z])
     i = (np.arange(T.size), np.argmax(G_all, axis=1))
     return t, G, d, G_all[i], t_all[i]
 
 
-def g_max(p: EmitterParams, T, V, chirp: float = 0.0):
+def g_max(p: EmitterParams, T, V):
     """G_max, argmax_t and G(T) of one series pulse per duration, as arrays.
 
     T is a 1-d array of durations, V one row of coefficients v each. G and d
@@ -309,25 +276,21 @@ def g_max(p: EmitterParams, T, V, chirp: float = 0.0):
         raise ValidationError("g_max needs finite durations T > 0 and finite V")
     for i in range(0, T.size, G_MAX_ROWS):
         _, G, _, G_max, argmax_t = _max_search(
-            p, T[i:i + G_MAX_ROWS], V[i:i + G_MAX_ROWS], chirp)
+            p, T[i:i + G_MAX_ROWS], V[i:i + G_MAX_ROWS], 0.0)
         out.append((G_max, argmax_t, G[:, -1]))
     return tuple(np.concatenate(x) for x in zip(*out))
 
 
-def analytic_profile(p: EmitterParams, pulse: CosineSeriesPulse,
-                     grid=None) -> DepletionProfile:
-    """DepletionProfile of a series pulse from a one-row g_max search; G and d
-    are sampled on the grid, by default the search grid."""
+def analytic_profile(p: EmitterParams, pulse: CosineSeriesPulse) -> DepletionProfile:
+    """DepletionProfile of a series pulse, chirped or not, from a one-row
+    g_max search: G and d on its grid, G_max and argmax_t."""
     if not isinstance(pulse, CosineSeriesPulse):
         raise ValidationError("analytic G needs a CosineSeriesPulse")
     t, G, d, G_max, argmax_t = _max_search(p, [pulse.T], [pulse.coeffs],
                                            pulse.chirp)
-    if grid is None:  # d = 0 at both ends, as f = f' = 0 there
-        grid, G, d = t[0], G[0], np.where((t[0] > 0) & (t[0] < pulse.T), d[0], 0)
-    else:
-        grid = np.atleast_1d(np.asarray(grid, dtype=float))
-        G, d = (f(grid) for f in series_g(p, pulse))
-    return DepletionProfile(grid=grid, d=d, G=G, G_max=float(G_max[0]),
+    t = t[0]  # d = 0 at both ends, as f = f' = 0 there
+    return DepletionProfile(grid=t, d=np.where((t > 0) & (t < pulse.T), d[0], 0),
+                            G=G[0], G_max=float(G_max[0]),
                             argmax_t=float(argmax_t[0]))
 
 

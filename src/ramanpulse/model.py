@@ -139,6 +139,8 @@ def params_from_dict(data: dict) -> tuple[EmitterParams, RawRates]:
     Required keys: g_GHz, kappa_GHz. Decoherence keys default to zero.
     The optional Gamma2_GHz overrides the combined |0> decoherence rate.
     """
+    if not isinstance(data, dict):
+        raise ValidationError(f"parameters must be a JSON object, got {data!r}")
     unknown = set(data) - _PARAM_KEYS
     if unknown:
         raise ValidationError(f"unknown parameter keys: {sorted(unknown)}")

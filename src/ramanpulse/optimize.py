@@ -27,6 +27,8 @@ DURATION_SAMPLES = 200  # durations per stage of optimize_duration
 # Bytes of the largest array one step of the grid scan builds: the scores of
 # a block of candidates at a block of durations, or the integral matrices X.
 BLOCK_BYTES = 8 * 2 ** 20
+# Bytes of the scan's arrays of every candidate (ratios, coefficients v, v x v)
+CANDIDATE_BYTES = 2 ** 30
 # Every COARSE-th time sample, and the last, bound each candidate's G_max
 # from below; a candidate is dropped when the merit bound this gives falls
 # below the incumbent by more than PRUNE_MARGIN (relative), so rounding in
@@ -41,7 +43,8 @@ class OptimizationConfig:
 
     L counts the free shape parameters (the duration plus L - 1 coefficient
     ratios). In constrained mode the free coefficients are the odd ones and
-    the even ones are slaved to keep the drive activation smooth.
+    the even ones are slaved to keep the drive activation smooth. A grid
+    whose candidate arrays would exceed CANDIDATE_BYTES is refused.
     """
 
     L: int = 1
@@ -50,13 +53,19 @@ class OptimizationConfig:
     T_samples: int = 500
     ratio_samples: int = 201
     refine: bool = True
-    max_candidates: int | None = None
 
     def __post_init__(self):
         if self.L < 1:
             raise ValidationError("series order L must be >= 1")
         if self.T_samples < 2 or self.ratio_samples < 2:
             raise ValidationError("need at least 2 samples per grid axis")
+        ncoef = 2 * self.L if self.constrained else self.L
+        axis = max(self.ratio_samples, REFINE_SAMPLES * self.refine)  # refine box too
+        size = 8 * axis ** (self.L - 1) * (self.L + ncoef + ncoef ** 2)
+        if size > CANDIDATE_BYTES:
+            raise ValidationError(
+                f"the grid's candidate arrays would take {size / 2 ** 30:.3g} GiB,"
+                f" above {CANDIDATE_BYTES / 2 ** 30:g} GiB")
         if self.T_range is not None:
             ends = [finite(x, "T_range end") for x in self.T_range]
             if len(ends) != 2 or not 0.0 < ends[0] < ends[1]:
@@ -124,7 +133,7 @@ def objective(p: EmitterParams, pulse: CosineSeriesPulse) -> float:
 
 @dataclass
 class _Best:
-    """Running best of a search, and what the search has spent.
+    """Running best of a search, and the grid points it considered.
 
     evaluations counts every grid point considered; pruned counts those
     dropped by their bound without a full score.
@@ -136,7 +145,6 @@ class _Best:
     coeffs: tuple = ()
     evaluations: int = 0
     pruned: int = 0
-    partial: bool = False
 
     def stage(self, name: str) -> dict:
         return {"stage": name, "T": self.T, "ratios": list(self.ratios),
@@ -144,7 +152,7 @@ class _Best:
                 "pruned": self.pruned}
 
 
-def _scan(p: EmitterParams, axes, constrained: bool, max_candidates, best: _Best):
+def _scan(p: EmitterParams, axes, constrained: bool, best: _Best):
     """Score the grid axes[0] (durations) x axes[1] x ... (ratios).
 
     One integral matrix X per duration serves every candidate: G = v.X.v
@@ -163,10 +171,6 @@ def _scan(p: EmitterParams, axes, constrained: bool, max_candidates, best: _Best
     VV = (V[:, :, None] * V[:, None, :]).reshape(ncand, -1)
     norm = series_norm_sq(1.0, V)  # times T: the series norm at duration T
     Ts = np.asarray(axes[0], dtype=float)
-    if max_candidates is not None:
-        fits = max(max_candidates - best.evaluations, 0) // ncand
-        if fits < Ts.size:
-            best.partial, Ts = True, Ts[:fits]
     tau = depletion.SEARCH_TAU
     coarse = np.r_[0:tau.size - 1:COARSE, tau.size - 1]
     row = 8 * tau.size  # bytes of one duration's samples
@@ -174,7 +178,7 @@ def _scan(p: EmitterParams, axes, constrained: bool, max_candidates, best: _Best
     per_block = max(1, BLOCK_BYTES // (row * max(ncoef * ncoef, ncand)))
     for j in range(0, Ts.size, per_block):
         Tb = Ts[j:j + per_block]
-        X = np.moveaxis(depletion.g_matrix(p, Tb, ncoef, tau), 1, -1).reshape(
+        X = np.moveaxis(depletion.g_matrix(p, Tb, ncoef), 1, -1).reshape(
             Tb.size, ncoef * ncoef, -1)
         Xc = X[..., coarse]
         for c in range(0, ncand, chunk):
@@ -194,8 +198,7 @@ def _scan(p: EmitterParams, axes, constrained: bool, max_candidates, best: _Best
                 best.ratios, best.coeffs = tuple(free[i, 1:]), tuple(V[i])
 
 
-def _search(p: EmitterParams, axes, constrained: bool, refine_samples: int,
-            max_candidates=None):
+def _search(p: EmitterParams, axes, constrained: bool, refine_samples: int):
     """Grid scan, then (refine_samples > 0) a rescan of the local box.
 
     The box spans the grid neighbours of the optimum on each axis with
@@ -203,17 +206,15 @@ def _search(p: EmitterParams, axes, constrained: bool, refine_samples: int,
     the running best and the trace of both stages.
     """
     best = _Best()
-    _scan(p, axes, constrained, max_candidates, best)
-    if best.T is None:
-        raise ValidationError("candidate budget too small for a single duration")
+    _scan(p, axes, constrained, best)
     trace = [best.stage("grid")]
-    if refine_samples and not best.partial:
+    if refine_samples:
         box = []
         for axis, x in zip(axes, (best.T,) + best.ratios):
             i = int(np.argmin(np.abs(axis - x)))
             box.append(axis if len(axis) == 1 else np.linspace(
                 axis[max(i - 1, 0)], axis[min(i + 1, len(axis) - 1)], refine_samples))
-        _scan(p, box, constrained, max_candidates, best)
+        _scan(p, box, constrained, best)
         trace.append(best.stage("refine"))
     return best, trace
 
@@ -232,7 +233,6 @@ def _result(p: EmitterParams, cfg: OptimizationConfig, best: _Best,
         },
         "trace": trace,
         "evaluations": best.evaluations,
-        "partial": best.partial,
     }
     return OptimizationResult(pulse=pulse, E_max=res.E_max, F_worst=res.F_worst,
                               F_avg=res.F_avg,
@@ -254,7 +254,7 @@ def optimize_shape(p: EmitterParams, cfg: OptimizationConfig) -> OptimizationRes
         ratio_axis[cfg.ratio_samples // 2] = 0.0  # exact zero for nesting
     axes = [np.linspace(*T_range, cfg.T_samples)] + [ratio_axis] * (cfg.L - 1)
     best, trace = _search(p, axes, cfg.constrained,
-                          REFINE_SAMPLES if cfg.refine else 0, cfg.max_candidates)
+                          REFINE_SAMPLES if cfg.refine else 0)
     return _result(p, cfg, best, trace)
 
 

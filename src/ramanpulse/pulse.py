@@ -23,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError, finite
+from .model import read_json_object
 
 TWO_PI = 2.0 * math.pi
 
@@ -65,6 +66,36 @@ def _harmonic_coefficients(T, order: int, weights) -> np.ndarray:
                     np.stack(values, axis=-3).ravel(),
                     T.size * size)
     return C.reshape(T.shape + (order, order, 2 * K))
+
+
+def _series_rows(Gamma: float, T, C):
+    """Rows on _sine_table of G = sum_k C_k h_k + C_(K + k) u_k and of d = G'.
+
+    C, as from _harmonic_coefficients, has shape T.shape + (rows, 2K).
+    With z = Gamma + i w_k, h_k + i u_k = expm1(z t) / z, and on t = tau T,
+    where w_k t = 2 pi k tau does not depend on T,
+        e^(z t) = e^(Gamma t) (1 - 2 sin^2(pi k tau) + i sin(2 pi k tau)).
+    So with P - i Q = (A - i B) / z for A = C[..., :K], B = C[..., K:],
+        G = expm1(Gamma t) sum P + e^(Gamma t) [-2 P, Q, c] . table,
+        d = e^(Gamma t) (sum A + [-2 A, B, 0] . table),
+    where c = A_0 T carries h_0 = t at the pole z = 0 (also the closed norm's
+    rule). A subnormal Gamma counts as zero: 1/z overflows there, and the
+    two agree to double precision. Returns that Gamma, then the rows and sum
+    of G and of d.
+    """
+    if abs(Gamma) < np.finfo(float).tiny:
+        Gamma = 0.0
+    T = np.asarray(T, dtype=float)
+    K = C.shape[-1] // 2
+    A, B = C[..., :K], C[..., K:]
+    z = Gamma + 1j * TWO_PI * np.arange(K) / T[..., None, None]
+    pole = z == 0.0
+    r = np.where(pole, 0.0, 1.0 / np.where(pole, 1.0, z))
+    P = A * r.real + B * r.imag
+    Q = B * r.real - A * r.imag
+    c = np.where(pole[..., :1], A[..., :1] * T[..., None, None], 0.0)
+    return (Gamma, np.concatenate([-2.0 * P, Q, c], axis=-1), P.sum(axis=-1),
+            np.concatenate([-2.0 * A, B, 0.0 * c], axis=-1), A.sum(axis=-1))
 
 
 @lru_cache(maxsize=None)
@@ -111,20 +142,21 @@ class CosineSeriesPulse:
 
         With w_n = 2 pi n / T, s_n = sin^2(pi n tau): f = sum 2 v_n s_n,
         f' = sum v_n w_n sin(2 pi n tau), f'' = sum v_n w_n^2 (1 - 2 s_n),
-        norm = c_0 t + sum_k c_k sin(2 pi k tau) / w_k (c: the builder's I1
-        at zero rate gap, with v x v) = t y^2 sum_j b_j y^j, y = (w_L t)^2, by
+        norm = c_0 t + sum_k c_k sin(2 pi k tau) / w_k (the G row of
+        _series_rows at zero rate gap for the builder's I1, with v x v)
+        = t y^2 sum_j b_j y^j, y = (w_L t)^2, by
         1 - cos x = -sum_j (-x^2)^j / (2 j)! to 18 terms (2e-22 sum |v_n| left
         at NORM_SWITCH), each term of f summed in exact integers.
         """
         L, v, T = self.order, np.asarray(self.coeffs), self.T
         K = 2 * L + 1
-        w = TWO_PI * np.arange(1, K) / T
+        w = TWO_PI * np.arange(1, L + 1) / T
         c = np.einsum("n,nmk,m->k", v, _harmonic_coefficients(
-            T, L, (1.0, 0.0, 0.0, 0.0, 0.0))[..., :K], v)
+            T, L, (1.0, 0.0, 0.0, 0.0, 0.0)), v)
         rows, n = np.zeros((4, 2 * K + 1)), np.arange(1, L + 1)
-        rows[0, n], rows[1, K + n] = 2.0 * v, v * w[:L]
-        rows[2, n] = -2.0 * v * w[:L] ** 2
-        rows[3, K + 1:2 * K], rows[3, 2 * K] = c[1:] / w, c[0] * T
+        rows[0, n], rows[1, K + n] = 2.0 * v, v * w
+        rows[2, n] = -2.0 * v * w ** 2
+        rows[3] = _series_rows(0.0, T, c[None])[1][0]
         j = np.arange(1, 19)
         ratios = [x.as_integer_ratio() for x in self.coeffs]
         den = max(q for _, q in ratios)  # powers of two: v_n = num_n / den
@@ -132,7 +164,7 @@ class CosineSeriesPulse:
         a = np.array([sum(m * n ** (2 * i) for n, m in enumerate(num, start=1))
                       / (-den * (-L * L) ** i * math.factorial(2 * i))
                       for i in range(1, j.size + 1)])
-        return rows, v @ w[:L] ** 2, j - 1, np.convolve(a, a)[:j.size] / (2 * j + 3)
+        return rows, v @ w ** 2, j - 1, np.convolve(a, a)[:j.size] / (2 * j + 3)
 
     @property
     def order(self) -> int:
@@ -222,16 +254,21 @@ class CosineSeriesPulse:
 
     @classmethod
     def from_dict(cls, data: dict) -> "CosineSeriesPulse":
+        """The pulse of to_dict's schema; ValidationError on any other data."""
+        theta = data.get("theta", {}) if isinstance(data, dict) else None
+        if not (isinstance(theta, dict) and isinstance(data.get("coeffs", []), list)):
+            raise ValidationError("pulse must be an object with a list coeffs and "
+                                  f"an object theta, got {data!r}")
         try:
-            theta = data.get("theta", {"type": "none"})
             kind = theta.get("type", "none")
             if kind == "none":
                 chirp = 0.0
             elif kind == "linear":
-                chirp = float(theta["c_rad_per_ns"])
+                chirp = finite(theta["c_rad_per_ns"], "pulse c_rad_per_ns")
             else:
                 raise ValidationError(f"unknown theta type {kind!r}")
-            return cls(float(data["T_ns"]), tuple(data["coeffs"]), chirp)
+            return cls(finite(data["T_ns"], "pulse T_ns"), tuple(data["coeffs"]),
+                       chirp)
         except KeyError as exc:
             raise ValidationError(f"pulse dict missing key {exc}") from exc
 
@@ -380,5 +417,4 @@ def save_pulse(pulse: CosineSeriesPulse, path: str | Path):
 
 
 def load_pulse(path: str | Path) -> CosineSeriesPulse:
-    with open(path, "r", encoding="utf-8") as fh:
-        return CosineSeriesPulse.from_dict(json.load(fh))
+    return CosineSeriesPulse.from_dict(read_json_object(path, "pulse file"))

@@ -109,9 +109,10 @@ class ClosedFormSolution:
     initial qubit state; Omega(t) is the drive alone, which the verification
     integrators call one t at a time. Both read one jet of the amplitudes
     with the initial |1> amplitude divided out (one path for scalars and
-    grids). For a series pulse f, f', f'' and the exact G(t) are rows on one
-    sine table; with no phase source (resonant cavity, zero chirp) the phase
-    is exact too, which makes the synthesized drive itself exact.
+    grids). For a series pulse f, f', f'' and the exact G(t) come from one
+    pass of depletion.series_g, the sampler every caller of a series G
+    reads; with no phase source (resonant cavity, zero chirp) the phase is
+    exact too, which makes the synthesized drive itself exact.
 
     The drive diverges where r^2 = 1 - E^2 G(t) vanishes. The minimum of
     r^2 is 1 - (E / E_max)^2, at the depletion maximum; the constructor
@@ -140,27 +141,22 @@ class ClosedFormSolution:
     # -- G(t) and phi(t): exact for a series, else one ODE pass -------------
 
     def _setup_g_phi(self):
-        """G, phi and _envelope: t -> f, f', f'', theta', theta'', G; for a
-        series one pass over its sine table, else env and the phase ODE."""
+        """G, phi and _envelope: t -> f, f', f'', G, theta', theta''; for a
+        series depletion.series_g, else env and the phase ODE."""
         p, env, T = self.p, self.env, self.env.T
         series = isinstance(env, CosineSeriesPulse)
         if series:
-            Gamma, G_row, P, _, _ = depletion._pulse_rows(p, T, env.coeffs, env.chirp)
-            rows = np.vstack([env._rows[0][:3], G_row])
-
-            def envelope(t):
-                _, tau, f, df, d2f, G = env._pass(t, rows)
-                return (f, df, d2f, env.chirp, 0.0,
-                        depletion._g_on_table(Gamma, T, tau, G, P[0]))
-            self._envelope, self.G = envelope, lambda t: envelope(t)[-1]
+            jet = depletion.series_g(p, env)[0]
+            self._envelope = lambda t: (*jet(t), env.chirp, 0.0)
+            self.G = lambda t: jet(t)[3]
             if self.E == 0.0 or (p.Delta == 0.0 and env.chirp == 0.0):
                 self.phi = lambda t: 0.0 * t  # no phase source; it grows as E^2
                 return
         dense = depletion.solve_g_phi(p, env, self.E, T)
         if not series:
             self.G = lambda t: dense(np.clip(t, 0.0, T))[0][()]
-            self._envelope = lambda t: (*env.evaluate(t), env.dtheta(t),
-                                        env.d2theta(t), self.G(t))
+            self._envelope = lambda t: (*env.evaluate(t), self.G(t),
+                                        env.dtheta(t), env.d2theta(t))
         self.phi = lambda t: dense(np.clip(t, 0.0, T))[1][()]
 
     # -- amplitudes with alpha0 divided out ----------------------------------
@@ -171,7 +167,7 @@ class ClosedFormSolution:
         t is finite; a scalar stays on numpy scalars."""
         p, env = self.p, self.env
         t = finite_times(t)
-        f, df, d2f, dth, d2th, G = self._envelope(t)
+        f, df, d2f, G, dth, d2th = self._envelope(t)
         ph = np.exp(1j * env.theta(t))
         # a complex python number goes left of a numpy float: see pulse._pass
         v, dv = ph * f, ph * (1j * dth * f + df)

@@ -135,6 +135,32 @@ def test_figures_bound_curves_one_g_max_call_per_set(tmp_path, monkeypatch):
     assert calls == {"g_max": 6, "analytic_profile in _bound_curves": 0}
 
 
+def test_figures_depletion_curves_sample_series_g_only(tmp_path, monkeypatch):
+    # each depletion curve is one series_g sampler, with no maximum search
+    calls = {"series_g": 0, "analytic_profile": 0}
+    inside = []
+
+    def counted(name, fun):
+        def wrapper(*args, **kwargs):
+            calls[name] += bool(inside)
+            return fun(*args, **kwargs)
+        return wrapper
+
+    def depletion_curves(*args, **kwargs):
+        inside.append(True)
+        try:
+            return plain_curves(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    plain_curves = cli._depletion_curves
+    monkeypatch.setattr(cli, "_depletion_curves", depletion_curves)
+    for name in calls:
+        monkeypatch.setattr(depletion, name, counted(name, getattr(depletion, name)))
+    assert main(["figures", "--out", str(tmp_path), "--grid", "desk"]) == 0
+    assert calls == {"series_g": 6 * 5, "analytic_profile": 0}
+
+
 def test_verify_and_c4_synthesize_once(tmp_path, monkeypatch, siv_params):
     # the closed-form trajectory and the drive fed to the oracles come from
     # one ClosedFormSolution
@@ -242,6 +268,36 @@ def test_check_lines_and_exit_codes(monkeypatch, capsys):
         "CHECK fake fail: FAIL value=2 < limit=1",
         "1 check(s) failed: fake fail",
     ]
+
+
+GOOD_SYNTHESIS = {"params": DEFAULT_PARAMS, "pulse": sin2_pulse(0.44).to_dict(),
+                  "efficiency": 0.5, "alpha0": [1.0, 0.0], "beta0": [0.0, 0.0]}
+
+
+@pytest.mark.parametrize("command,text", [
+    ("trajectory", '{"T_ns": 0.5, "coeffs": 5.0}'),
+    ("trajectory", '{"T_ns": 0.5, "coeffs": [1.0], "theta": "linear"}'),
+    ("trajectory", "[1, 2]"),
+    ("trajectory", '{"T_ns": 0.5, "coe'),
+    ("trajectory", None),  # no such file
+    ("verify", json.dumps({**GOOD_SYNTHESIS, "efficiency": "abc"})),
+    ("verify", json.dumps({**GOOD_SYNTHESIS, "efficiency": None})),
+    ("verify", json.dumps({**GOOD_SYNTHESIS, "pulse": [1, 2]})),
+    ("verify", json.dumps({**GOOD_SYNTHESIS, "params": 5})),
+], ids=["coeffs_number", "theta_text", "list", "truncated", "missing",
+        "efficiency_text", "efficiency_null", "pulse_list", "params_number"])
+def test_malformed_pulse_or_synthesis_file_exit_code(tmp_path, capsys, command,
+                                                     text):
+    path = tmp_path / "input.json"
+    if text is not None:
+        path.write_text(text)
+    flag = "--pulse" if command == "trajectory" else "--synthesis"
+    out = tmp_path / "out"
+    assert main([command, flag, str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+    assert not (out / "trajectory.csv").exists()
 
 
 @pytest.fixture(scope="module")

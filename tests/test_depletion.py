@@ -180,15 +180,17 @@ def test_weighted_end_value_decreases_toward_cooperativity_limit(perfect_params)
 def test_profile_invariants(siv_params):
     pl = sin2_pulse(0.2)
     grid = np.linspace(0.0, 0.2, 41)
-    prof = analytic_profile(siv_params, pl, grid=grid)
-    assert prof.G[0] == 0.0
-    assert prof.G_max >= prof.G[-1]
+    prof = analytic_profile(siv_params, pl)
+    jet, d = depletion.series_g(siv_params, pl)
+    G, d = jet(grid)[3], d(grid)
+    assert G[0] == 0.0
+    assert prof.G_max >= G[-1]
     # G non-decreasing across intervals where d stays nonnegative
-    positive = (prof.d[:-1] >= 0) & (prof.d[1:] >= 0)
-    assert np.all(np.diff(prof.G)[positive] >= -1e-12)
+    positive = (d[:-1] >= 0) & (d[1:] >= 0)
+    assert np.all(np.diff(G)[positive] >= -1e-12)
     # the maximum of G sits inside the pulse for short durations
     assert prof.argmax_t < 0.2
-    assert prof.G_max > prof.G[-1] + 1e-4
+    assert prof.G_max > G[-1] + 1e-4
 
 
 def test_numeric_profile_refined_max(siv_params):
@@ -197,7 +199,7 @@ def test_numeric_profile_refined_max(siv_params):
         pl = sin2_pulse(T)
         grid = np.linspace(0.0, T, 21)
         num = integrated_depletion_numeric(siv_params, pl, grid)
-        ana = analytic_profile(siv_params, pl, grid=grid)
+        ana = analytic_profile(siv_params, pl)
         assert num.G_max == pytest.approx(ana.G_max, rel=1e-13, abs=0.0)
         assert abs(num.argmax_t - ana.argmax_t) <= 1e-12 * T
         d = depletion_rate(siv_params, pl,
@@ -213,12 +215,12 @@ def test_maximum_search_covers_the_whole_pulse(siv_params):
     # search runs over [0, T], its end included
     for T in (0.2, 0.44, 5.0):
         pl = sin2_pulse(T)
-        for route in (analytic_profile, integrated_depletion_numeric):
-            full = route(siv_params, pl, np.linspace(0.0, T, 21))
-            half = route(siv_params, pl, np.linspace(0.0, T / 2, 11))
-            assert full.argmax_t > T / 2
-            assert half.G_max == pytest.approx(full.G_max, rel=1e-14, abs=0.0)
-            assert half.argmax_t == pytest.approx(full.argmax_t, rel=1e-14)
+        full = integrated_depletion_numeric(siv_params, pl, np.linspace(0.0, T, 21))
+        half = integrated_depletion_numeric(siv_params, pl,
+                                            np.linspace(0.0, T / 2, 11))
+        assert full.argmax_t > T / 2
+        assert half.G_max == pytest.approx(full.G_max, rel=1e-14, abs=0.0)
+        assert half.argmax_t == pytest.approx(full.argmax_t, rel=1e-14)
     # d > 0 throughout: G grows to the end, where its maximum sits
     flat = _const_envelope(1.0, T=0.5)
     full, half = (integrated_depletion_numeric(siv_params, flat,
@@ -237,7 +239,7 @@ def test_maximum_search_takes_sign_noise_at_the_end(siv_params):
                            (0.30289567006111495, -0.07572391751527874,
                             -0.003028956700611152, 0.001703788144093773))
     grid = np.linspace(0.0, pl.T, 11)
-    ana = analytic_profile(siv_params, pl, grid)
+    ana = analytic_profile(siv_params, pl)
     num = integrated_depletion_numeric(siv_params, pl, grid)
     assert ana.G_max >= integrated_depletion_analytic(
         siv_params, pl, np.linspace(0.0, pl.T, depletion.N_SEARCH_GRID)).max()
@@ -458,9 +460,13 @@ def test_harmonic_sum_matches_g_matrix_and_quadrature(
     ts = np.array([0.5 * frac, frac]) * T
     G = integrated_depletion_analytic(p, pl, ts)
     v = np.asarray(pl.coeffs)
-    X = depletion.g_matrix(p, pl.T, pl.order, ts / pl.T, pl.chirp)
+    # X of the unchirped pulse, on the SEARCH_TAU columns nearest to ts
+    cols = np.rint(ts / pl.T * (depletion.N_SEARCH_GRID - 1)).astype(int)
+    X = depletion.g_matrix(p, pl.T, pl.order)[cols]
     contracted = np.einsum("tnm,n,m->t", X, v, v)
-    assert np.all(np.abs(G - contracted) <= 1e-13 * np.abs(contracted))
+    unchirped = integrated_depletion_analytic(
+        p, CosineSeriesPulse(pl.T, pl.coeffs), depletion.SEARCH_TAU[cols] * pl.T)
+    assert np.all(np.abs(unchirped - contracted) <= 1e-13 * np.abs(contracted))
     num = integrated_depletion_numeric(p, pl, ts, refine_max=False).G
     assert np.all(np.abs(G - num) <= 1e-10 * np.abs(num))
     tt = np.linspace(0.0, T, 201)
@@ -489,8 +495,9 @@ def test_numeric_quadrature_once_per_interval_and_falling_zero(siv_params,
     falling = np.count_nonzero((d[:-1] > 0) & (d[1:] <= 0))
     assert falling == 2
     assert len(calls) == grid.size - 1 + falling
-    exact = analytic_profile(siv_params, pl, grid)
-    assert np.allclose(prof.G, exact.G, rtol=1e-10, atol=0.0)
+    exact = analytic_profile(siv_params, pl)
+    assert np.allclose(prof.G, integrated_depletion_analytic(siv_params, pl, grid),
+                       rtol=1e-10, atol=0.0)
     assert prof.G_max == pytest.approx(exact.G_max, rel=1e-10)
 
 
@@ -518,8 +525,8 @@ def test_generic_bound_quadrature_once_per_falling_zero(siv_params,
 
 
 def test_g_max_batch_matches_one_row_calls_and_quadrature(siv_params):
-    # one g_max call per (params, chirp); each row against a one-row call and
-    # against the quadrature route
+    # one g_max call per batch; each row against a one-row call and against
+    # the quadrature route, and chirped pulses through analytic_profile
     unequal = EmitterParams(g=ghz(6), kappa=ghz(30), kappa_tilde=ghz(1.0),
                             gamma_tilde=ghz(0.1), Gamma1=ghz(0.02),
                             Gamma2=ghz(0.005), Delta=ghz(1.0))
@@ -531,29 +538,40 @@ def test_g_max_batch_matches_one_row_calls_and_quadrature(siv_params):
                            0.061506205917868706, -0.04271264299851994)
     sin2_T = np.array([0.2, 0.3, 0.44, 300.0])  # the last is flat at T
     batches = [
-        (perfect, 0.0, sin2_T, np.sqrt(2.0 / (3.0 * sin2_T))[:, None]),
-        (siv_params, 0.0, np.array([0.3507904868147897, 0.5, 0.25]),
+        (perfect, sin2_T, np.sqrt(2.0 / (3.0 * sin2_T))[:, None]),
+        (siv_params, np.array([0.3507904868147897, 0.5, 0.25]),
          np.vstack([desk_l3_constrained, slaved_series(
              [[1.0, -0.2, 0.1], [1.0, 0.3, -0.05]])])),
-        (unequal, 2.5, np.array([0.3, 0.5, 0.8]),
-         np.array([[1.0, 0.2], [1.0, -0.1], [0.5, 0.05]])),
-        (unequal, -40.0, np.array([0.4, 0.6]), np.array([[1.0], [0.7]])),
-        (subnormal, 0.0, np.array([1.1, 1.3]),
+        (subnormal, np.array([1.1, 1.3]),
          slaved_series([[1.0, 0.2], [1.0, -0.3]])),
     ]
-    for p, chirp, T, V in batches:
-        G_max, argmax_t, G_end = depletion.g_max(p, T, V, chirp)
+    chirped = [
+        (2.5, np.array([0.3, 0.5, 0.8]),
+         np.array([[1.0, 0.2], [1.0, -0.1], [0.5, 0.05]])),
+        (-40.0, np.array([0.4, 0.6]), np.array([[1.0], [0.7]])),
+    ]
+
+    def against_quadrature(p, pl, G_max, argmax_t, G_end):
+        assert G_end == pytest.approx(
+            integrated_depletion_analytic(p, pl, pl.T), rel=1e-15, abs=0.0)
+        num = integrated_depletion_numeric(p, pl, [pl.T])
+        assert G_max == pytest.approx(num.G_max, rel=1e-13, abs=0.0)
+        assert abs(argmax_t - num.argmax_t) <= 1e-12 * pl.T
+
+    for p, T, V in batches:
+        G_max, argmax_t, G_end = depletion.g_max(p, T, V)
         assert G_max.shape == argmax_t.shape == G_end.shape == T.shape
         for j, (Tj, v) in enumerate(zip(T, V)):
-            one = [x[0] for x in depletion.g_max(p, [Tj], [v], chirp)]
+            one = [x[0] for x in depletion.g_max(p, [Tj], [v])]
             assert G_max[j] == pytest.approx(one[0], rel=1e-15, abs=0.0)
             assert abs(argmax_t[j] - one[1]) <= 1e-12 * Tj
+            against_quadrature(p, CosineSeriesPulse(Tj, tuple(v)), G_max[j],
+                               argmax_t[j], G_end[j])
+    for chirp, T, V in chirped:
+        for Tj, v in zip(T, V):
             pl = CosineSeriesPulse(Tj, tuple(v), chirp)
-            assert G_end[j] == pytest.approx(
-                integrated_depletion_analytic(p, pl, Tj), rel=1e-15, abs=0.0)
-            num = integrated_depletion_numeric(p, pl, [Tj])
-            assert G_max[j] == pytest.approx(num.G_max, rel=1e-13, abs=0.0)
-            assert abs(argmax_t[j] - num.argmax_t) <= 1e-12 * Tj
+            prof = analytic_profile(unequal, pl)
+            against_quadrature(unequal, pl, prof.G_max, prof.argmax_t, prof.G[-1])
     d = depletion_rate(perfect, sin2_pulse(0.44),
                        np.linspace(0.0, 0.44, depletion.N_SEARCH_GRID))
     assert np.count_nonzero((d[:-1] > 0) & (d[1:] <= 0)) == 2

@@ -111,14 +111,6 @@ def test_reported_bound_reproducible(table_row_unconstrained, siv_params):
     assert bounds.e_max(num) == pytest.approx(res.E_max, rel=1e-6)
 
 
-def test_budget_yields_partial_result(siv_params):
-    cfg = OptimizationConfig(L=2, T_samples=50, ratio_samples=21,
-                             refine=False, max_candidates=200)
-    res = optimize_shape(siv_params, cfg)
-    assert res.provenance["partial"]
-    assert res.provenance["evaluations"] <= 200
-
-
 def test_config_validation():
     with pytest.raises(ValidationError):
         OptimizationConfig(L=0)
@@ -126,6 +118,21 @@ def test_config_validation():
         OptimizationConfig(T_range=(0.0, 1.0))
     with pytest.raises(ValidationError):
         full_config(4)
+
+
+def test_config_refuses_candidate_arrays_above_the_limit():
+    # only constructed: desk L=6 would build 11 GB of candidate arrays before
+    # its first block, desk L=5 constrained about 0.85 GB
+    with pytest.raises(ValidationError, match="GiB"):
+        desk_config(6)
+    with pytest.raises(ValidationError, match="GiB"):
+        OptimizationConfig(L=4, ratio_samples=201)
+    assert desk_config(5, constrained=True).L == 5
+    assert full_config(3, constrained=True).L == 3
+    # the refinement box has 21 points per ratio axis: 43 GB at L=7
+    with pytest.raises(ValidationError, match="GiB"):
+        OptimizationConfig(L=7, ratio_samples=11)
+    assert not OptimizationConfig(L=7, ratio_samples=11, refine=False).refine
 
 
 @pytest.mark.parametrize("T_range", [(0.5, 0.3), (0.3, 0.3), (0.1, np.inf),
@@ -201,50 +208,47 @@ def test_grid_optimum_pinned(siv_params, grid, L, constrained):
     assert res.objective_value == pytest.approx(obj, rel=1e-12)
 
 
-def _reference_scan(p, axes, constrained, max_candidates=None):
+def _reference_scan(p, axes, constrained):
     """Every grid point scored alone: series_g on the 1001-point time grid.
 
-    Returns the merits in grid order (durations, then ratios), the points,
-    and whether the budget cut the duration axis.
+    Returns the merits in grid order (durations, then ratios) and the points.
     """
     tau = np.linspace(0.0, 1.0, depletion.N_SEARCH_GRID)
     shapes = list(itertools.product(*axes[1:]))
     merits, points = [], []
     for T in axes[0]:
-        if max_candidates is not None and len(points) + len(shapes) > max_candidates:
-            return np.array(merits), points, True
         for ratios in shapes:
             free = (1.0, *ratios)
             v = tuple(slaved_series(free)) if constrained else free
-            G = depletion.series_g(p, CosineSeriesPulse(T, v))[0](tau * T)
+            G = depletion.series_g(p, CosineSeriesPulse(T, v))[0](tau * T)[3]
             merits.append(optimize._merit(p, T, G.max() / series_norm_sq(T, v)))
             points.append((T, ratios))
-    return np.array(merits), points, False
+    return np.array(merits), points
 
 
 # (Gamma1, Gamma2) in rad/ns, order L, constrained, duration window, block
-# size in rows of 1001 samples, candidate budget. Both budgets end inside a
-# block; the narrow windows put near-ties next to the optimum.
+# size in rows of 1001 samples. The narrow windows put near-ties next to the
+# optimum.
 SCAN_CASES = [
-    ((ghz(0.01), ghz(0.01)), 3, False, (0.28, 0.345), 7, None),  # pole; chunks of 7
-    ((ghz(0.03), ghz(0.01)), 1, False, (0.32, 0.37), 20, 5),     # blocks of 3
-    ((ghz(0.01), ghz(0.05)), 2, False, (0.15, 1.2), 40, None),   # blocks of 4 of 9
-    ((5e-324, 0.0), 2, True, (1.0, 1.3), 40, 26),                # subnormal; of 2
+    ((ghz(0.01), ghz(0.01)), 3, False, (0.28, 0.345), 7),  # pole; chunks of 7
+    ((ghz(0.03), ghz(0.01)), 1, False, (0.32, 0.37), 20),  # blocks of 3
+    ((ghz(0.01), ghz(0.05)), 2, False, (0.15, 1.2), 40),   # blocks of 4 of 9
+    ((5e-324, 0.0), 2, True, (1.0, 1.3), 40),              # subnormal; of 2
 ]
 
 
-@pytest.mark.parametrize("rates,L,constrained,window,rows,budget", SCAN_CASES)
+@pytest.mark.parametrize("rates,L,constrained,window,rows", SCAN_CASES)
 def test_blocked_pruned_scan_matches_reference(monkeypatch, rates, L, constrained,
-                                               window, rows, budget):
+                                               window, rows):
     p = EmitterParams(g=ghz(6), kappa=ghz(30), gamma_tilde=ghz(0.1),
                       Gamma1=rates[0], Gamma2=rates[1])
     rng = np.random.default_rng(L + 10 * rows)
     axes = [np.sort(rng.uniform(*window, size=9 if L > 1 else 7))]
     axes += [np.sort(rng.uniform(-0.4, 0.4, size=5 - i)) for i in range(L - 1)]
     monkeypatch.setattr(optimize, "BLOCK_BYTES", rows * 8 * depletion.N_SEARCH_GRID)
-    best, _ = optimize._search(p, axes, constrained, 0, budget)
-    merits, points, partial = _reference_scan(p, axes, constrained, budget)
-    assert (best.evaluations, best.partial) == (len(points), partial)
+    best, _ = optimize._search(p, axes, constrained, 0)
+    merits, points = _reference_scan(p, axes, constrained)
+    assert best.evaluations == len(points)
     assert best.objective == pytest.approx(merits.max(), rel=1e-12)
     top = np.sort(merits)[-2:]
     if top[0] < top[1] * (1 - 1e-10):  # a unique maximum
