@@ -126,8 +126,8 @@ class CosineSeriesPulse:
     chirp: float = 0.0
 
     def __post_init__(self):
-        finite(self.T, "pulse duration T")
-        finite(self.chirp, "pulse chirp")
+        object.__setattr__(self, "T", finite(self.T, "pulse duration T"))
+        object.__setattr__(self, "chirp", finite(self.chirp, "pulse chirp"))
         if self.T <= 0:
             raise ValidationError("pulse duration T must be > 0")
         coeffs = tuple(finite(c, "series coefficient") for c in self.coeffs)

@@ -13,7 +13,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy import sparse
+from scipy.integrate import DOP853, solve_ivp
 
 from .errors import ModelError, NumericError, ValidationError, time_grid
 from .model import EmitterParams, RawRates, combine_rates
@@ -214,18 +215,106 @@ def _k_parts(p: EmitterParams, static_L) -> tuple:
             -0.5 * OP_A.conj().T @ OP_A)
 
 
-def _k_matrix(parts, om: complex, gv: complex) -> np.ndarray:
-    """K(t) at drive om and virtual coupling gv, from _k_parts."""
-    K0, K_om, K_om_conj, K_gv, K_gv2 = parts
-    return (K0 + om * K_om + np.conj(om) * K_om_conj + gv * K_gv
-            + abs(gv) ** 2 * K_gv2)
-
-
 # Blocks of the stacked state evolved by lindblad_simulate. Every block
 # shares the coherent and anti-commutator terms; the capture jump feeds only
 # _TOTAL, the emitter and cavity jumps feed the blocks before _NO_JUMP.
 _N_BLOCKS = 3
 _TOTAL, _IN_MODE, _NO_JUMP = range(_N_BLOCKS)
+
+
+def _liouvillian(p: EmitterParams, static_L) -> sparse.csr_matrix:
+    """Superoperators of the weights (1, Omega, Omega*, g_v, g_v*, |g_v|^2).
+
+    Row block k is the weight-k part of d(rho)/dt on every branch block:
+    K rho + rho K^dag (K from _k_parts), L0 rho L0^dag with L0 = conj(g_v) a
+    + sqrt(kappa) c, and the static jumps. On the row-major flattened rho,
+    X rho Y is kron(X, Y^T).
+    """
+    dag = lambda op: op.conj().T  # noqa: E731
+    eye = np.eye(_DIM, dtype=complex)
+    K0, K_om, K_om_conj, K_gv, K_gv2 = _k_parts(p, static_L)
+    A, C = OP_A, math.sqrt(p.kappa) * OP_C
+    every, total, jumps = range(_N_BLOCKS), (_TOTAL,), range(_NO_JUMP)
+    # (weight, X, Y, blocks) of each term X rho Y
+    terms = ((0, K0, eye, every), (0, eye, dag(K0), every), (0, C, dag(C), total),
+             *((0, L, dag(L), jumps) for L in static_L),
+             (1, K_om, eye, every), (1, eye, dag(K_om_conj), every),
+             (2, K_om_conj, eye, every), (2, eye, dag(K_om), every),
+             (3, K_gv, eye, every), (3, C, dag(A), total),
+             (4, eye, dag(K_gv), every), (4, A, dag(C), total),
+             (5, K_gv2, eye, every), (5, eye, dag(K_gv2), every), (5, A, dag(A), total))
+    n = _DIM ** 2
+    rows, cols, vals = [], [], []
+    for k, X, Y, blocks in terms:
+        sup = sparse.kron(sparse.coo_matrix(X), sparse.coo_matrix(Y.T), format="coo")
+        for b in blocks:
+            rows.append(sup.row + (k * _N_BLOCKS + b) * n)
+            cols.append(sup.col + b * n)
+            vals.append(sup.data)
+    # duplicate entries are summed
+    return sparse.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(6 * _N_BLOCKS * n, _N_BLOCKS * n))
+
+
+_ERR = np.stack([DOP853.E5, DOP853.E3])
+
+
+def _dop853(weights, S, y0, checkpoints, max_step):
+    """States at the checkpoints of dy/dt = w(t) @ (S @ y), and the nfev.
+
+    scipy's DOP853 step, error norm (on the real view of y) and step
+    control at rtol 1e-8, atol 1e-11, with every step clipped to land on
+    the next checkpoint. The first step is Hairer's first guess
+    0.01 |y0| / |f0|, cut by rejections where it is too long. weights(t)
+    returns one row w(t) per time of a 1-d array; it is called once at
+    t = 0 and then once per attempted step, over that step's stage times.
+    """
+    rtol, atol = 1e-8, 1e-11
+    w0 = weights(np.zeros(1))[0]
+    rhs = lambda w, y: w @ (S @ y).reshape(w0.size, -1)  # noqa: E731
+    k = np.empty((DOP853.n_stages + 1, y0.size), dtype=complex)
+    k[0] = rhs(w0, y0)
+    scale = atol + rtol * abs(y0.view(float))
+    d0, d1 = (np.linalg.norm(v.view(float) / scale) / math.sqrt(scale.size)
+              for v in (y0, k[0]))
+    h_abs = 0.01 * d0 / d1 if min(d0, d1) > 1e-5 else 1e-6
+    y, t, nfev, states = y0, 0.0, 1, [y0]
+    for t_stop in checkpoints[1:]:
+        while t < t_stop:
+            rejected = False
+            while True:
+                h_abs = min(h_abs, max_step)
+                if h_abs < 10 * np.spacing(t):
+                    raise NumericError(
+                        f"master-equation integration failed: the step fell "
+                        f"below the float spacing at t = {t:.6g}")
+                t_new = min(t + h_abs, t_stop)
+                h = t_new - t
+                W = weights(t + h * DOP853.C[1:])  # the last is t + h
+                hA = h * DOP853.A
+                for s in range(1, DOP853.n_stages):
+                    k[s] = rhs(W[s - 1], y + hA[s, :s] @ k[:s])
+                y_new = y + h * (DOP853.B @ k[:-1])
+                k[-1] = rhs(W[-1], y_new)
+                nfev += DOP853.n_stages
+                scale = atol + rtol * np.maximum(abs(y.view(float)),
+                                                 abs(y_new.view(float)))
+                e5, e3 = np.sum(((_ERR @ k).view(float) / scale) ** 2, axis=1)
+                err = (h * e5 / math.sqrt((e5 + 0.01 * e3) * scale.size)
+                       if e5 + e3 else 0.0)
+                if err < 1.0:
+                    break
+                h_abs = h * max(0.2, 0.9 * err ** -0.125)
+                rejected = True
+            factor = min(10.0, 0.9 * err ** -0.125) if err else 10.0
+            # a step cut short by a checkpoint keeps the longer proposal
+            h_abs = max(h * (min(1.0, factor) if rejected else factor),
+                        h_abs if h < h_abs else 0.0)
+            k[0] = k[-1]
+            y, t = y_new, t_new
+        states.append(y)
+    return np.array(states), nfev
 
 
 def lindblad_simulate(p_raw: RawRates, p: EmitterParams, env, Omega,
@@ -237,12 +326,11 @@ def lindblad_simulate(p_raw: RawRates, p: EmitterParams, env, Omega,
     cascaded interaction with the virtual mode whose coupling g_v(t) tracks
     the requested envelope (clamped near t = 0 where it diverges). The
     incoherent part carries the capture dissipator plus every microscopic
-    dissipator of the emitter and cavity. DOP853 runs at rtol 1e-8, atol
-    1e-11. Trace and Hermiticity are monitored at 41 checkpoints;
-    population in truncation-stressed states beyond forbidden_tol raises
-    a ModelError. The default tolerance is strict (1e-8) only when no
-    upward ground-state transition feeds multi-excitation states, which
-    otherwise appear at physical rates.
+    dissipator of the emitter and cavity. Trace and Hermiticity are
+    monitored at 41 checkpoints; population in truncation-stressed states
+    beyond forbidden_tol raises a ModelError. The default tolerance is
+    strict (1e-8) only when no upward ground-state transition feeds
+    multi-excitation states, which otherwise appear at physical rates.
 
     The capture operator L0 = sqrt(kappa) c + conj(g_v) a is the field that
     passes the virtual cavity, so an L0 jump leaves a photon in a waveguide
@@ -252,6 +340,14 @@ def lindblad_simulate(p_raw: RawRates, p: EmitterParams, env, Omega,
     the total state (which rho and the diagnostics describe), the branch
     with no photon outside the target mode (every jump but L0; fidelity is
     scored on it), and the no-jump branch (fidelity_coherent).
+
+    The right-hand side is w(t) @ (S @ y) on one sparse Liouvillian S built
+    per call (_liouvillian). DOP853 runs at rtol 1e-8, atol 1e-11 and
+    max_step T/64, and its steps land exactly on the 41 checkpoints, so the
+    diagnostics read integrated states, not interpolants. Omega is called
+    on a 1-d array of times, once per attempted step over its stage times
+    and once at t = 0; a scalar return is broadcast. nfev counts
+    right-hand-side evaluations.
     """
     comb = combine_rates(p_raw)
     for name, mine, theirs in (("gamma_tilde", comb.gamma_tilde, p.gamma_tilde),
@@ -263,40 +359,25 @@ def lindblad_simulate(p_raw: RawRates, p: EmitterParams, env, Omega,
 
     env = as_envelope(env)
     T = env.T
-    sqrt_kappa = math.sqrt(p.kappa)
 
     if forbidden_tol is None:
         forbidden_tol = 1e-8 if p_raw.gamma_0to1 == 0.0 else 0.05
 
-    static_L = _static_dissipators(p_raw)
-    parts = _k_parts(p, static_L)
-    # sum_k L_k rho L_k^dag as one matrix acting on the row-major flattened rho
-    jump_static_T = sum((np.kron(L, L.conj()) for L in static_L),
-                        start=np.zeros((_DIM ** 2, _DIM ** 2), dtype=complex)).T
-
-    def rhs(t, y):
-        rho = y.reshape(_N_BLOCKS, _DIM, _DIM)
-        gv = complex(virtual_coupling(env, float(t), kappa=p.kappa))
-        K = _k_matrix(parts, complex(Omega(t)), gv)
-        L0 = np.conj(gv) * OP_A + sqrt_kappa * OP_C
-        drho = K @ rho + rho @ K.conj().T
-        drho[_TOTAL] += L0 @ rho[_TOTAL] @ L0.conj().T
-        drho[:_NO_JUMP] += (rho[:_NO_JUMP].reshape(_NO_JUMP, -1)
-                            @ jump_static_T).reshape(_NO_JUMP, _DIM, _DIM)
-        return drho.reshape(-1)
+    def weights(t):
+        om = np.broadcast_to(np.asarray(Omega(t), dtype=complex), t.shape)
+        gv = virtual_coupling(env, t, kappa=p.kappa)
+        return np.stack([np.ones_like(om), om, om.conj(), gv, gv.conj(),
+                         abs(gv) ** 2], axis=1)
 
     psi0 = np.zeros(_DIM, dtype=complex)
     psi0[_flat_index("1", 0, 0)] = init.alpha0
     psi0[_flat_index("0", 0, 0)] = init.beta0
     rho0 = np.outer(psi0, psi0.conj())
 
-    checkpoints = np.linspace(0.0, T, 41)
-    sol = solve_ivp(rhs, (0.0, T), np.tile(rho0.reshape(-1), _N_BLOCKS),
-                    method="DOP853", t_eval=checkpoints, rtol=1e-8, atol=1e-11,
-                    max_step=T / 64.0)
-    if not sol.success:
-        raise NumericError(f"master-equation integration failed: {sol.message}")
-    states = sol.y.T.reshape(-1, _N_BLOCKS, _DIM, _DIM)
+    states, nfev = _dop853(weights, _liouvillian(p, _static_dissipators(p_raw)),
+                           np.tile(rho0.reshape(-1), _N_BLOCKS),
+                           np.linspace(0.0, T, 41), T / 64.0)
+    states = states.reshape(-1, _N_BLOCKS, _DIM, _DIM)
 
     total = states[:, _TOTAL]
     trace_drift = float(np.max(np.abs(np.trace(total, axis1=1, axis2=2).real - 1.0)))
@@ -325,4 +406,4 @@ def lindblad_simulate(p_raw: RawRates, p: EmitterParams, env, Omega,
 
     return LindbladResult(rho=dm, fidelity=fid, fidelity_coherent=fid_coherent,
                           trace_drift=trace_drift, herm_dev=herm_dev,
-                          marker_max=marker_max, nfev=sol.nfev)
+                          marker_max=marker_max, nfev=nfev)

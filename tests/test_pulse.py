@@ -164,6 +164,19 @@ def test_from_dict_errors():
             {"T_ns": 1.0, "coeffs": [1.0], "theta": {"type": "spline"}})
 
 
+def test_constructor_keeps_converted_duration_and_chirp():
+    # T and chirp are stored as the floats the finiteness check returns, as
+    # the coefficients are
+    pl = CosineSeriesPulse("0.5", ("1.0",), chirp="2")
+    assert (pl.T, pl.coeffs, pl.chirp) == (0.5, (1.0,), 2.0)
+    assert all(type(x) is float for x in (pl.T, pl.chirp, *pl.coeffs))
+    assert pl.theta(0.1) == pytest.approx(0.2)
+    assert pl.f(0.25) == CosineSeriesPulse(0.5, (1.0,)).f(0.25)
+    for bad in ({"T": "abc"}, {"T": "-0.5"}, {"chirp": "inf"}):
+        with pytest.raises(ValidationError):
+            CosineSeriesPulse(**{"T": 0.5, "coeffs": (1.0,), **bad})
+
+
 def test_envelope_finite_difference_fallback(siv_params):
     pl = sin2_pulse(0.8)
     env = Envelope(T=0.8, f=pl.f)  # derivatives by finite differences

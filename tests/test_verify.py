@@ -3,12 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from ramanpulse import (EmitterParams, Envelope, InitialState, ModelError,
-                        RawRates, ValidationError, emitter_from_raw, ghz,
-                        sin2_pulse)
+from scipy import sparse
+from scipy.integrate import solve_ivp
+
+from ramanpulse import (CosineSeriesPulse, EmitterParams, Envelope,
+                        InitialState, ModelError, RawRates, ValidationError,
+                        emitter_from_raw, ghz, sin2_pulse)
 from ramanpulse import bounds, depletion, verify
 from ramanpulse.trajectory import (ClosedFormSolution, closed_form_trajectory,
-                                   max_efficiency)
+                                   max_efficiency, virtual_coupling)
 from ramanpulse.verify import (compare, integrate_nonhermitian,
                                lindblad_simulate)
 
@@ -249,22 +252,113 @@ def test_static_dissipators_drop_zero_operators():
 
 
 def test_precomputed_generator_matches_direct_assembly(siv_raw):
-    # K = -i H - (1/2)(M_static + L0^dag L0), assembled term by term here
+    # d(rho)/dt assembled term by term here: K rho + rho K^dag with
+    # K = -i H - (1/2)(M_static + L0^dag L0) on every block, L0 rho L0^dag on
+    # the total, the static jumps on the total and in-mode blocks
     p = EmitterParams(g=ghz(6), kappa=ghz(30), kappa_tilde=ghz(0.2),
                       gamma_tilde=ghz(0.1), Delta=ghz(0.7))
     static_L = verify._static_dissipators(siv_raw)
     M_static = sum(L.conj().T @ L for L in static_L)
-    parts = verify._k_parts(p, static_L)
+    S = verify._liouvillian(p, static_L)
     dag = lambda op: op.conj().T  # noqa: E731
     c_dag_a = dag(verify.OP_C) @ verify.OP_A
     sqrt_kappa = math.sqrt(p.kappa)
     rng = np.random.default_rng(3)
     for _ in range(20):
         om, gv = rng.normal(scale=[30.0, 30.0, 300.0, 300.0]).view(complex)
+        rho = rng.normal(size=(3, 12, 12, 2)).view(complex)[..., 0]
+        rho = rho + rho.conj().transpose(0, 2, 1)
         H = (p.Delta * verify._P_E + p.g * (verify._OP_CAV + dag(verify._OP_CAV))
              + om * verify._OP_DRIVE + np.conj(om) * dag(verify._OP_DRIVE)
              + 0.5j * sqrt_kappa * (np.conj(gv) * c_dag_a - gv * dag(c_dag_a)))
         L0 = np.conj(gv) * verify.OP_A + sqrt_kappa * verify.OP_C
-        direct = -1j * H - 0.5 * (M_static + dag(L0) @ L0)
-        K = verify._k_matrix(parts, complex(om), complex(gv))
-        assert np.max(np.abs(K - direct)) <= 1e-14 * np.max(np.abs(direct))
+        K = -1j * H - 0.5 * (M_static + dag(L0) @ L0)
+        direct = K @ rho + rho @ dag(K)
+        direct[verify._TOTAL] += L0 @ rho[verify._TOTAL] @ dag(L0)
+        for L in static_L:
+            direct[:verify._NO_JUMP] += L @ rho[:verify._NO_JUMP] @ dag(L)
+        w = np.array([1.0, om, np.conj(om), gv, np.conj(gv), abs(gv) ** 2])
+        product = (w @ (S @ rho.reshape(-1)).reshape(w.size, -1)).reshape(rho.shape)
+        assert np.max(np.abs(product - direct)) <= 1e-14 * np.max(np.abs(direct))
+
+
+@pytest.mark.parametrize("Delta_GHz, chirp", [(0.0, 0.0), (1.0, 0.0), (0.0, 2.5)],
+                         ids=["resonant", "detuned", "chirped"])
+def test_step_loop_matches_scipy_dop853(siv_raw, Delta_GHz, chirp):
+    # the same Liouvillian through solve_ivp at the same tolerances, with
+    # scalar drive samples and dense output at the checkpoints
+    p = emitter_from_raw(siv_raw, g=ghz(6), kappa=ghz(30), Delta=ghz(Delta_GHz))
+    pl = CosineSeriesPulse(0.44, (1.0, -0.06), chirp=chirp).normalize()
+    cf = ClosedFormSolution(p, pl, 0.99 * max_efficiency(p, pl))
+    init = InitialState(0.6, 0.8j)
+    res = lindblad_simulate(siv_raw, p, pl, cf.Omega, init)
+
+    S = verify._liouvillian(p, verify._static_dissipators(siv_raw))
+
+    def rhs(t, y):
+        om = complex(cf.Omega(t))
+        gv = complex(virtual_coupling(pl, t, kappa=p.kappa))
+        w = np.array([1.0, om, np.conj(om), gv, np.conj(gv), abs(gv) ** 2])
+        return w @ (S @ y).reshape(w.size, -1)
+
+    i1, i0, i_tgt = (verify._flat_index(m, 0, nv) for m, nv in (("1", 0), ("0", 0), ("0", 1)))
+    psi0, psi_tgt = np.zeros((2, 12), dtype=complex)
+    psi0[[i1, i0]] = psi_tgt[[i_tgt, i0]] = init.alpha0, init.beta0
+    rho0 = np.outer(psi0, psi0.conj()).reshape(-1)
+    ref = solve_ivp(rhs, (0.0, pl.T), np.tile(rho0, 3), method="DOP853",
+                    t_eval=np.linspace(0.0, pl.T, 41), rtol=1e-8, atol=1e-11,
+                    max_step=pl.T / 64.0)
+    assert ref.success
+    final = ref.y[:, -1].reshape(3, 12, 12)
+    for got, k in ((res.fidelity, verify._IN_MODE),
+                   (res.fidelity_coherent, verify._NO_JUMP)):
+        assert abs(got - np.real(psi_tgt.conj() @ final[k] @ psi_tgt)) <= 1e-10
+
+
+def test_drive_sampled_once_per_attempted_step(monkeypatch, siv_raw, siv_params,
+                                               optimal_sin2):
+    T = optimal_sin2.T
+    cf = ClosedFormSolution(siv_params, optimal_sin2,
+                            0.99 * max_efficiency(siv_params, optimal_sin2))
+    calls, gv_calls = [], []
+    real_gv = verify.virtual_coupling
+    monkeypatch.setattr(verify, "virtual_coupling", lambda env, t, kappa:
+                        gv_calls.append(t) or real_gv(env, t, kappa=kappa))
+    res = lindblad_simulate(siv_raw, siv_params, optimal_sin2,
+                            lambda t: calls.append(t) or cf.Omega(t),
+                            InitialState(math.sqrt(0.5), math.sqrt(0.5)))
+    assert all(isinstance(t, np.ndarray) and t.ndim == 1 for t in calls)
+    # one sample at t = 0, then one per attempted step over its 11 new stage
+    # times; each attempt makes 12 right-hand-side evaluations
+    assert np.array_equal(calls[0], [0.0])
+    assert all(t.size == 11 and 0.0 < t[0] and t[-1] <= T for t in calls[1:])
+    assert res.nfev == 1 + 12 * (len(calls) - 1)
+    assert len(gv_calls) == len(calls)
+    # every step lands exactly on the checkpoints
+    c1 = verify.DOP853.C[1]
+    starts = np.array([(t[0] - c1 * t[-1]) / (1.0 - c1) for t in calls[1:]])
+    ends = np.array([t[-1] for t in calls[1:]])
+    assert np.isin(np.linspace(0.0, T, 41)[1:], ends).all()
+    # an attempt from the same start as the one before retries a rejected
+    # step: it is shorter, and the step after it is no longer (here the
+    # first guess is rejected twice)
+    steps = ends - starts
+    retried = np.flatnonzero(np.diff(starts) <= 1e-12 * T)
+    assert retried.size >= 1
+    for i in retried:
+        assert steps[i + 1] <= steps[i]
+        assert steps[i + 2] <= steps[i + 1] * (1 + 1e-9)
+
+
+def test_step_loop_crosses_nearly_coincident_checkpoints():
+    # a checkpoint 1e-15 past another costs one short step, and the step
+    # after it resumes from the proposal made before the cut
+    S = sparse.csr_matrix(-np.eye(2, dtype=complex))  # dy/dt = -y
+    weights = lambda t: np.ones((t.size, 1))  # noqa: E731
+    y0 = np.array([1.0, 0.5j])
+    plain, n_plain = verify._dop853(weights, S, y0, np.array([0.0, 1.0, 2.0]), 0.25)
+    cut, n_cut = verify._dop853(weights, S, y0,
+                                np.array([0.0, 1.0, 1.0 + 1e-15, 2.0]), 0.25)
+    assert n_cut <= n_plain + 12
+    assert np.max(np.abs(cut[-1] - plain[-1])) < 1e-14
+    assert np.max(np.abs(plain[-1] - y0 * math.exp(-2.0))) < 1e-10
