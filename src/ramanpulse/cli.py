@@ -70,6 +70,11 @@ def _check_samples(n: int, flag: str = "--samples"):
         raise ValidationError(f"{flag} must be at least 2, got {n}")
 
 
+def _check_s(s: float):
+    if not 0.0 <= s < 1.0:  # NaN fails too; s >= 1 always meets the pole
+        raise ValidationError(f"--s must be finite with 0 <= s < 1, got {s}")
+
+
 # ---------------------------------------------------------------------------
 # bound
 # ---------------------------------------------------------------------------
@@ -158,6 +163,7 @@ def cmd_bound(args) -> int:
 
 def cmd_optimize(args) -> int:
     _check_samples(args.samples)
+    _check_s(args.s)
     p, raw, data = _load_params(args)
     out = _out_dir(args)
     factory = optimize.full_config if args.grid == "full" else optimize.desk_config
@@ -211,10 +217,11 @@ def _pulse_from_args(args) -> CosineSeriesPulse:
 
 def cmd_trajectory(args) -> int:
     _check_samples(args.samples)
+    _check_s(args.s)
     p, raw, data = _load_params(args)
-    out = _out_dir(args)
     pl = _pulse_from_args(args).normalize()
     init = InitialState(_parse_complex(args.alpha0), _parse_complex(args.beta0))
+    out = _out_dir(args)
     E_max = max_efficiency(p, pl)
     E = args.s * E_max
     grid = np.linspace(0.0, pl.T, args.samples)
@@ -296,9 +303,9 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_protocol(args) -> int:
-    out = _out_dir(args)
     res = protocol.run_protocol(args.which, _parse_complex(args.alpha0),
                                 _parse_complex(args.beta0), args.E)
+    out = _out_dir(args)
     protocol.write_result(res, out / f"protocol_{args.which}.json")
     print(f"wrote {out / f'protocol_{args.which}.json'}")
     print(f"{args.which}: fidelity vs ideal target = {res.fidelity:.12f}, "

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import LayoutError, ProtocolError, ValidationError
+from .errors import LayoutError, ProtocolError, ValidationError, finite
 from .pulse import write_json
 
 _SQRT_NOT = {
@@ -181,7 +181,7 @@ def run_protocol(which: str, alpha0: complex, beta0: complex,
     """
     if which not in _SEQUENCES:
         raise ValidationError(f"unknown protocol {which!r}; choose from {PROTOCOLS}")
-    alpha0, beta0 = complex(alpha0), complex(beta0)
+    alpha0, beta0 = finite(alpha0, "alpha0", complex), finite(beta0, "beta0", complex)
     norm = abs(alpha0) ** 2 + abs(beta0) ** 2
     if abs(norm - 1.0) > 1e-9:
         raise ValidationError("initial amplitudes must be normalized")

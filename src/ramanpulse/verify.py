@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.integrate import DOP853, solve_ivp
+from scipy.integrate import DOP853
 
 from .errors import ModelError, NumericError, ValidationError, time_grid
 from .model import EmitterParams, RawRates, combine_rates
@@ -37,40 +37,35 @@ def integrate_nonhermitian(p: EmitterParams, Omega, init: InitialState,
     The photon amplitude obeys an equation that is singular at its zero
     start, so its squared magnitude is integrated instead (an equivalent
     regular form) and the phase is attached afterwards from the convention
-    that the initial |1> phase rides on the photon. DOP853 runs at rtol
-    1e-10, atol 1e-12; err_est holds each amplitude's largest difference
-    from a second pass at tolerances 100 times looser. Omega is the drive,
-    a callable of t; grid must hold at least two strictly increasing times.
+    that the initial |1> phase rides on the photon. It runs on the stepper of
+    lindblad_simulate (_dop853, error norm on the real view of the state) at
+    rtol 1e-10, atol 1e-12, and reads the grid from DOP853's dense output.
+    err_est holds each amplitude's largest difference from a second pass at
+    tolerances 100 times looser. Omega is the drive, called on a 1-d array
+    of times (a scalar return is broadcast); grid must hold at least two
+    strictly increasing times.
     """
     grid = time_grid(grid, "grid")
     if grid.size < 2 or np.any(np.diff(grid) <= 0):
         raise ValidationError("grid must hold two or more strictly increasing times")
-    g, kappa = p.g, p.kappa
-    half_eta_rate = 0.5 * (p.Gamma2 + p.kappa + p.kappa_tilde)
+    g, kappa, G2 = p.g, p.kappa, p.Gamma2
+    half_eta_rate = 0.5 * (G2 + kappa + p.kappa_tilde)
 
-    def rhs(t, y):
+    def rhs(om, y):
         a, b, z, e, m = y
-        om = Omega(t)
-        da = -0.5 * p.Gamma1 * a + np.conj(om) * z
-        db = -0.5 * p.Gamma2 * b
-        dz = (-1j * p.Delta - 0.5 * p.gamma_tilde) * z - g * e - om * a
-        de = -half_eta_rate * e + g * z
-        dm = -p.Gamma2 * m.real + kappa * abs(e) ** 2
-        return [da, db, dz, de, dm]
+        return np.array([-0.5 * p.Gamma1 * a + np.conj(om) * z, -0.5 * G2 * b,
+                         (-1j * p.Delta - 0.5 * p.gamma_tilde) * z - g * e - om * a,
+                         -half_eta_rate * e + g * z, -G2 * m.real + kappa * abs(e) ** 2])
 
     y0 = np.array([init.alpha0, init.beta0, 0.0, 0.0, 0.0], dtype=complex)
     phase = init.alpha0 / abs(init.alpha0) if init.alpha0 != 0 else 1.0
 
     def solve(rt, at):
-        sol = solve_ivp(rhs, (grid[0], grid[-1]), y0, method="DOP853",
-                        t_eval=grid, rtol=rt, atol=at)
-        if not sol.success:
-            raise NumericError(
-                f"amplitude integration failed at t = {sol.t[-1]:.6g}: {sol.message}")
-        a, b, z, e, m = sol.y
+        y, nfev = _dop853(lambda t: _sample(Omega, t), rhs, y0, grid, np.inf, rt, at)
+        a, b, z, e, m = y.T
         return OdeSolution(grid=grid, alpha=a, beta=b, zeta=z, eta=e,
                            lam=phase * np.sqrt(np.maximum(m.real, 0.0)),
-                           err_est={}, nfev=sol.nfev)
+                           err_est={}, nfev=nfev)
 
     out = solve(1e-10, 1e-12)
     out.err_est = out.max_dev(solve(1e-8, 1e-10))
@@ -258,63 +253,72 @@ def _liouvillian(p: EmitterParams, static_L) -> sparse.csr_matrix:
 
 
 _ERR = np.stack([DOP853.E5, DOP853.E3])
+# stage times as fractions of a step: its 11 (the last is its end), the dense output's 3
+_NODES = np.concatenate([DOP853.C[1:], DOP853.C_EXTRA])
 
 
-def _dop853(weights, S, y0, checkpoints, max_step):
-    """States at the checkpoints of dy/dt = w(t) @ (S @ y), and the nfev.
+def _sample(Omega, t):  # the drive on a 1-d array of times; a scalar return is broadcast
+    return np.broadcast_to(np.asarray(Omega(t), dtype=complex), t.shape)
+
+
+def _dop853(weights, rhs, y0, times, max_step, rtol, atol):
+    """States of dy/dt = rhs(w(t), y) at the given times, and the nfev.
 
     scipy's DOP853 step, error norm (on the real view of y) and step
-    control at rtol 1e-8, atol 1e-11, with every step clipped to land on
-    the next checkpoint. The first step is Hairer's first guess
-    0.01 |y0| / |f0|, cut by rejections where it is too long. weights(t)
-    returns one row w(t) per time of a 1-d array; it is called once at
-    t = 0 and then once per attempted step, over that step's stage times.
+    control, with steps clipped only at times[-1]; every earlier time is
+    read from the 7th-order dense output (scipy's Dop853DenseOutput), whose
+    3 extra stages run only on accepted steps that hold such times. The
+    first step is Hairer's guess 0.01 |y0| / |f0|, cut by rejections where
+    it is too long. weights(t) returns one w(t) per time of a 1-d array; it
+    is called at times[0], then once per attempted step on its 14 stage times.
     """
-    rtol, atol = 1e-8, 1e-11
-    w0 = weights(np.zeros(1))[0]
-    rhs = lambda w, y: w @ (S @ y).reshape(w0.size, -1)  # noqa: E731
-    k = np.empty((DOP853.n_stages + 1, y0.size), dtype=complex)
-    k[0] = rhs(w0, y0)
+    n_st = DOP853.n_stages
+    k = np.empty((n_st + 4, y0.size), dtype=complex)
+    k[0] = rhs(weights(times[:1])[0], y0)
     scale = atol + rtol * abs(y0.view(float))
     d0, d1 = (np.linalg.norm(v.view(float) / scale) / math.sqrt(scale.size)
               for v in (y0, k[0]))
     h_abs = 0.01 * d0 / d1 if min(d0, d1) > 1e-5 else 1e-6
-    y, t, nfev, states = y0, 0.0, 1, [y0]
-    for t_stop in checkpoints[1:]:
-        while t < t_stop:
-            rejected = False
-            while True:
-                h_abs = min(h_abs, max_step)
-                if h_abs < 10 * np.spacing(t):
-                    raise NumericError(
-                        f"master-equation integration failed: the step fell "
-                        f"below the float spacing at t = {t:.6g}")
-                t_new = min(t + h_abs, t_stop)
-                h = t_new - t
-                W = weights(t + h * DOP853.C[1:])  # the last is t + h
-                hA = h * DOP853.A
-                for s in range(1, DOP853.n_stages):
-                    k[s] = rhs(W[s - 1], y + hA[s, :s] @ k[:s])
-                y_new = y + h * (DOP853.B @ k[:-1])
-                k[-1] = rhs(W[-1], y_new)
-                nfev += DOP853.n_stages
-                scale = atol + rtol * np.maximum(abs(y.view(float)),
-                                                 abs(y_new.view(float)))
-                e5, e3 = np.sum(((_ERR @ k).view(float) / scale) ** 2, axis=1)
-                err = (h * e5 / math.sqrt((e5 + 0.01 * e3) * scale.size)
-                       if e5 + e3 else 0.0)
-                if err < 1.0:
-                    break
-                h_abs = h * max(0.2, 0.9 * err ** -0.125)
-                rejected = True
-            factor = min(10.0, 0.9 * err ** -0.125) if err else 10.0
-            # a step cut short by a checkpoint keeps the longer proposal
-            h_abs = max(h * (min(1.0, factor) if rejected else factor),
-                        h_abs if h < h_abs else 0.0)
-            k[0] = k[-1]
-            y, t = y_new, t_new
-        states.append(y)
-    return np.array(states), nfev
+    out = np.empty((times.size, y0.size), dtype=complex)
+    out[0] = y = y0
+    t, nfev, i, cap = times[0], 1, 1, 10.0
+    while t < times[-1]:
+        h_abs = min(h_abs, max_step)
+        if not h_abs >= 10 * np.spacing(t):  # NaN too
+            raise NumericError(f"DOP853 step fell below float spacing at t = {t:.6g}")
+        t_new = min(t + h_abs, times[-1])
+        h = t_new - t
+        W = weights(t + h * _NODES)
+        hA = h * DOP853.A
+        for s in range(1, n_st):
+            k[s] = rhs(W[s - 1], y + hA[s, :s] @ k[:s])
+        y_new = y + h * (DOP853.B @ k[:n_st])
+        k[n_st] = rhs(W[n_st - 2], y_new)
+        nfev += n_st
+        scale = atol + rtol * np.maximum(abs(y.view(float)), abs(y_new.view(float)))
+        e5, e3 = np.sum(((_ERR @ k[:n_st + 1]).view(float) / scale) ** 2, axis=1)
+        err = h * e5 / math.sqrt((e5 + 0.01 * e3) * scale.size) if e5 + e3 else 0.0
+        factor = 0.9 * err ** -0.125 if err else 10.0
+        if not err < 1.0:  # retry shorter (NaN too); the step after grows no longer
+            h_abs, cap = h * max(0.2, factor), 1.0
+            continue
+        h_abs, cap = h * min(cap, factor), 10.0
+        j = np.searchsorted(times[:-1], t_new, side="right")
+        if j > i:
+            for s, a in enumerate(h * DOP853.A_EXTRA, start=n_st + 1):
+                k[s] = rhs(W[s - 2], y + a[:s] @ k[:s])
+            nfev += 3
+            dy = y_new - y
+            F = (dy, h * k[0] - dy, 2 * dy - h * (k[n_st] + k[0]), *(h * DOP853.D @ k))
+            x = ((times[i:j] - t) / h)[:, None]
+            y_out = 0.0
+            for n, f in enumerate(reversed(F)):
+                y_out = (y_out + f) * (x if n % 2 == 0 else 1 - x)
+            out[i:j], i = y + y_out, j
+        k[0] = k[n_st]
+        y, t = y_new, t_new
+    out[-1] = y
+    return out, nfev
 
 
 def lindblad_simulate(p_raw: RawRates, p: EmitterParams, env, Omega,
@@ -342,11 +346,13 @@ def lindblad_simulate(p_raw: RawRates, p: EmitterParams, env, Omega,
     scored on it), and the no-jump branch (fidelity_coherent).
 
     The right-hand side is w(t) @ (S @ y) on one sparse Liouvillian S built
-    per call (_liouvillian). DOP853 runs at rtol 1e-8, atol 1e-11 and
-    max_step T/64, and its steps land exactly on the 41 checkpoints, so the
-    diagnostics read integrated states, not interpolants. Omega is called
-    on a 1-d array of times, once per attempted step over its stage times
-    and once at t = 0; a scalar return is broadcast. nfev counts
+    per call (_liouvillian). _dop853 runs at rtol 1e-8, atol 1e-11 and
+    max_step T/64; the checkpoints before T come from its dense output and
+    keep trace and Hermiticity exact to rounding: each stage is the
+    Liouvillian of a Hermitian state, so Hermitian and traceless on the
+    total block, and the interpolant sums stages with real coefficients.
+    Omega is called on a 1-d array of times, at t = 0 and once per attempted
+    step on its stage times (a scalar return is broadcast). nfev counts
     right-hand-side evaluations.
     """
     comb = combine_rates(p_raw)
@@ -364,8 +370,7 @@ def lindblad_simulate(p_raw: RawRates, p: EmitterParams, env, Omega,
         forbidden_tol = 1e-8 if p_raw.gamma_0to1 == 0.0 else 0.05
 
     def weights(t):
-        om = np.broadcast_to(np.asarray(Omega(t), dtype=complex), t.shape)
-        gv = virtual_coupling(env, t, kappa=p.kappa)
+        om, gv = _sample(Omega, t), virtual_coupling(env, t, kappa=p.kappa)
         return np.stack([np.ones_like(om), om, om.conj(), gv, gv.conj(),
                          abs(gv) ** 2], axis=1)
 
@@ -374,9 +379,10 @@ def lindblad_simulate(p_raw: RawRates, p: EmitterParams, env, Omega,
     psi0[_flat_index("0", 0, 0)] = init.beta0
     rho0 = np.outer(psi0, psi0.conj())
 
-    states, nfev = _dop853(weights, _liouvillian(p, _static_dissipators(p_raw)),
+    S = _liouvillian(p, _static_dissipators(p_raw))
+    states, nfev = _dop853(weights, lambda w, y: w @ (S @ y).reshape(w.size, -1),
                            np.tile(rho0.reshape(-1), _N_BLOCKS),
-                           np.linspace(0.0, T, 41), T / 64.0)
+                           np.linspace(0.0, T, 41), T / 64.0, 1e-8, 1e-11)
     states = states.reshape(-1, _N_BLOCKS, _DIM, _DIM)
 
     total = states[:, _TOTAL]

@@ -317,6 +317,13 @@ def synthesis(tmp_path_factory):
     ["verify", "--synthesis", "SYNTHESIS", "--samples", "0"],
     ["verify", "--synthesis", "SYNTHESIS", "--samples", "1"],
     ["optimize", "--samples", "0"],
+    ["optimize", "--s", "nan"],
+    ["optimize", "--s", "1"],
+    ["trajectory", "--s", "nan"],
+    ["trajectory", "--s", "-0.5"],
+    ["trajectory", "--pulse-T", "nan"],
+    ["trajectory", "--alpha0", "nan"],
+    ["protocol", "--which", "timebin_a", "--alpha0", "nan", "--beta0", "0"],
     ["figures", "--s-list", "0.9,x"],
     ["figures", "--s-list", "0.9,nan"],
 ], ids=" ".join)

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -134,6 +135,11 @@ def test_run_protocol_validation():
         run_protocol("timebin_c", A0, B0)
     with pytest.raises(ValidationError):
         run_protocol("timebin_a", 1.0, 1.0)
+    # NaN and inf would pass the norm check, which is False for NaN
+    for a0, b0 in ((math.nan, 0.0), (0.0, complex(math.nan, 1.0)),
+                   (math.inf, 0.0), (0.6, complex(0.8, -math.inf))):
+        with pytest.raises(ValidationError):
+            run_protocol("timebin_a", a0, b0)
 
 
 def test_write_result(tmp_path):

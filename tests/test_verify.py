@@ -3,12 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from scipy import sparse
 from scipy.integrate import solve_ivp
 
 from ramanpulse import (CosineSeriesPulse, EmitterParams, Envelope,
-                        InitialState, ModelError, RawRates, ValidationError,
-                        emitter_from_raw, ghz, sin2_pulse)
+                        InitialState, ModelError, NumericError, RawRates,
+                        ValidationError, emitter_from_raw, ghz, sin2_pulse)
 from ramanpulse import bounds, depletion, verify
 from ramanpulse.trajectory import (ClosedFormSolution, closed_form_trajectory,
                                    max_efficiency, virtual_coupling)
@@ -80,6 +79,18 @@ def test_ode_free_decay(siv_params):
     assert np.max(np.abs(sol.eta)) == 0.0
     assert np.max(np.abs(sol.lam)) == 0.0
     assert np.max(np.abs(sol.alpha - np.exp(-siv_params.Gamma1 * grid / 2))) < 1e-10
+
+
+@pytest.mark.parametrize("nan_from", [0.0, 0.2])
+def test_nan_drive_is_a_numeric_error(synthesis, siv_raw, nan_from):
+    # a NaN error estimate rejects the step until it falls below the float
+    # spacing; a NaN at the start fails the first step
+    p, pl, E, grid, init, _, cf = synthesis
+    drive = lambda t: np.where(t < nan_from, cf.Omega(t), np.nan)  # noqa: E731
+    with pytest.raises(NumericError):
+        integrate_nonhermitian(p, drive, init, grid)
+    with pytest.raises(NumericError):
+        lindblad_simulate(siv_raw, p, pl, drive, init)
 
 
 def test_compare_flags_perturbed_drive(synthesis):
@@ -285,8 +296,8 @@ def test_precomputed_generator_matches_direct_assembly(siv_raw):
 @pytest.mark.parametrize("Delta_GHz, chirp", [(0.0, 0.0), (1.0, 0.0), (0.0, 2.5)],
                          ids=["resonant", "detuned", "chirped"])
 def test_step_loop_matches_scipy_dop853(siv_raw, Delta_GHz, chirp):
-    # the same Liouvillian through solve_ivp at the same tolerances, with
-    # scalar drive samples and dense output at the checkpoints
+    # both oracles against solve_ivp at the same tolerances, with scalar drive
+    # samples and scipy's dense output at the output times
     p = emitter_from_raw(siv_raw, g=ghz(6), kappa=ghz(30), Delta=ghz(Delta_GHz))
     pl = CosineSeriesPulse(0.44, (1.0, -0.06), chirp=chirp).normalize()
     cf = ClosedFormSolution(p, pl, 0.99 * max_efficiency(p, pl))
@@ -314,6 +325,25 @@ def test_step_loop_matches_scipy_dop853(siv_raw, Delta_GHz, chirp):
                    (res.fidelity_coherent, verify._NO_JUMP)):
         assert abs(got - np.real(psi_tgt.conj() @ final[k] @ psi_tgt)) <= 1e-10
 
+    def amp_rhs(t, y):
+        a, b, z, e, m = y
+        om = complex(cf.Omega(t))
+        return [-0.5 * p.Gamma1 * a + np.conj(om) * z, -0.5 * p.Gamma2 * b,
+                (-1j * p.Delta - 0.5 * p.gamma_tilde) * z - p.g * e - om * a,
+                -0.5 * (p.Gamma2 + p.kappa + p.kappa_tilde) * e + p.g * z,
+                -p.Gamma2 * m.real + p.kappa * abs(e) ** 2]
+
+    grid = np.linspace(0.0, pl.T, 101)
+    ode = integrate_nonhermitian(p, cf.Omega, init, grid)
+    y0 = np.array([init.alpha0, init.beta0, 0.0, 0.0, 0.0], dtype=complex)
+    ref = solve_ivp(amp_rhs, (0.0, pl.T), y0, method="DOP853", t_eval=grid,
+                    rtol=1e-10, atol=1e-12)
+    assert ref.success
+    a, b, z, e, m = ref.y
+    for got, want in ((ode.alpha, a), (ode.beta, b), (ode.zeta, z), (ode.eta, e),
+                      (abs(ode.lam) ** 2, m.real)):
+        assert np.max(np.abs(got - want)) <= 1e-9
+
 
 def test_drive_sampled_once_per_attempted_step(monkeypatch, siv_raw, siv_params,
                                                optimal_sin2):
@@ -329,36 +359,50 @@ def test_drive_sampled_once_per_attempted_step(monkeypatch, siv_raw, siv_params,
                             InitialState(math.sqrt(0.5), math.sqrt(0.5)))
     assert all(isinstance(t, np.ndarray) and t.ndim == 1 for t in calls)
     # one sample at t = 0, then one per attempted step over its 11 new stage
-    # times; each attempt makes 12 right-hand-side evaluations
+    # times (the 11th is its end) and the 3 of the dense output
     assert np.array_equal(calls[0], [0.0])
-    assert all(t.size == 11 and 0.0 < t[0] and t[-1] <= T for t in calls[1:])
-    assert res.nfev == 1 + 12 * (len(calls) - 1)
+    assert all(t.size == 14 and 0.0 < t[0] and t[10] <= T for t in calls[1:])
     assert len(gv_calls) == len(calls)
-    # every step lands exactly on the checkpoints
     c1 = verify.DOP853.C[1]
-    starts = np.array([(t[0] - c1 * t[-1]) / (1.0 - c1) for t in calls[1:]])
-    ends = np.array([t[-1] for t in calls[1:]])
-    assert np.isin(np.linspace(0.0, T, 41)[1:], ends).all()
+    starts = np.array([(t[0] - c1 * t[10]) / (1.0 - c1) for t in calls[1:]])
+    ends = np.array([t[10] for t in calls[1:]])
+    # each attempt makes 12 right-hand-side evaluations, and each accepted
+    # step holding checkpoints before T 3 more; the last step ends at T
+    accepted = np.append(np.diff(starts) > 1e-12 * T, True)
+    inner = np.linspace(0.0, T, 41)[1:-1]
+    holding = sum(np.any((inner > s) & (inner <= e))
+                  for s, e in zip(starts[accepted], ends[accepted]))
+    assert res.nfev == 1 + 12 * (len(calls) - 1) + 3 * holding
+    assert ends[-1] == T
     # an attempt from the same start as the one before retries a rejected
     # step: it is shorter, and the step after it is no longer (here the
     # first guess is rejected twice)
     steps = ends - starts
-    retried = np.flatnonzero(np.diff(starts) <= 1e-12 * T)
+    retried = np.flatnonzero(~accepted)
     assert retried.size >= 1
     for i in retried:
         assert steps[i + 1] <= steps[i]
         assert steps[i + 2] <= steps[i + 1] * (1 + 1e-9)
 
 
-def test_step_loop_crosses_nearly_coincident_checkpoints():
-    # a checkpoint 1e-15 past another costs one short step, and the step
-    # after it resumes from the proposal made before the cut
-    S = sparse.csr_matrix(-np.eye(2, dtype=complex))  # dy/dt = -y
-    weights = lambda t: np.ones((t.size, 1))  # noqa: E731
+def test_dense_output_between_steps():
+    # interior times are read from the dense output and leave the steps as
+    # they are: two times 1e-15 apart, several inside one step, and the end
+    # state is the one of a run without interior times
+    calls = []
+    weights = lambda t: calls.append(t) or np.ones(t.size)  # noqa: E731
+    rhs = lambda w, y: -w * y  # noqa: E731
     y0 = np.array([1.0, 0.5j])
-    plain, n_plain = verify._dop853(weights, S, y0, np.array([0.0, 1.0, 2.0]), 0.25)
-    cut, n_cut = verify._dop853(weights, S, y0,
-                                np.array([0.0, 1.0, 1.0 + 1e-15, 2.0]), 0.25)
-    assert n_cut <= n_plain + 12
-    assert np.max(np.abs(cut[-1] - plain[-1])) < 1e-14
-    assert np.max(np.abs(plain[-1] - y0 * math.exp(-2.0))) < 1e-10
+    times = np.array([0.0, 0.3, 1.0, 1.0 + 1e-15, 1.2, 1.21, 1.22, 1.23, 2.0])
+    plain, n_plain = verify._dop853(weights, rhs, y0, times[[0, -1]], 0.5, 1e-10, 1e-12)
+    plain_calls, calls[:] = calls[:], []
+    dense, n_dense = verify._dop853(weights, rhs, y0, times, 0.5, 1e-10, 1e-12)
+    assert len(calls) == len(plain_calls)
+    assert all(np.array_equal(a, b) for a, b in zip(calls, plain_calls))
+    assert np.max(np.abs(dense - np.exp(-times)[:, None] * y0)) < 1e-10
+    assert calls[-1][10] == times[-1]
+    assert np.array_equal(dense[-1], plain[-1])
+    # three extra stages per step holding interior times, fewer such steps
+    # than interior times
+    assert (n_dense - n_plain) % 3 == 0
+    assert 0 < (n_dense - n_plain) // 3 < times.size - 2
