@@ -16,8 +16,8 @@ The maximum of G sets the efficiency bound; as G' = d, it sits at the end
 T or where d falls through zero. g_max finds it for a block of series
 pulses at once (analytic_profile: one pulse): one shared grid, then every
 falling zero of d refined together (_falling_zeros, which the quadrature
-route uses too). The drive phase phi(t) is integrated together with G in
-one ODE pass, solve_g_phi.
+route uses too). The drive phase phi(t) is one Chebyshev series with its
+nodes on the 1/r^2 spike at the depletion maximum (drive_phase), no ODE.
 """
 
 from __future__ import annotations
@@ -27,7 +27,8 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
+from scipy.fft import dct
+from scipy.integrate import quad
 
 from .errors import DomainError, NumericError, ValidationError, time_grid
 from .model import EmitterParams
@@ -35,7 +36,7 @@ from .pulse import (CosineSeriesPulse, _harmonic_coefficients, _series_rows,
                     _sine_table, as_envelope)
 
 # r^2 = 1 - E^2 G below this counts as an emptied ground state: the drive
-# diverges there and the phase integration cannot proceed.
+# diverges there, and neither the drive nor its phase is computed.
 R2_FLOOR = 1e-10
 
 # uniform samples of G over [0, T] in every search for its maximum
@@ -86,6 +87,15 @@ def _rate_weights(p: EmitterParams, dth=0.0, d2th=0.0):
     return w_ff, w_fdf, w_dfdf, w_fddf, w_dfddf
 
 
+def _phase_weights(p: EmitterParams, dth=0.0, d2th=0.0):
+    """_rate_weights' five prefactors for the phase numerator N instead, in
+    phidot = E^2 exp((Gamma1 - Gamma2) t) N(t) / r^2(t), with no f' f'' term."""
+    x, k, g2, D = 1.0 + p.kappa_tilde / p.kappa, p.kappa, p.g ** 2, p.Delta + dth
+    w_ff = (k * x * x * D / 4.0 + x * d2th / 2.0
+            + (p.Delta * dth ** 2 - g2 * dth + dth ** 3) / k) / g2
+    return w_ff, (x * D + d2th / k) / g2, (D + dth) / (k * g2), -dth / (k * g2), 0.0
+
+
 def depletion_rate(p: EmitterParams, env, t):
     """d(t) for an arbitrary envelope, including the phase terms.
 
@@ -99,9 +109,9 @@ def depletion_rate(p: EmitterParams, env, t):
                  np.asarray(env.d2theta(t)))[()]
 
 
-def _rate(p: EmitterParams, t, f, df, d2f, dth, d2th):
-    """d(t) from the envelope amplitude and phase derivatives at t."""
-    w_ff, w_fdf, w_dfdf, w_fddf, w_dfddf = _rate_weights(p, dth, d2th)
+def _rate(p: EmitterParams, t, f, df, d2f, dth, d2th, weights=_rate_weights):
+    """d(t) (or e^((Gamma1-Gamma2) t) N with _phase_weights) from f, theta at t."""
+    w_ff, w_fdf, w_dfdf, w_fddf, w_dfddf = weights(p, dth, d2th)
     base = (w_ff * f ** 2 + w_fddf * f * d2f + w_dfddf * df * d2f
             + w_fdf * f * df + w_dfdf * df ** 2)
     return np.exp((p.Gamma1 - p.Gamma2) * t) * base
@@ -338,68 +348,76 @@ def integrated_depletion_numeric(p: EmitterParams, env, t_grid,
                             argmax_t=float(times[i]))
 
 
-def solve_g_phi(p: EmitterParams, env, E: float, t_end: float):
-    """Integrate G(t) and the drive phase phi(t) together over [0, t_end].
+def _cumulative(rate, t_star: float, w: float, t_end: float, tol: float):
+    """t -> int_0^t rate on [0, t_end], t clipped: a Chebyshev series in u with
+    t = t* + w sinh(u), for a spike of width ~w at t* (Elliott & Johnston, J.
+    Comput. Appl. Math. 203, 103 (2007)), chopped (Aurentz & Trefethen, ACM
+    TOMS 43, 33 (2017)) also at the noise floor of, say, finite differences;
+    sampled by barycentric rows (Berrut & Trefethen, SIAM Rev. 46, 501 (2004))."""
+    u0, u1 = math.asinh(-t_star / w), math.asinh((t_end - t_star) / w)
+    uc, ur = 0.5 * (u0 + u1), 0.5 * (u1 - u0)
+    n, tail = 64, np.inf
+    while True:
+        u = uc + ur * np.cos(np.pi * np.arange(n + 1) / n)
+        c = dct(rate(t_star + w * np.sinh(u)) * np.cosh(u), type=1) / n
+        c[[0, -1]] /= 2.0
+        big, last = np.abs(c).max(), np.abs(c[-8:]).max()
+        if last <= tol * big or tail / 4.0 < last <= 1e-8 * big:
+            break
+        if n >= 4096:
+            raise NumericError(f"Chebyshev series unresolved with {n} intervals: "
+                               f"last coefficients at {last / big:.3e} of the largest")
+        n, tail = 2 * n, last
+    keep = np.flatnonzero(np.abs(c) > tol * big).max(initial=0) + 1
+    c = np.polynomial.chebyshev.chebint(c[:keep], scl=w * ur, lbnd=-1)
+    theta = (np.arange(c.size) + 0.5) * np.pi / c.size  # values there: DCT-III
+    nodes, values = uc + ur * np.cos(theta), 0.5 * (dct(c, type=3) + c[0])
+    weights = np.sin(theta) * (-1.0) ** np.arange(c.size)
 
-    phi solves phidot = E^2 exp((Gamma1-Gamma2) t) Phi(t) / (g^2 r^2) with
-    r^2 = 1 - E^2 G(t), while Gdot = d(t). One DOP853 pass (rtol 1e-11,
-    atol 1e-13); returns the dense solution, whose value at t is the pair
-    (G(t), phi(t)). phi is identically zero at E = 0. A terminal event stops
-    the pass with DomainError where r^2 falls to R2_FLOOR.
-    """
-    env = as_envelope(env)
-    x = 1.0 + p.kappa_tilde / p.kappa
-    g2 = p.g ** 2
-    gamma = p.Gamma1 - p.Gamma2
-    Delta = p.Delta
+    def integral(t):
+        u = np.minimum(np.maximum(np.arcsinh((t - t_star) / w), u0), u1)
+        q = weights / (u[..., None] - nodes + 1e-200)  # a node hit reads its value
+        return q @ values / q.sum(axis=-1)
+    return integral
 
-    def rhs(t, y):
-        r2 = 1.0 - E * E * y[0]
-        if r2 <= 0.0:
-            raise DomainError(
-                "r^2 = 1 - E^2 G(t) reached zero: requested efficiency exceeds "
-                "the bound for this envelope")
-        f, df, d2f = (float(x) for x in env.evaluate(t))
-        dth = float(env.dtheta(t))
-        d2th = float(env.d2theta(t))
-        phi_num = (
-            (x * (Delta + dth) + d2th / p.kappa) * f * df
-            + (Delta + 2.0 * dth) / p.kappa * df ** 2
-            - dth / p.kappa * f * d2f
-            + (p.kappa * x * x * (Delta + dth) / 4.0 + x * d2th / 2.0
-               + (Delta * dth ** 2 - g2 * dth + dth ** 3) / p.kappa) * f ** 2
-        )
-        dphi = E * E * math.exp(gamma * t) * phi_num / (g2 * r2)
-        return [float(_rate(p, t, f, df, d2f, dth, d2th)), dphi]
 
-    def emptied(t, y):
-        return 1.0 - E * E * y[0] - R2_FLOOR
+def chebyshev_g(p: EmitterParams, env, t_end: float):
+    """t -> G(t) on [0, t_end], any envelope: _cumulative of d, near linear."""
+    return _cumulative(partial(depletion_rate, p, env), t_end / 2, t_end, t_end, 1e-14)
 
-    emptied.terminal = True
-    emptied.direction = -1.0
-    sol = solve_ivp(rhs, (0.0, t_end), [0.0, 0.0], method="DOP853",
-                    rtol=1e-11, atol=1e-13, dense_output=True, events=emptied)
-    if sol.status == 1:
-        raise DomainError(
-            f"r^2 = 1 - E^2 G(t) fell to {R2_FLOOR:g} at t = "
-            f"{sol.t_events[0][0]:.6g} ns: requested efficiency is at or above "
-            "the bound for this envelope")
-    if not sol.success:
-        raise NumericError(f"phase integration failed: {sol.message}")
-    return sol.sol
+
+def drive_phase(p: EmitterParams, env, E: float, t_end: float, G_max: float,
+                t_star: float, G):
+    """t -> phi(t) on [0, t_end]: phidot = E^2 e^(Gamma t) N / r^2 spikes at
+    t_star, where r^2 = 1 - E^2 G (G a sampler) is r2_min = 1 - E^2 G_max, so
+    _cumulative with w = t_end sqrt(r2_min) and tol max(1e-14, 10 eps / r2_min),
+    r^2's conditioning. DomainError first where r2_min < R2_FLOOR."""
+    if (r2_min := 1.0 - E * E * G_max) < R2_FLOOR:
+        raise DomainError(f"r^2 = 1 - E^2 G falls to {r2_min:.3g} at t = {t_star:.6g}"
+                          " ns: the efficiency is at or above the envelope's bound")
+
+    def rate(t):
+        N = _rate(p, t, *env.evaluate(t), env.dtheta(t), env.d2theta(t),
+                  _phase_weights)
+        return E * E * N / (1.0 - E * E * G(t))
+    return _cumulative(rate, t_star, t_end * math.sqrt(r2_min), t_end,
+                       max(1e-14, 10.0 * np.finfo(float).eps / r2_min))
 
 
 def phase_evolution(p: EmitterParams, env, E: float, t_grid) -> np.ndarray:
-    """Drive phase phi(t) accumulated by the ground-state amplitude.
-
-    Samples solve_g_phi, integrated up to the last grid point, on t_grid.
-    Identically zero for a resonant cavity and a constant envelope phase,
-    and proportional to E^2, so it vanishes in the weak-extraction limit.
-    """
-    env = as_envelope(env)
-    grid = time_grid(t_grid)
+    """Drive phase phi(t) accumulated by the ground-state amplitude: drive_phase
+    up to the last grid time, G_max the largest G (exact for a series, else
+    chebyshev_g) at N_SEARCH_GRID times and the falling zeros of d before it.
+    Exactly zero on resonance for a real envelope, and at E = 0."""
+    env, grid = as_envelope(env), time_grid(t_grid)
     if E < 0:
         raise ValidationError("efficiency E must be >= 0")
-    if E == 0.0 or grid.size == 0 or grid[-1] == 0.0:
+    if grid.size == 0 or grid[-1] <= 0.0:
         return np.zeros_like(grid)
-    return solve_g_phi(p, env, E, grid[-1])(grid)[1]
+    ts, d = SEARCH_TAU * grid[-1], partial(depletion_rate, p, env)
+    G = (partial(integrated_depletion_analytic, p, env) if isinstance(
+        env, CosineSeriesPulse) else chebyshev_g(p, env, ts[-1]))
+    times = np.r_[ts, _falling_zeros(lambda t, r: d(t), ts[None], d(ts)[None])[1]]
+    G_t = G(times)
+    i = int(np.argmax(G_t))
+    return drive_phase(p, env, E, ts[-1], G_t[i], times[i], G)(grid)

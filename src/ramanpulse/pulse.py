@@ -180,7 +180,7 @@ class CosineSeriesPulse:
         inside = (t >= 0.0) & (t <= self.T)
         tau = t / self.T * inside + (t > self.T)
         tab = _sine_table(2 * self.order + 1)(tau)
-        f, df, d2f, *rest = (rows @ tab.reshape(len(tab), -1)).reshape((-1,) + t.shape)
+        f, df, d2f, *rest = (rows @ tab.reshape(len(tab), -1)).reshape(len(rows), *t.shape)
         return t, tau, f * inside, df * inside, (d2f + self._rows[1]) * inside, *rest
 
     def _eval(self, t):
@@ -393,8 +393,8 @@ def write_csv(path: str | Path, columns, rows, header: str = ""):
             fh.write(f"# {header}\n")
         fh.write(",".join(columns) + "\n")
         for row in rows:
-            fh.write(",".join(x if isinstance(x, str) else f"{x:.12g}"
-                              for x in row) + "\n")
+            fh.write(",".join(["%s" if isinstance(x, str) else "%.12g" for x in row])
+                     % tuple(row) + "\n")
 
 
 def write_json(path: str | Path, payload):

@@ -91,15 +91,17 @@ class Trajectory(Amplitudes):
                   header)
 
 
+def _max_profile(p: EmitterParams, env) -> depletion.DepletionProfile:
+    """The DepletionProfile of the bound, via the fastest valid route."""
+    if isinstance(env, CosineSeriesPulse):
+        return depletion.analytic_profile(p, env)
+    # the maximum search covers [0, T] whatever the grid
+    return depletion.integrated_depletion_numeric(p, as_envelope(env), [env.T])
+
+
 def max_efficiency(p: EmitterParams, env) -> float:
     """Efficiency bound for this envelope, via the fastest valid route."""
-    if isinstance(env, CosineSeriesPulse):
-        profile = depletion.analytic_profile(p, env)
-    else:
-        # the maximum search covers [0, T] whatever the grid
-        e = as_envelope(env)
-        profile = depletion.integrated_depletion_numeric(p, e, [e.T])
-    return bounds.e_max(profile)
+    return bounds.e_max(_max_profile(p, env))
 
 
 class ClosedFormSolution:
@@ -116,7 +118,7 @@ class ClosedFormSolution:
 
     The drive diverges where r^2 = 1 - E^2 G(t) vanishes. The minimum of
     r^2 is 1 - (E / E_max)^2, at the depletion maximum; the constructor
-    raises PoleError when it is below R2_FLOOR, before the phase ODE runs,
+    raises PoleError when it is below R2_FLOOR, before the phase pass runs,
     on resonance or not.
     """
 
@@ -130,7 +132,8 @@ class ClosedFormSolution:
             raise ValidationError(
                 f"envelope must be normalized, int |v|^2 = {norm:.8g}")
         self.E = float(E)
-        self.E_max = max_efficiency(p, env)
+        self._profile = _max_profile(p, env)
+        self.E_max = bounds.e_max(self._profile)
         if 1.0 - (self.E / self.E_max) ** 2 < depletion.R2_FLOOR:
             raise PoleError(
                 f"target efficiency {E:.6g} is at or above the bound "
@@ -138,26 +141,25 @@ class ClosedFormSolution:
                 "maximum, where the drive diverges; lower E below E_max")
         self._setup_g_phi()
 
-    # -- G(t) and phi(t): exact for a series, else one ODE pass -------------
+    # -- G(t) and phi(t): exact for a series, else one Chebyshev pass -------
 
     def _setup_g_phi(self):
         """G, phi and _envelope: t -> f, f', f'', G, theta', theta''; for a
-        series depletion.series_g, else env and the phase ODE."""
+        series depletion.series_g, else chebyshev_g; phi is drive_phase."""
         p, env, T = self.p, self.env, self.env.T
-        series = isinstance(env, CosineSeriesPulse)
-        if series:
+        if isinstance(env, CosineSeriesPulse):
             jet = depletion.series_g(p, env)[0]
             self._envelope = lambda t: (*jet(t), env.chirp, 0.0)
             self.G = lambda t: jet(t)[3]
             if self.E == 0.0 or (p.Delta == 0.0 and env.chirp == 0.0):
                 self.phi = lambda t: 0.0 * t  # no phase source; it grows as E^2
                 return
-        dense = depletion.solve_g_phi(p, env, self.E, T)
-        if not series:
-            self.G = lambda t: dense(np.clip(t, 0.0, T))[0][()]
+        else:
+            self.G = depletion.chebyshev_g(p, env, T)
             self._envelope = lambda t: (*env.evaluate(t), self.G(t),
                                         env.dtheta(t), env.d2theta(t))
-        self.phi = lambda t: dense(np.clip(t, 0.0, T))[1][()]
+        self.phi = depletion.drive_phase(p, env, self.E, T, self._profile.G_max,
+                                         self._profile.argmax_t, self.G)
 
     # -- amplitudes with alpha0 divided out ----------------------------------
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import time
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,7 +13,7 @@ from ramanpulse import (CosineSeriesPulse, DomainError, EmitterParams,
                         Envelope, NumericError, ValidationError,
                         cooperativity, ghz, sin2_pulse)
 from ramanpulse import checks, depletion
-from ramanpulse.trajectory import max_efficiency
+from ramanpulse.trajectory import ClosedFormSolution, max_efficiency
 from ramanpulse.pulse import _harmonic_coefficients, slaved_series
 from ramanpulse.depletion import (analytic_profile, depletion_rate,
                                   integrated_depletion_analytic,
@@ -324,8 +325,9 @@ def test_phase_domain_error(siv_params):
 
 
 def test_phase_on_grid_ending_before_pulse_end():
-    # the phase is integrated only up to the last requested time, so a grid
-    # that stops before 1 - E^2 G reaches zero still gets a phase
+    # the phase pass covers only [0, last requested time], with the maximum
+    # of G searched there, so a grid that stops before 1 - E^2 G reaches zero
+    # still gets a phase
     p = EmitterParams(g=ghz(6), kappa=ghz(30), gamma_tilde=ghz(0.1),
                       Delta=ghz(1.0))
     env = sin2_pulse(0.44)
@@ -362,13 +364,87 @@ def test_chirp_raises_integrated_depletion(siv_params):
 
 
 def test_phase_above_bound_detuned_domain_error():
-    # 1 - E^2 G reaches zero inside the grid: the solver's floor event stops
-    # the integration with DomainError instead of stalling into NumericError
+    # 1 - E^2 G reaches zero inside the grid: the maximum search finds it and
+    # raises DomainError before any phase work
     p = EmitterParams(g=ghz(6), kappa=ghz(30), gamma_tilde=ghz(0.1),
                       Delta=ghz(1.0))
     env = sin2_pulse(0.44)
     with pytest.raises(DomainError):
         phase_evolution(p, env, E=1.5, t_grid=np.linspace(0, 0.44, 45))
+
+
+def _phase_rate(p, env, E, t):
+    """phidot = E^2 exp((Gamma1 - Gamma2) t) N / (g^2 (1 - E^2 G)), written out,
+    with G by quadrature."""
+    f, df, d2f = (float(v) for v in env.evaluate(t))
+    dth, d2th = float(env.dtheta(t)), float(env.d2theta(t))
+    G = integrated_depletion_numeric(p, env, [t], refine_max=False).G[0]
+    x, k, g2, D = 1.0 + p.kappa_tilde / p.kappa, p.kappa, p.g ** 2, p.Delta
+    num = ((x * (D + dth) + d2th / k) * f * df + (D + 2.0 * dth) / k * df ** 2
+           - dth / k * f * d2f
+           + (k * x * x * (D + dth) / 4.0 + x * d2th / 2.0
+              + (D * dth ** 2 - g2 * dth + dth ** 3) / k) * f ** 2)
+    return E * E * math.exp((p.Gamma1 - p.Gamma2) * t) * num / (g2 * (1.0 - E * E * G))
+
+
+def _phase_params(Delta):
+    return EmitterParams(g=ghz(6), kappa=ghz(30), kappa_tilde=ghz(1.0),
+                         gamma_tilde=ghz(0.1), Gamma1=ghz(0.02), Gamma2=ghz(0.005),
+                         Delta=Delta)
+
+
+@pytest.mark.parametrize("L", [1, 2, 3])
+@pytest.mark.parametrize("Delta, chirp", [(ghz(1.0), 0.0), (0.0, 2.5), (ghz(-0.5), -3.0)],
+                         ids=["detuned", "chirped", "detuned and chirped"])
+def test_phase_matches_quadrature(Delta, chirp, L):
+    p = _phase_params(Delta)
+    pl = CosineSeriesPulse(0.45, (1.0, -0.1, 0.05)[:L], chirp=chirp).normalize()
+    ts = np.array([0.3, 0.6, 1.0]) * pl.T
+    for s in (0.5, 0.9, 0.99):
+        E = s * max_efficiency(p, pl)
+        ref = np.cumsum([quad(lambda t: _phase_rate(p, pl, E, t), a, b, epsabs=1e-12,
+                              epsrel=1e-11, limit=200)[0]
+                         for a, b in zip(np.r_[0.0, ts[:-1]], ts)])
+        assert np.max(np.abs(phase_evolution(p, pl, E, ts) - ref)) < 1e-10, s
+
+
+def test_phase_near_the_pole_matches_quadrature():
+    # at 1 - E^2 G_max = 2e-8, 1 / r^2 peaks at 5e7 at the depletion maximum
+    p = _phase_params(ghz(1.0))
+    pl = sin2_pulse(0.44)
+    prof = analytic_profile(p, pl)
+    E = (1.0 - 1e-8) / math.sqrt(prof.G_max)
+    ref = quad(lambda t: _phase_rate(p, pl, E, t), 0.0, pl.T, points=[prof.argmax_t],
+               epsabs=0.0, epsrel=1e-10, limit=200)[0]
+    phi = phase_evolution(p, pl, E, [0.0, pl.T])[-1]
+    assert abs(phi - ref) <= 1e-8 * abs(ref)
+
+
+def test_synthesis_at_the_pole_is_quick():
+    # at E = (1 - 1e-10) E_max a result, or a NumericError, within 0.1 s
+    p = _phase_params(ghz(1.0))
+    pl = sin2_pulse(0.44)
+    E = (1.0 - 1e-10) * max_efficiency(p, pl)
+    start = time.perf_counter()
+    try:
+        phi = ClosedFormSolution(p, pl, E).phi(pl.T)
+        assert np.isfinite(phi) and phi > 0.0
+    except NumericError:
+        pass
+    assert time.perf_counter() - start < 0.1
+
+
+def test_phase_of_finite_difference_envelope_matches_series():
+    # noisy f' and f'': the chop stops at their noise floor, not at NumericError
+    p = _phase_params(ghz(1.0))
+    pl = sin2_pulse(0.44)
+    env = Envelope(pl.T, f=pl.f, theta=pl.theta)
+    E = 0.9 * max_efficiency(p, pl)
+    grid = np.linspace(0.0, pl.T, 45)
+    assert np.max(np.abs(phase_evolution(p, env, E, grid)
+                         - phase_evolution(p, pl, E, grid))) < 1e-8
+    assert np.max(np.abs(ClosedFormSolution(p, env, E).phi(grid)
+                         - ClosedFormSolution(p, pl, E).phi(grid))) < 1e-8
 
 
 # derandomize=True does not pin the examples: Hypothesis 6.155 mixes in

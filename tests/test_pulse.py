@@ -42,6 +42,12 @@ def test_outside_support_is_zero():
         assert pl.f(t) == 0.0 and pl.df(t) == 0.0 and pl.d2f(t) == 0.0
 
 
+def test_evaluate_takes_an_empty_array():
+    # a maximum search with no falling zero of d samples the pulse at no time
+    pl = CosineSeriesPulse(0.44, (1.0, -0.2, 0.1))
+    assert [x.shape for x in pl.evaluate(np.zeros((2, 0)))] == [(2, 0)] * 3
+
+
 def test_boundary_values_vanish():
     rng = np.random.default_rng(0)
     for _ in range(5):
