@@ -139,23 +139,25 @@ def _g_on_table(Gamma: float, T, tau, G, P):
     return G
 
 
-def g_matrix(p: EmitterParams, T, order: int) -> np.ndarray:
-    """Quadratic form X with G(t) = v . X(t) . v at t = SEARCH_TAU T.
+def g_matrix(p: EmitterParams, T, order: int, columns=slice(None)) -> np.ndarray:
+    """Quadratic form X with G(t) = (v x v) . X(t) at t = SEARCH_TAU[columns] T.
 
-    T is one duration or a 1-d array of them; the shape is
-    T.shape + (N_SEARCH_GRID, order, order). The pulse coefficients enter
-    bilinearly, so a grid scan reuses one X per duration for every
-    candidate, and one call builds X for a block of durations. Each pair
-    (n, m) is one row of _series_rows on the search grid's sine table, so a
-    duration costs one exp and one expm1 row.
+    T is one duration or a 1-d array of them; columns (indices or a slice,
+    by default all) picks samples of the grid, the same up to rounding as in
+    the whole grid's X. The shape is T.shape + (order * order, samples): a
+    row per pair (n, m) of the flattened outer product v x v. The pulse
+    coefficients enter bilinearly, so a grid scan reuses one X per duration
+    for every candidate, and one call builds X for a block of durations.
+    Each pair is one row of _series_rows on the search grid's sine table, so
+    a duration costs one exp and one expm1 row.
     """
     T = np.asarray(T, dtype=float)
     C = _harmonic_coefficients(T, order, _rate_weights(p)).reshape(
         T.shape + (order * order, -1))
     Gamma, rows, P_sum, _, _ = _series_rows(p.Gamma1 - p.Gamma2, T, C)
-    X = _g_on_table(Gamma, T[..., None, None], SEARCH_TAU,
-                    rows @ _search_table(2 * order + 1), P_sum[..., None])
-    return np.moveaxis(X.reshape(T.shape + (order, order, -1)), -1, -3)
+    return _g_on_table(Gamma, T[..., None, None], SEARCH_TAU[columns],
+                       rows @ _search_table(2 * order + 1)[:, columns],
+                       P_sum[..., None])
 
 
 def _pulse_rows(p: EmitterParams, T, V, chirp: float):

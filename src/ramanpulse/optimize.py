@@ -136,7 +136,8 @@ class _Best:
     """Running best of a search, and the grid points it considered.
 
     evaluations counts every grid point considered; pruned counts those
-    dropped by their bound without a full score.
+    dropped by their bound without a full score; full_durations those
+    durations whose full-resolution X was built to score survivors.
     """
 
     objective: float = -math.inf
@@ -145,11 +146,12 @@ class _Best:
     coeffs: tuple = ()
     evaluations: int = 0
     pruned: int = 0
+    full_durations: int = 0
 
     def stage(self, name: str) -> dict:
         return {"stage": name, "T": self.T, "ratios": list(self.ratios),
                 "objective": self.objective, "evaluations": self.evaluations,
-                "pruned": self.pruned}
+                "pruned": self.pruned, "full_durations": self.full_durations}
 
 
 def _scan(p: EmitterParams, axes, constrained: bool, best: _Best):
@@ -159,10 +161,12 @@ def _scan(p: EmitterParams, axes, constrained: bool, best: _Best):
     is the product of X with the outer products v x v. The grid goes in
     blocks of at most BLOCK_BYTES: many durations per block when the
     candidates are few, candidate chunks at one duration when they are
-    many. Each block is first scored on the coarse time samples; a
-    candidate whose merit bound is below the incumbent is dropped, the rest
-    are scored in full in grid order. Only a strictly better point replaces
-    the incumbent, so ties keep the earlier one.
+    many. Per block, X on the coarse samples alone bounds every merit from
+    above; the point with the best bound is scored in full (the seed), and
+    points bounded below max(incumbent, seed) are dropped. Full X is then
+    built only for the durations that keep a candidate, and the survivors
+    are scored in grid order. Only a strictly better survivor (never the
+    seed) replaces the incumbent, so ties keep the earlier one.
     """
     mesh = np.meshgrid(np.ones(1), *axes[1:], indexing="ij")
     free = np.stack([m.ravel() for m in mesh], axis=1)  # (1, ratios...)
@@ -171,30 +175,43 @@ def _scan(p: EmitterParams, axes, constrained: bool, best: _Best):
     VV = (V[:, :, None] * V[:, None, :]).reshape(ncand, -1)
     norm = series_norm_sq(1.0, V)  # times T: the series norm at duration T
     Ts = np.asarray(axes[0], dtype=float)
-    tau = depletion.SEARCH_TAU
-    coarse = np.r_[0:tau.size - 1:COARSE, tau.size - 1]
-    row = 8 * tau.size  # bytes of one duration's samples
+    n = depletion.N_SEARCH_GRID
+    coarse = np.r_[0:n - 1:COARSE, n - 1]
+    row = 8 * n  # bytes of one duration's samples
     chunk = max(1, min(ncand, BLOCK_BYTES // row))
     per_block = max(1, BLOCK_BYTES // (row * max(ncoef * ncoef, ncand)))
+
+    def merits(Tb, X, k):  # of candidates k (indices or a slice) at each of Tb
+        return _merit(p, Tb, (VV[k] @ X).max(axis=2) / (Tb[:, None] * norm[k]))
+
     for j in range(0, Ts.size, per_block):
         Tb = Ts[j:j + per_block]
-        X = np.moveaxis(depletion.g_matrix(p, Tb, ncoef), 1, -1).reshape(
-            Tb.size, ncoef * ncoef, -1)
-        Xc = X[..., coarse]
+        Xc = depletion.g_matrix(p, Tb, ncoef, coarse)
+        bound = np.hstack([merits(Tb, Xc, slice(c, c + chunk))
+                           for c in range(0, ncand, chunk)])
+        best.evaluations += bound.size
+        best.pruned += bound.size
+        alive = bound >= best.objective * (1.0 - PRUNE_MARGIN)  # a NaN is not
+        if alive.any():  # the seed: the best bound, scored in full
+            t, k = np.unravel_index(np.nanargmax(bound), bound.shape)
+            Tt = Tb[t:t + 1]
+            seed = merits(Tt, depletion.g_matrix(p, Tt, ncoef), [k])[0, 0]
+            alive &= bound >= max(best.objective, seed) * (1.0 - PRUNE_MARGIN)
+        live = np.flatnonzero(alive.any(axis=1))  # durations keeping a point
+        if live.size == 0:
+            continue
+        Ta, X = Tb[live], depletion.g_matrix(p, Tb[live], ncoef)
+        best.full_durations += live.size
         for c in range(0, ncand, chunk):
-            vv, nrm = VV[c:c + chunk], Tb[:, None] * norm[c:c + chunk]
-            bound = _merit(p, Tb, (vv @ Xc).max(axis=2) / nrm)
-            keep = np.flatnonzero(np.any(
-                bound >= best.objective * (1.0 - PRUNE_MARGIN), axis=0))
-            best.evaluations += bound.size
-            best.pruned += bound.size - Tb.size * keep.size
+            keep = c + np.flatnonzero(alive[live, c:c + chunk].any(axis=0))
+            best.pruned -= live.size * keep.size
             if keep.size == 0:
                 continue
-            merit = _merit(p, Tb, (vv[keep] @ X).max(axis=2) / nrm[:, keep])
+            merit = merits(Ta, X, keep)
             t, k = np.unravel_index(np.argmax(merit), merit.shape)
             if merit[t, k] > best.objective:
-                i = c + keep[k]
-                best.objective, best.T = float(merit[t, k]), float(Tb[t])
+                i = keep[k]
+                best.objective, best.T = float(merit[t, k]), float(Ta[t])
                 best.ratios, best.coeffs = tuple(free[i, 1:]), tuple(V[i])
 
 

@@ -51,21 +51,32 @@ def _harmonic_coefficients(T, order: int, weights) -> np.ndarray:
     w1, w2, w3, w4, w5 = weights
     K = 2 * order + 1
     T = np.asarray(T, dtype=float)
-    n, m = np.indices((order, order)) + 1
-    wn, wm = TWO_PI * n / T[..., None, None], TWO_PI * m / T[..., None, None]
-    dk, sk = np.abs(m - n), m + n
+    n, m, sign, columns = _harmonic_layout(order)
+    wn, wm = n / T[..., None, None], m / T[..., None, None]
     a, b, c = np.full(wn.shape, w1), 0.5 * w3 * wn * wm, 0.5 * w4 * wm * wm
     du, su = 0.5 * w2 * wm, 0.5 * w5 * wn * wm * wm
-    columns = (0 * n, n, m, dk, sk, K + m, K + sk, K + dk)
     values = (a, -a, 2.0 * c - a, 0.5 * a + b - c, 0.5 * a - b - c,
-              2.0 * du, su - du, -np.sign(m - n) * (du + su))
+              2.0 * du, su - du, sign * (du + su))
     size = order * order * 2 * K
-    rows = (2 * K * np.arange(order * order).reshape(order, order)
-            + size * np.arange(T.size).reshape(T.shape + (1, 1, 1)))
-    C = np.bincount((rows + np.stack(columns)).ravel(),
-                    np.stack(values, axis=-3).ravel(),
-                    T.size * size)
+    C = np.bincount(
+        (columns + size * np.arange(T.size).reshape(T.shape + (1, 1, 1))).ravel(),
+        np.stack(values, axis=-3).ravel(), T.size * size)
     return C.reshape(T.shape + (order, order, 2 * K))
+
+
+@lru_cache(maxsize=None)
+def _harmonic_layout(order: int):
+    """_harmonic_coefficients' T-independent part, once per order, read-only:
+    2 pi n and 2 pi m per pair, -sgn(m - n), and its eight columns in C."""
+    K = 2 * order + 1
+    n, m = np.indices((order, order)) + 1
+    dk, sk = np.abs(m - n), m + n
+    columns = (2 * K * np.arange(order * order).reshape(order, order)
+               + np.stack((0 * n, n, m, dk, sk, K + m, K + sk, K + dk)))
+    layout = (TWO_PI * n, TWO_PI * m, -np.sign(m - n), columns)
+    for x in layout:
+        x.setflags(write=False)
+    return layout
 
 
 def _series_rows(Gamma: float, T, C):

@@ -228,12 +228,14 @@ def _reference_scan(p, axes, constrained):
 
 # (Gamma1, Gamma2) in rad/ns, order L, constrained, duration window, block
 # size in rows of 1001 samples. The narrow windows put near-ties next to the
-# optimum.
+# optimum. Block size None: optimize_duration's sweep, DURATION_SAMPLES
+# durations in one block of the unpatched size, so the seed prunes in-block.
 SCAN_CASES = [
     ((ghz(0.01), ghz(0.01)), 3, False, (0.28, 0.345), 7),  # pole; chunks of 7
     ((ghz(0.03), ghz(0.01)), 1, False, (0.32, 0.37), 20),  # blocks of 3
     ((ghz(0.01), ghz(0.05)), 2, False, (0.15, 1.2), 40),   # blocks of 4 of 9
     ((5e-324, 0.0), 2, True, (1.0, 1.3), 40),              # subnormal; of 2
+    ((ghz(0.01), ghz(0.01)), 1, False, (0.2, 0.7), None),  # 200 in one block
 ]
 
 
@@ -242,10 +244,15 @@ def test_blocked_pruned_scan_matches_reference(monkeypatch, rates, L, constraine
                                                window, rows):
     p = EmitterParams(g=ghz(6), kappa=ghz(30), gamma_tilde=ghz(0.1),
                       Gamma1=rates[0], Gamma2=rates[1])
-    rng = np.random.default_rng(L + 10 * rows)
-    axes = [np.sort(rng.uniform(*window, size=9 if L > 1 else 7))]
+    rng = np.random.default_rng(L + 10 * (rows or 0))
+    size = 9 if L > 1 else 7
+    if rows is None:
+        size = optimize.DURATION_SAMPLES
+    else:
+        monkeypatch.setattr(optimize, "BLOCK_BYTES",
+                            rows * 8 * depletion.N_SEARCH_GRID)
+    axes = [np.sort(rng.uniform(*window, size=size))]
     axes += [np.sort(rng.uniform(-0.4, 0.4, size=5 - i)) for i in range(L - 1)]
-    monkeypatch.setattr(optimize, "BLOCK_BYTES", rows * 8 * depletion.N_SEARCH_GRID)
     best, _ = optimize._search(p, axes, constrained, 0)
     merits, points = _reference_scan(p, axes, constrained)
     assert best.evaluations == len(points)
@@ -256,6 +263,22 @@ def test_blocked_pruned_scan_matches_reference(monkeypatch, rates, L, constraine
         assert (best.T, best.ratios) == (T, ratios)
     if L == 3:
         assert best.pruned > 0
+
+
+def test_duration_scan_builds_full_samples_where_a_candidate_survives(siv_params):
+    # all 200 durations sit in one block; the coarse bound, seeded with the
+    # full score of its best point, leaves a few for the 1001-sample X
+    res = optimize_duration(siv_params)
+    grid = res.provenance["trace"][0]
+    assert grid["evaluations"] == optimize.DURATION_SAMPLES
+    assert type(grid["full_durations"]) is int and type(grid["pruned"]) is int
+    assert 1 <= grid["full_durations"] <= 5
+    Ts = np.linspace(*optimize.default_T_range(siv_params),
+                     optimize.DURATION_SAMPLES)
+    merits, points = _reference_scan(siv_params, [Ts], False)
+    i = int(np.argmax(merits))
+    assert grid["T"] == points[i][0]
+    assert grid["objective"] == pytest.approx(merits[i], rel=1e-12)
 
 
 def test_scan_memory_stays_in_blocks(siv_params):
