@@ -86,24 +86,17 @@ def _bound_curves(p: EmitterParams, data: dict, out: Path, T_values):
     for frac1, frac2 in DECOHERENCE_SETS:
         ps = dataclasses.replace(p, Gamma1=frac1 * p.gamma_tilde,
                                  Gamma2=frac2 * p.gamma_tilde)
-        rows = []
         # one g_max search over the sin^2 pulses (v1 as in sin2_pulse) of all
-        # durations; the bounds read G at the end T, where d = 0
-        for T, G_max, argmax_t, G_end in zip(T_values, *depletion.g_max(
-                ps, T_values, np.sqrt(2.0 / (3.0 * T_values))[:, None])):
-            profile = depletion.DepletionProfile(
-                grid=np.array([T]), d=np.zeros(1), G=np.array([G_end]),
-                G_max=float(G_max), argmax_t=float(argmax_t))
-            res = bounds.compute_bounds(ps, profile)
-            e_sim = bounds.simplified_bound(profile)
-            e_slow = math.sqrt(max(res.E2_slow, 0.0))
-            rows.append((
-                float(T), res.F_worst, res.F_simplified,
-                bounds.fidelity(e_slow, ps.Gamma2, float(T), 1.0),
-                res.F_avg,
-                bounds.avg_fidelity(e_sim, ps.Gamma2, float(T)),
-                bounds.avg_fidelity(e_slow, ps.Gamma2, float(T)),
-            ))
+        # durations; per row the fidelities of E_max = 1/sqrt(G_max), of the
+        # simplified bound 1/sqrt(G(T)) (d = 0 at T) and of the slow-pulse bound
+        G_max, _, G_end = depletion.g_max(
+            ps, T_values, np.sqrt(2.0 / (3.0 * T_values))[:, None])
+        e_slow = math.sqrt(max(bounds.slow_pulse_bound(ps), 0.0))
+        rows = []
+        for T, Gm, Ge in zip(T_values.tolist(), G_max.tolist(), G_end.tolist()):
+            es = (1.0 / math.sqrt(Gm), 1.0 / math.sqrt(Ge), e_slow)
+            rows.append((T, *(bounds.fidelity(e, ps.Gamma2, T, 1.0) for e in es),
+                         *(bounds.avg_fidelity(e, ps.Gamma2, T) for e in es)))
         arr = np.array(rows)
         i_worst = int(np.argmax(arr[:, 1]))
         i_avg = int(np.argmax(arr[:, 4]))

@@ -7,17 +7,18 @@ v = exp(i theta) f turns the ground-state dynamics into
 
 with a depletion rate d(t) that is a closed-form expression in f, theta,
 their first two derivatives, and the system rates. d is independent of the
-detuning and of the target efficiency E. G(t) = int_0^t d is available on
-two routes: adaptive quadrature of d for arbitrary envelopes, and for the
-cosine series exact real rows (pulse._series_rows) on the envelope's table
-of sines, which give G and d (series_g, the one sampler) and a grid scan's
-quadratic form X; a linear chirp only shifts two of the five weights of d.
+detuning and of the target efficiency E. G(t) = int_0^t d has one sampler
+per envelope: for the cosine series exact real rows (pulse._series_rows) on
+the envelope's table of sines, which give G and d (series_g) and a grid
+scan's quadratic form X, a linear chirp shifting only two of the five
+weights of d; for any other envelope one Chebyshev series (_cumulative),
+read by its bound, drive and phase. Quadrature of d is only the oracle.
 The maximum of G sets the efficiency bound; as G' = d, it sits at the end
 T or where d falls through zero. g_max finds it for a block of series
 pulses at once (analytic_profile: one pulse): one shared grid, then every
-falling zero of d refined together (_falling_zeros, which the quadrature
-route uses too). The drive phase phi(t) is one Chebyshev series with its
-nodes on the 1/r^2 spike at the depletion maximum (drive_phase), no ODE.
+falling zero of d refined together (_falling_zeros); g_and_max searches one
+sampler the same way. The drive phase phi(t) is one Chebyshev series with
+its nodes on the 1/r^2 spike at the depletion maximum (drive_phase).
 """
 
 from __future__ import annotations
@@ -52,9 +53,9 @@ G_MAX_ROWS = 16
 class DepletionProfile:
     """Sampled depletion data on a time grid.
 
-    G_max is the maximum of G over t >= 0, reached at argmax_t: the largest
-    G at the grid (the search grid on the exact route), at T and at the
-    falling zeros of d, whatever the grid.
+    G_max is the maximum of G over t >= 0 (g_and_max: over [0, t_end]) at
+    argmax_t: the largest G at the grid (the search grid, save on the
+    quadrature route), at the end and at the falling zeros of d.
     """
 
     grid: np.ndarray
@@ -383,11 +384,6 @@ def _cumulative(rate, t_star: float, w: float, t_end: float, tol: float):
     return integral
 
 
-def chebyshev_g(p: EmitterParams, env, t_end: float):
-    """t -> G(t) on [0, t_end], any envelope: _cumulative of d, near linear."""
-    return _cumulative(partial(depletion_rate, p, env), t_end / 2, t_end, t_end, 1e-14)
-
-
 def drive_phase(p: EmitterParams, env, E: float, t_end: float, G_max: float,
                 t_star: float, G):
     """t -> phi(t) on [0, t_end]: phidot = E^2 e^(Gamma t) N / r^2 spikes at
@@ -406,20 +402,34 @@ def drive_phase(p: EmitterParams, env, E: float, t_end: float, G_max: float,
                        max(1e-14, 10.0 * np.finfo(float).eps / r2_min))
 
 
+def g_and_max(p: EmitterParams, env, t_end: float):
+    """t -> G(t) on [0, t_end], exact for a series (series_g), else one
+    _cumulative pass over d, near linear; and the DepletionProfile of G and d
+    at N_SEARCH_GRID uniform times, G_max the largest G there and at the
+    falling zeros of d: the one maximum search for any single envelope."""
+    d = partial(depletion_rate, p, env)
+    if isinstance(env, CosineSeriesPulse):
+        jet = series_g(p, env)[0]
+        G = lambda t: jet(t)[3]  # noqa: E731
+    else:
+        G = _cumulative(d, t_end / 2, t_end, t_end, 1e-14)
+    ts = SEARCH_TAU * t_end
+    d_ts = d(ts)
+    times = np.r_[ts, _falling_zeros(lambda t, r: d(t), ts[None], d_ts[None])[1]]
+    G_t = G(times)
+    i = int(np.argmax(G_t))
+    return G, DepletionProfile(grid=ts, d=d_ts, G=G_t[:ts.size],
+                               G_max=float(G_t[i]), argmax_t=float(times[i]))
+
+
 def phase_evolution(p: EmitterParams, env, E: float, t_grid) -> np.ndarray:
     """Drive phase phi(t) accumulated by the ground-state amplitude: drive_phase
-    up to the last grid time, G_max the largest G (exact for a series, else
-    chebyshev_g) at N_SEARCH_GRID times and the falling zeros of d before it.
+    up to the last grid time, on the G and its maximum of g_and_max there.
     Exactly zero on resonance for a real envelope, and at E = 0."""
     env, grid = as_envelope(env), time_grid(t_grid)
     if E < 0:
         raise ValidationError("efficiency E must be >= 0")
     if grid.size == 0 or grid[-1] <= 0.0:
         return np.zeros_like(grid)
-    ts, d = SEARCH_TAU * grid[-1], partial(depletion_rate, p, env)
-    G = (partial(integrated_depletion_analytic, p, env) if isinstance(
-        env, CosineSeriesPulse) else chebyshev_g(p, env, ts[-1]))
-    times = np.r_[ts, _falling_zeros(lambda t, r: d(t), ts[None], d(ts)[None])[1]]
-    G_t = G(times)
-    i = int(np.argmax(G_t))
-    return drive_phase(p, env, E, ts[-1], G_t[i], times[i], G)(grid)
+    G, prof = g_and_max(p, env, grid[-1])
+    return drive_phase(p, env, E, grid[-1], prof.G_max, prof.argmax_t, G)(grid)

@@ -91,17 +91,12 @@ class Trajectory(Amplitudes):
                   header)
 
 
-def _max_profile(p: EmitterParams, env) -> depletion.DepletionProfile:
-    """The DepletionProfile of the bound, via the fastest valid route."""
-    if isinstance(env, CosineSeriesPulse):
-        return depletion.analytic_profile(p, env)
-    # the maximum search covers [0, T] whatever the grid
-    return depletion.integrated_depletion_numeric(p, as_envelope(env), [env.T])
-
-
 def max_efficiency(p: EmitterParams, env) -> float:
-    """Efficiency bound for this envelope, via the fastest valid route."""
-    return bounds.e_max(_max_profile(p, env))
+    """Efficiency bound 1 / sqrt(G_max) for this envelope: analytic_profile
+    for a series, else the one search of depletion.g_and_max on [0, T]."""
+    if isinstance(env, CosineSeriesPulse):
+        return bounds.e_max(depletion.analytic_profile(p, env))
+    return bounds.e_max(depletion.g_and_max(p, env, as_envelope(env).T)[1])
 
 
 class ClosedFormSolution:
@@ -113,8 +108,10 @@ class ClosedFormSolution:
     with the initial |1> amplitude divided out (one path for scalars and
     grids). For a series pulse f, f', f'' and the exact G(t) come from one
     pass of depletion.series_g, the sampler every caller of a series G
-    reads; with no phase source (resonant cavity, zero chirp) the phase is
-    exact too, which makes the synthesized drive itself exact.
+    reads, and the bound from analytic_profile; any other envelope gets G
+    (one Chebyshev series) and the bound from one depletion.g_and_max call.
+    With no phase source (a series pulse, resonant cavity, zero chirp) the
+    phase is exact too, which makes the synthesized drive itself exact.
 
     The drive diverges where r^2 = 1 - E^2 G(t) vanishes. The minimum of
     r^2 is 1 - (E / E_max)^2, at the depletion maximum; the constructor
@@ -124,42 +121,35 @@ class ClosedFormSolution:
 
     def __init__(self, p: EmitterParams, env, E: float):
         self.p = p
-        self.env = as_envelope(env)
+        self.env = env = as_envelope(env)
         if finite(E, "efficiency E") < 0:
             raise ValidationError("efficiency E must be >= 0")
-        norm = float(self.env.cumulative_norm(self.env.T))
+        norm = float(env.cumulative_norm(env.T))
         if abs(norm - 1.0) > 1e-6:
             raise ValidationError(
                 f"envelope must be normalized, int |v|^2 = {norm:.8g}")
         self.E = float(E)
-        self._profile = _max_profile(p, env)
-        self.E_max = bounds.e_max(self._profile)
+        # _envelope: t -> f, f', f'', G, theta', theta''
+        if series := isinstance(env, CosineSeriesPulse):
+            prof = depletion.analytic_profile(p, env)
+            jet = depletion.series_g(p, env)[0]
+            self._envelope = lambda t: (*jet(t), env.chirp, 0.0)
+            self.G = lambda t: jet(t)[3]
+        else:
+            self.G, prof = depletion.g_and_max(p, env, env.T)
+            self._envelope = lambda t: (*env.evaluate(t), self.G(t),
+                                        env.dtheta(t), env.d2theta(t))
+        self.E_max = bounds.e_max(prof)
         if 1.0 - (self.E / self.E_max) ** 2 < depletion.R2_FLOOR:
             raise PoleError(
                 f"target efficiency {E:.6g} is at or above the bound "
                 f"{self.E_max:.6g}: the ground state empties at the depletion "
                 "maximum, where the drive diverges; lower E below E_max")
-        self._setup_g_phi()
-
-    # -- G(t) and phi(t): exact for a series, else one Chebyshev pass -------
-
-    def _setup_g_phi(self):
-        """G, phi and _envelope: t -> f, f', f'', G, theta', theta''; for a
-        series depletion.series_g, else chebyshev_g; phi is drive_phase."""
-        p, env, T = self.p, self.env, self.env.T
-        if isinstance(env, CosineSeriesPulse):
-            jet = depletion.series_g(p, env)[0]
-            self._envelope = lambda t: (*jet(t), env.chirp, 0.0)
-            self.G = lambda t: jet(t)[3]
-            if self.E == 0.0 or (p.Delta == 0.0 and env.chirp == 0.0):
-                self.phi = lambda t: 0.0 * t  # no phase source; it grows as E^2
-                return
+        if series and (self.E == 0.0 or (p.Delta == 0.0 and env.chirp == 0.0)):
+            self.phi = lambda t: 0.0 * t  # no phase source; it grows as E^2
         else:
-            self.G = depletion.chebyshev_g(p, env, T)
-            self._envelope = lambda t: (*env.evaluate(t), self.G(t),
-                                        env.dtheta(t), env.d2theta(t))
-        self.phi = depletion.drive_phase(p, env, self.E, T, self._profile.G_max,
-                                         self._profile.argmax_t, self.G)
+            self.phi = depletion.drive_phase(p, env, self.E, env.T, prof.G_max,
+                                             prof.argmax_t, self.G)
 
     # -- amplitudes with alpha0 divided out ----------------------------------
 

@@ -1,8 +1,11 @@
+import dataclasses
 import json
+import math
 
+import numpy as np
 import pytest
 
-from ramanpulse import checks, cli, depletion
+from ramanpulse import bounds, checks, cli, depletion
 from ramanpulse.cli import DECOHERENCE_SETS, DEFAULT_PARAMS, main, run_checks
 from ramanpulse.model import params_from_dict
 from ramanpulse.pulse import sin2_pulse
@@ -76,6 +79,23 @@ def test_bound_subcommand_deterministic(tmp_path):
     assert header[1].startswith("T_ns,F_worst_exact,F_worst_simplified")
     summary = json.loads((tmp_path / "bound_summary.json").read_text())
     assert "(0.1,0.1)" in summary
+    # every row holds the figures of bounds for the sin^2 pulse of its T
+    p, _ = params_from_dict(DEFAULT_PARAMS)
+    ps = dataclasses.replace(p, Gamma1=0.1 * p.gamma_tilde,
+                             Gamma2=0.1 * p.gamma_tilde)
+    e_slow = math.sqrt(bounds.slow_pulse_bound(ps))
+    lines = header[2:]
+    assert len(lines) == 12
+    for T, line in zip(np.geomspace(0.1, 2.0, 12), lines):
+        prof = depletion.analytic_profile(ps, sin2_pulse(T))
+        res = bounds.compute_bounds(ps, prof)
+        e_sim = bounds.simplified_bound(prof)
+        want = (T, res.F_worst, res.F_simplified,
+                bounds.fidelity(e_slow, ps.Gamma2, T, 1.0), res.F_avg,
+                bounds.avg_fidelity(e_sim, ps.Gamma2, T),
+                bounds.avg_fidelity(e_slow, ps.Gamma2, T))
+        got = [float(x) for x in line.split(",")[:7]]
+        assert got == pytest.approx(want, rel=1e-11, abs=0.0), T
 
 
 def test_bad_params_exit_code(tmp_path):
@@ -107,8 +127,11 @@ def test_figures_subcommand(tmp_path):
 
 def test_figures_bound_curves_one_g_max_call_per_set(tmp_path, monkeypatch):
     # every duration of a bound curve comes from one g_max call per
-    # decoherence set, none from a one-pulse analytic_profile
-    calls = {"g_max": 0, "analytic_profile in _bound_curves": 0}
+    # decoherence set, none from a one-pulse analytic_profile, and its row
+    # from the scalar fidelities, with no profile or compute_bounds per duration
+    calls = {"g_max": 0, "analytic_profile in _bound_curves": 0,
+             "DepletionProfile in _bound_curves": 0,
+             "compute_bounds in _bound_curves": 0}
     inside = []
 
     def counted(name, fun, only_inside=False):
@@ -130,9 +153,15 @@ def test_figures_bound_curves_one_g_max_call_per_set(tmp_path, monkeypatch):
     monkeypatch.setattr(depletion, "g_max", counted("g_max", depletion.g_max))
     monkeypatch.setattr(depletion, "analytic_profile", counted(
         "analytic_profile in _bound_curves", depletion.analytic_profile, True))
+    monkeypatch.setattr(depletion, "DepletionProfile", counted(
+        "DepletionProfile in _bound_curves", depletion.DepletionProfile, True))
+    monkeypatch.setattr(bounds, "compute_bounds", counted(
+        "compute_bounds in _bound_curves", bounds.compute_bounds, True))
     assert main(["figures", "--out", str(tmp_path), "--grid", "desk"]) == 0
     assert len(DECOHERENCE_SETS) == 6
-    assert calls == {"g_max": 6, "analytic_profile in _bound_curves": 0}
+    assert calls == {"g_max": 6, "analytic_profile in _bound_curves": 0,
+                     "DepletionProfile in _bound_curves": 0,
+                     "compute_bounds in _bound_curves": 0}
 
 
 def test_figures_depletion_curves_sample_series_g_only(tmp_path, monkeypatch):

@@ -577,12 +577,13 @@ def test_numeric_quadrature_once_per_interval_and_falling_zero(siv_params,
     assert prof.G_max == pytest.approx(exact.G_max, rel=1e-10)
 
 
-def test_generic_bound_quadrature_once_per_falling_zero(siv_params,
-                                                        monkeypatch):
-    # the bound of a generic envelope reads only G_max, so quadrature runs
-    # from zero to each falling zero of d and on to T, not over a grid
+def test_generic_envelope_bound_drive_and_phase_make_no_quadrature_call(
+        siv_params, monkeypatch):
+    # a generic envelope's G is one Chebyshev series, read by the bound, the
+    # drive and the phase; quadrature of d is left to the oracle
     pl = sin2_pulse(0.44)
     env = Envelope(T=pl.T, f=pl.f, df=pl.df, d2f=pl.d2f)
+    finite_diff = Envelope(T=pl.T, f=pl.f)
     calls = []
     plain_quad = depletion.quad
 
@@ -592,12 +593,14 @@ def test_generic_bound_quadrature_once_per_falling_zero(siv_params,
 
     monkeypatch.setattr(depletion, "quad", counting_quad)
     E_max = max_efficiency(siv_params, env)
-    d = depletion_rate(siv_params, pl,
-                       np.linspace(0.0, pl.T, depletion.N_SEARCH_GRID))
-    falling = np.count_nonzero((d[:-1] > 0) & (d[1:] <= 0))
-    assert falling == 2
-    assert len(calls) == falling + 1
+    cf = ClosedFormSolution(siv_params, env, 0.9 * E_max)
+    phase_evolution(siv_params, env, 0.9 * E_max, np.linspace(0.0, pl.T, 21))
+    E_max_fd = max_efficiency(siv_params, finite_diff)
+    assert calls == []
     assert E_max == pytest.approx(max_efficiency(siv_params, pl), rel=1e-12)
+    assert cf.E_max == E_max
+    oracle = integrated_depletion_numeric(siv_params, finite_diff, [pl.T])
+    assert E_max_fd == pytest.approx(1.0 / math.sqrt(oracle.G_max), rel=1e-9)
 
 
 def test_g_max_batch_matches_one_row_calls_and_quadrature(siv_params):

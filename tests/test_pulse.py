@@ -191,7 +191,8 @@ def test_envelope_finite_difference_fallback(siv_params):
     assert np.max(np.abs(env.d2f(ts) - pl.d2f(ts))) < 1e-4
     assert env.cumulative_norm(0.4) == pytest.approx(
         pl.cumulative_norm(0.4), abs=1e-9)
-    # the bound needs f'' accurate enough for the quadrature of d to converge
+    # the bound needs f'' accurate enough for the Chebyshev series of G to
+    # resolve d above the noise of the finite differences
     short = sin2_pulse(0.4)
     assert max_efficiency(siv_params, Envelope(T=0.4, f=short.f)) == \
         pytest.approx(max_efficiency(siv_params, short), abs=1e-8)
