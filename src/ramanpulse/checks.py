@@ -195,22 +195,22 @@ def c6_phase_properties(p: EmitterParams, pulse: CosineSeriesPulse):
 
 
 def c7_bloch_average_identity(p: EmitterParams):
-    """C7: the average fidelity formula against a Monte Carlo average."""
-    rng = np.random.default_rng(31415)
+    """C7: the average fidelity formula against the mean over the six Pauli
+    eigenstates, a 2-design and so exact for this degree-(2, 2) fidelity."""
     E, T = 0.92, 0.44
-    mc = float(np.mean([bounds.fidelity(E, p.Gamma2, T, a)
-                        for a in rng.random(100_000)]))
-    return [Check("C7 |Monte Carlo - closed-form average fidelity|",
-                  abs(mc - bounds.avg_fidelity(E, p.Gamma2, T)), "<=", 1e-3)]
+    pauli = float(np.mean([bounds.fidelity(E, p.Gamma2, T, a)
+                           for a in (1.0, 0.0, 0.5, 0.5, 0.5, 0.5)]))
+    return [Check("C7 |Pauli-eigenstate mean - closed-form average fidelity|",
+                  abs(pauli - bounds.avg_fidelity(E, p.Gamma2, T)), "<=", 1e-12)]
 
 
 def c8_protocol_exactness():
-    """C8: every emission circuit at unit efficiency reaches its target."""
+    """C8: every emission circuit at unit efficiency reaches its target,
+    over the whole register."""
     out = []
     for which in protocol.PROTOCOLS:
         res = protocol.run_protocol(which, 0.6, 0.8, efficiency=1.0)
-        amp_err = max(abs(res.state.amps.get(key, 0.0) - amp)
-                      for key, amp in res.target.amps.items())
+        amp_err = float(np.max(np.abs(res.state.amps - res.target.amps)))
         out += [Check(f"C8 {which} |F - 1|", abs(res.fidelity - 1.0), "<=", 1e-12),
                 Check(f"C8 {which} max amplitude error", amp_err, "<=", 1e-12)]
     return out

@@ -1,11 +1,15 @@
 """Gate-level replay of the time-bin and entanglement emission circuits.
 
-States live in an amplitude map over product basis labels: a matter level
-in {0, 1, e, a}, an optional ancilla qubit, and one occupation bit per
-photon time bin. The EMIT gate is the stimulated Raman emission acting as
-an isometry-plus-loss on the matter |1> level: amplitude E goes to |0>
-with a photon in the chosen bin, the rest of that branch's weight is lost.
-Sub-normalized states therefore track the overall success amplitude.
+A state is one complex array over the register axes (matter, ancilla, bin 0,
+bin 1, ...): the matter level in the order 0, 1, a, e; the ancilla qubit, a
+single slot when the register has none; one occupation bit per photon time
+bin. Gates are index moves on that array. After every step any amplitude
+with |amp| <= 1e-15 is set to 0.
+
+EMIT, the stimulated Raman emission, is one slice move: the matter |1>
+amplitude goes to |0> with a photon in the chosen bin, scaled by the
+efficiency E, and the rest of that branch's weight is lost. Sub-normalized
+states therefore track the overall success amplitude.
 
 The half-pi rotation between |0> and the ancillary level |a> uses the
 square-root-of-NOT convention, so applying it twice gives a clean
@@ -20,52 +24,57 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import LayoutError, ProtocolError, ValidationError, finite
+from .errors import LayoutError, ProtocolError, ValidationError
 from .pulse import write_json
+from .trajectory import InitialState
 
-_SQRT_NOT = {
-    ("0", "0"): 0.5 * (1 + 1j), ("a", "0"): 0.5 * (1 - 1j),
-    ("0", "a"): 0.5 * (1 - 1j), ("a", "a"): 0.5 * (1 + 1j),
-}
+_MATTER = "01ae"
+_SQRT_NOT = 0.5 * np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]])  # rows 0, a
 
 GATES = ("X", "CnNOT", "SWAP", "HALFPI_0a")
 
 
 @dataclass
 class ProtocolState:
-    """Amplitude map over (matter, ancilla, bins) basis labels."""
+    """Amplitudes over the register axes (matter, ancilla, bin 0, ...)."""
 
-    amps: dict
-    n_bins: int
-    has_ancilla: bool
+    amps: np.ndarray
+
+    def __post_init__(self):
+        amps = np.asarray(self.amps, dtype=complex)
+        self.amps = np.where(np.abs(amps) > 1e-15, amps, 0.0)
+
+    @classmethod
+    def from_labels(cls, labels: dict) -> "ProtocolState":
+        """The register holding amp at each (matter, ancilla or None, bins) label."""
+        has_ancilla = any(anc is not None for _, anc, _ in labels)
+        n_bins = len(next(iter(labels))[2])
+        amps = np.zeros((4, 1 + has_ancilla) + (2,) * n_bins, dtype=complex)
+        for (m, anc, bins), amp in labels.items():
+            amps[(_MATTER.index(m), int(anc or 0), *bins)] = amp
+        return cls(amps)
+
+    @property
+    def has_ancilla(self) -> bool:
+        return self.amps.shape[1] == 2
 
     def norm(self) -> float:
-        return float(sum(abs(a) ** 2 for a in self.amps.values()))
+        return float(np.sum(np.abs(self.amps) ** 2))
 
     def amplitude(self, matter: str, ancilla: str | None, bins) -> complex:
-        return self.amps.get((matter, ancilla, tuple(bins)), 0.0 + 0.0j)
-
-    def pruned(self) -> "ProtocolState":
-        amps = {k: v for k, v in self.amps.items() if abs(v) > 1e-15}
-        return ProtocolState(amps, self.n_bins, self.has_ancilla)
+        return complex(self.amps[(_MATTER.index(matter), int(ancilla or 0), *bins)])
 
     def to_jsonable(self) -> dict:
         out = {}
-        for (m, anc, bins), amp in sorted(self.amps.items()):
-            label = f"m={m}"
-            if self.has_ancilla:
-                label += f",n={anc}"
-            label += ",bins=" + "".join(str(b) for b in bins)
-            out[label] = [amp.real, amp.imag]
+        for m, anc, *bins in zip(*np.nonzero(self.amps)):
+            label = f"m={_MATTER[m]}" + (f",n={anc}" if self.has_ancilla else "")
+            amp = complex(self.amps[(m, anc, *bins)])
+            out[label + ",bins=" + "".join(map(str, bins))] = [amp.real, amp.imag]
         return out
 
 
-def _new_state(amps: dict, template: ProtocolState) -> ProtocolState:
-    return ProtocolState(amps, template.n_bins, template.has_ancilla).pruned()
-
-
 def apply_gate(state: ProtocolState, gate: str) -> ProtocolState:
-    """Exact unitary action of one gate on the amplitude map.
+    """Exact unitary action of one gate on the register.
 
     X swaps the matter levels 0 and 1. CnNOT flips the matter qubit when
     the ancilla is |1>. SWAP exchanges ancilla and matter qubit values.
@@ -75,30 +84,16 @@ def apply_gate(state: ProtocolState, gate: str) -> ProtocolState:
         raise ValidationError(f"unknown gate {gate!r}; choose from {GATES}")
     if gate in ("CnNOT", "SWAP") and not state.has_ancilla:
         raise LayoutError(f"{gate} needs an ancilla qubit in the register")
-    flip = {"0": "1", "1": "0"}
-    out: dict = {}
-
-    def add(key, amp):
-        out[key] = out.get(key, 0.0 + 0.0j) + amp
-
-    for (m, anc, bins), amp in state.amps.items():
-        if gate == "X":
-            add((flip.get(m, m), anc, bins), amp)
-        elif gate == "CnNOT":
-            m_new = flip.get(m, m) if anc == "1" else m
-            add((m_new, anc, bins), amp)
-        elif gate == "SWAP":
-            if m in ("0", "1"):
-                add((anc, m, bins), amp)
-            else:
-                add((m, anc, bins), amp)
-        else:  # HALFPI_0a
-            if m in ("0", "a"):
-                for m_new in ("0", "a"):
-                    add((m_new, anc, bins), _SQRT_NOT[(m_new, m)] * amp)
-            else:
-                add((m, anc, bins), amp)
-    return _new_state(out, state)
+    a, out = state.amps, state.amps.copy()
+    if gate == "X":
+        out[:2] = a[1::-1]
+    elif gate == "CnNOT":
+        out[:2, 1] = a[1::-1, 1]
+    elif gate == "SWAP":
+        out[:2] = a[:2].swapaxes(0, 1)
+    else:  # HALFPI_0a
+        out[[0, 2]] = np.tensordot(_SQRT_NOT, a[[0, 2]], 1)
+    return ProtocolState(out)
 
 
 def emit(state: ProtocolState, bin_index: int, efficiency: float = 1.0) -> ProtocolState:
@@ -108,57 +103,41 @@ def emit(state: ProtocolState, bin_index: int, efficiency: float = 1.0) -> Proto
     the squared weight deficit on that branch is lost. Other matter levels
     are untouched. The bin must be empty across every branch.
     """
-    if not 0 <= bin_index < state.n_bins:
+    if not 0 <= bin_index < state.amps.ndim - 2:
         raise ProtocolError(f"bin {bin_index} outside the register")
     if not 0.0 <= efficiency <= 1.0:
         raise ValidationError("efficiency must lie in [0, 1]")
-    for (m, anc, bins), amp in state.amps.items():
-        if bins[bin_index] == 1 and abs(amp) > 0:
-            raise ProtocolError(f"bin {bin_index} already occupied")
-    out: dict = {}
-    for (m, anc, bins), amp in state.amps.items():
-        if m == "1":
-            new_bins = tuple(1 if i == bin_index else b
-                             for i, b in enumerate(bins))
-            key = ("0", anc, new_bins)
-            out[key] = out.get(key, 0.0 + 0.0j) + efficiency * amp
-        else:
-            key = (m, anc, bins)
-            out[key] = out.get(key, 0.0 + 0.0j) + amp
-    return _new_state(out, state)
+    a = np.moveaxis(state.amps, 2 + bin_index, 0)  # axes: bin, matter, ancilla, ...
+    if np.any(a[1]):
+        raise ProtocolError(f"bin {bin_index} already occupied")
+    out = a.copy()
+    out[1, 0], out[0, 1] = efficiency * a[0, 1], 0.0
+    return ProtocolState(np.moveaxis(out, 0, 2 + bin_index))
 
 
-# Sequences reconstructed from the reported output states: the storage
-# transfer between |0> and |a> is a pair of half-pi pulses, and replacing
-# the SWAP by a second CnNOT (or dropping the mid-circuit X) keeps the
-# register entangled with the photon instead of releasing it.
+# Gates by name, each EMIT by its bin. Sequences reconstructed from the reported
+# output states: the storage transfer between |0> and |a> is a pair of half-pi
+# pulses, and replacing the SWAP by a second CnNOT (or dropping the mid-circuit
+# X) keeps the register entangled with the photon instead of releasing it.
 _SEQUENCES = {
-    "timebin_a": (True, [("gate", "CnNOT"), ("emit", 0), ("gate", "SWAP"),
-                         ("gate", "X"), ("emit", 1)]),
-    "entangle_a": (True, [("gate", "CnNOT"), ("emit", 0), ("gate", "CnNOT"),
-                          ("gate", "X"), ("emit", 1)]),
-    "timebin_b": (False, [("gate", "HALFPI_0a"), ("gate", "HALFPI_0a"),
-                          ("emit", 0), ("gate", "X"), ("gate", "HALFPI_0a"),
-                          ("gate", "HALFPI_0a"), ("gate", "X"), ("emit", 1)]),
-    "entangle_b": (False, [("gate", "HALFPI_0a"), ("gate", "HALFPI_0a"),
-                           ("emit", 0), ("gate", "HALFPI_0a"),
-                           ("gate", "HALFPI_0a"), ("gate", "X"), ("emit", 1)]),
+    "timebin_a": ("CnNOT", 0, "SWAP", "X", 1),
+    "entangle_a": ("CnNOT", 0, "CnNOT", "X", 1),
+    "timebin_b": ("HALFPI_0a", "HALFPI_0a", 0, "X", "HALFPI_0a", "HALFPI_0a", "X", 1),
+    "entangle_b": ("HALFPI_0a", "HALFPI_0a", 0, "HALFPI_0a", "HALFPI_0a", "X", 1),
 }
 
 PROTOCOLS = tuple(_SEQUENCES)
 
-
-def _target_state(which: str, alpha0: complex, beta0: complex,
-                  has_ancilla: bool) -> ProtocolState:
-    if which == "timebin_a":
-        amps = {("0", "0", (1, 0)): alpha0, ("0", "0", (0, 1)): beta0}
-    elif which == "entangle_a":
-        amps = {("0", "1", (1, 0)): alpha0, ("0", "0", (0, 1)): beta0}
-    elif which == "timebin_b":
-        amps = {("0", None, (1, 0)): alpha0, ("0", None, (0, 1)): beta0}
-    else:  # entangle_b
-        amps = {("a", None, (1, 0)): alpha0, ("0", None, (0, 1)): beta0}
-    return ProtocolState(amps, 2, has_ancilla)
+# The (matter, ancilla, bins) labels of the alpha0 and beta0 branches: at
+# the input, by whether the register has an ancilla; in the ideal output.
+_INPUTS = {True: (("0", "1", (0, 0)), ("0", "0", (0, 0))),
+           False: (("1", None, (0, 0)), ("0", None, (0, 0)))}
+_TARGETS = {
+    "timebin_a": (("0", "0", (1, 0)), ("0", "0", (0, 1))),
+    "entangle_a": (("0", "1", (1, 0)), ("0", "0", (0, 1))),
+    "timebin_b": (("0", None, (1, 0)), ("0", None, (0, 1))),
+    "entangle_b": (("a", None, (1, 0)), ("0", None, (0, 1))),
+}
 
 
 @dataclass
@@ -181,27 +160,13 @@ def run_protocol(which: str, alpha0: complex, beta0: complex,
     """
     if which not in _SEQUENCES:
         raise ValidationError(f"unknown protocol {which!r}; choose from {PROTOCOLS}")
-    alpha0, beta0 = finite(alpha0, "alpha0", complex), finite(beta0, "beta0", complex)
-    norm = abs(alpha0) ** 2 + abs(beta0) ** 2
-    if abs(norm - 1.0) > 1e-9:
-        raise ValidationError("initial amplitudes must be normalized")
-
-    has_ancilla, ops = _SEQUENCES[which]
-    if has_ancilla:
-        state = ProtocolState({("0", "1", (0, 0)): alpha0,
-                               ("0", "0", (0, 0)): beta0}, 2, True)
-    else:
-        state = ProtocolState({("1", None, (0, 0)): alpha0,
-                               ("0", None, (0, 0)): beta0}, 2, False)
-    for kind, arg in ops:
-        if kind == "gate":
-            state = apply_gate(state, arg)
-        else:
-            state = emit(state, arg, efficiency)
-
-    target = _target_state(which, alpha0, beta0, has_ancilla)
-    overlap = sum(np.conj(t_amp) * state.amps.get(key, 0.0)
-                  for key, t_amp in target.amps.items())
+    InitialState(alpha0, beta0)  # finite and normalized
+    qubit = (complex(alpha0), complex(beta0))
+    target = ProtocolState.from_labels(dict(zip(_TARGETS[which], qubit)))
+    state = ProtocolState.from_labels(dict(zip(_INPUTS[target.has_ancilla], qubit)))
+    for op in _SEQUENCES[which]:
+        state = apply_gate(state, op) if isinstance(op, str) else emit(state, op, efficiency)
+    overlap = np.vdot(target.amps, state.amps)
     return ProtocolResult(which=which, state=state, target=target,
                           fidelity=float(abs(overlap) ** 2), norm=state.norm())
 

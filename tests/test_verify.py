@@ -203,6 +203,30 @@ def test_lindblad_coherent_branch_matches_formula(siv_raw, siv_params,
         assert res.fidelity_coherent == pytest.approx(formula, abs=1e-9)
 
 
+def test_generic_envelope_matches_the_series_through_both_oracles(siv_raw,
+                                                                  siv_params):
+    # the series pulse's own callables as a generic Envelope: G and the
+    # phase come from Chebyshev series and int |v|^2 from quadrature, yet the
+    # trajectory and the master equation read the series' values, at the
+    # series' number of right-hand-side evaluations
+    pl = CosineSeriesPulse(0.44, (1.0, -0.06), chirp=2.5).normalize()
+    generic = Envelope(T=pl.T, f=pl.f, df=pl.df, d2f=pl.d2f, theta=pl.theta,
+                       dtheta=pl.dtheta, d2theta=pl.d2theta)
+    E = 0.99 * max_efficiency(siv_params, pl)
+    init, grid = InitialState(1.0), np.linspace(0.0, pl.T, 201)
+    runs = []
+    for env in (pl, generic):
+        cf = ClosedFormSolution(siv_params, env, E)
+        runs.append((cf.trajectory(init, grid),
+                     lindblad_simulate(siv_raw, siv_params, env, cf.Omega, init)))
+    (traj, lind), (traj_g, lind_g) = runs
+    assert max(traj_g.max_dev(traj).values()) <= 1e-12
+    assert lind_g.fidelity == pytest.approx(lind.fidelity, abs=1e-12)
+    assert lind_g.fidelity_coherent == pytest.approx(lind.fidelity_coherent,
+                                                     abs=1e-12)
+    assert abs(lind_g.nfev - lind.nfev) <= 0.01 * lind.nfev
+
+
 def test_lindblad_agreement_at_gentle_rates():
     # a tenth of the benchmark decoherence keeps jump recycling below the
     # 1e-3 level, and the bound is respected
