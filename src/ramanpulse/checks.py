@@ -149,13 +149,16 @@ def c4_synthesis_closure(p: EmitterParams, pulse: CosineSeriesPulse):
 
 def c5_lindblad_confirmation(p: EmitterParams, raw: RawRates,
                              pulse: CosineSeriesPulse):
-    """C5: the master-equation oracle at E = 0.99 E_max, three states.
+    """C5: the master-equation oracle at E = 0.99 E_max, three states and
+    the Bloch average, all read from one channel solve of the drive.
 
     The fidelity formula is the coherent (no-jump) branch, which the
     oracle's no-jump branch must reproduce. The oracle's total also holds
     branches recycled through emitter jumps (a decayed or repumped
     excitation is re-driven and partly re-emitted into the target mode),
-    so it may exceed the formula but must stay below the bound.
+    so it may exceed the formula but must stay below the bound. The same
+    two relations hold for the means over the six Pauli eigenstates
+    against bounds.avg_fidelity.
     """
     E_max = max_efficiency(p, pulse)
     E = 0.99 * E_max
@@ -174,6 +177,12 @@ def c5_lindblad_confirmation(p: EmitterParams, raw: RawRates,
                 # a sum of positive semidefinite branches, to the oracle's rtol
                 Check(f"{tag} recycled part", res.fidelity - res.fidelity_coherent,
                       ">=", -1e-8)]
+    avg, avg_coherent = verify.lindblad_bloch_average(raw, p, pulse, cf.Omega)
+    out += [Check("C5 |Bloch-average coherent branch - average formula|",
+                  abs(avg_coherent - bounds.avg_fidelity(E, p.Gamma2, pulse.T)),
+                  "<=", 1e-3),
+            Check("C5 Bloch-average total - average bound",
+                  avg - bounds.avg_fidelity(E_max, p.Gamma2, pulse.T), "<=", 1e-3)]
     return out + [_elapsed("C5", t0, 60.0)]
 
 
@@ -198,8 +207,8 @@ def c7_bloch_average_identity(p: EmitterParams):
     """C7: the average fidelity formula against the mean over the six Pauli
     eigenstates, a 2-design and so exact for this degree-(2, 2) fidelity."""
     E, T = 0.92, 0.44
-    pauli = float(np.mean([bounds.fidelity(E, p.Gamma2, T, a)
-                           for a in (1.0, 0.0, 0.5, 0.5, 0.5, 0.5)]))
+    pauli = float(np.mean([bounds.fidelity(E, p.Gamma2, T, abs(s.alpha0) ** 2)
+                           for s in verify.PAULI_STATES]))
     return [Check("C7 |Pauli-eigenstate mean - closed-form average fidelity|",
                   abs(pauli - bounds.avg_fidelity(E, p.Gamma2, T)), "<=", 1e-12)]
 

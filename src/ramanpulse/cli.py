@@ -285,6 +285,9 @@ def cmd_verify(args) -> int:
         report["F_lindblad_coherent"] = lres.fidelity_coherent
         report["lindblad_trace_drift"] = lres.trace_drift
         report["lindblad_marker_max"] = lres.marker_max
+        (report["F_lindblad_bloch_avg"],
+         report["F_lindblad_coherent_bloch_avg"]) = verify.lindblad_bloch_average(
+            raw, p, pl, cf.Omega)
     write_json(out / "verify_report.json", report)
     print(f"wrote {out / 'verify_report.json'}")
     print(json.dumps(report, indent=2, sort_keys=True, default=float))

@@ -30,24 +30,71 @@ class OdeSolution(Amplitudes):
     nfev: int
 
 
+class _Memo:
+    """The last solve of one oracle and its key; a call with an equal key
+    reads it, any other solves afresh. The entry is dropped before a solve,
+    so a solve that raises leaves nothing stored."""
+
+    def __init__(self):
+        self.key = self.value = None
+
+    def get(self, key, solve):
+        if self.value is None or self.key != key:
+            self.key = self.value = None
+            self.value, self.key = solve(), key
+        return self.value
+
+
+_AMPLITUDE_MEMO = _Memo()
+_CHANNEL_MEMO = _Memo()
+
+
 def integrate_nonhermitian(p: EmitterParams, Omega, init: InitialState,
                            grid) -> OdeSolution:
     """Integrate the amplitude equations for a given drive.
 
-    The photon amplitude obeys an equation that is singular at its zero
-    start, so its squared magnitude is integrated instead (an equivalent
-    regular form) and the phase is attached afterwards from the convention
-    that the initial |1> phase rides on the photon. It runs on the stepper of
-    lindblad_simulate (_dop853, error norm on the real view of the state) at
-    rtol 1e-10, atol 1e-12, and reads the grid from DOP853's dense output.
-    err_est holds each amplitude's largest difference from a second pass at
-    tolerances 100 times looser. Omega is the drive, called on a 1-d array
-    of times (a scalar return is broadcast); grid must hold at least two
+    The no-jump amplitudes are linear in the initial state: alpha, zeta and
+    eta scale with alpha0, beta with beta0. So one unit solve from
+    (alpha, beta) = (1, 1) serves every state, and a state's amplitudes are
+    that solve scaled. The photon amplitude obeys an equation that is
+    singular at its zero start, so its squared magnitude m is integrated
+    instead (an equivalent regular form); m scales with |alpha0|^2, and
+    lambda = alpha0 sqrt(m) puts the initial |1> phase on the photon. The
+    solve runs on the stepper of lindblad_simulate (_dop853, error norm on
+    the real view of the state) at rtol 1e-10, atol 1e-12, and reads the
+    grid from DOP853's dense output. err_est holds each scaled amplitude's
+    largest difference from a second unit pass at tolerances 100 times
+    looser, scaled alike; the norm check is made per state.
+
+    The unit solve is kept for the next call with an equal (p, Omega, grid)
+    (one entry), whose nfev it reports too. A bound ClosedFormSolution.Omega
+    is equal only to the same instance's, so a new synthesis solves afresh.
+    Omega must be a pure function of t: the drive, called on a 1-d array of
+    times (a scalar return is broadcast). grid must hold at least two
     strictly increasing times.
     """
     grid = time_grid(grid, "grid")
     if grid.size < 2 or np.any(np.diff(grid) <= 0):
         raise ValidationError("grid must hold two or more strictly increasing times")
+    tight, loose, nfev = _AMPLITUDE_MEMO.get(
+        (p, Omega, grid.tobytes()), lambda: _unit_amplitudes(p, Omega, grid))
+    a0, b0 = complex(init.alpha0), complex(init.beta0)
+
+    def scaled(y):
+        a, b, z, e, m = y.T
+        return OdeSolution(grid=grid, alpha=a0 * a, beta=b0 * b, zeta=a0 * z,
+                           eta=a0 * e, lam=a0 * np.sqrt(np.maximum(m.real, 0.0)),
+                           err_est={}, nfev=nfev)
+
+    out = scaled(tight)
+    out.err_est = out.max_dev(scaled(loose))
+    if np.any(out.norm() > 1.0 + 1e-9):
+        raise NumericError("integrated state norm exceeded one beyond tolerance")
+    return out
+
+
+def _unit_amplitudes(p: EmitterParams, Omega, grid):
+    """The tight and the loose unit solve on grid, and the tight one's nfev."""
     g, kappa, G2 = p.g, p.kappa, p.Gamma2
     half_eta_rate = 0.5 * (G2 + kappa + p.kappa_tilde)
 
@@ -57,21 +104,13 @@ def integrate_nonhermitian(p: EmitterParams, Omega, init: InitialState,
                          (-1j * p.Delta - 0.5 * p.gamma_tilde) * z - g * e - om * a,
                          -half_eta_rate * e + g * z, -G2 * m.real + kappa * abs(e) ** 2])
 
-    y0 = np.array([init.alpha0, init.beta0, 0.0, 0.0, 0.0], dtype=complex)
-    phase = init.alpha0 / abs(init.alpha0) if init.alpha0 != 0 else 1.0
-
     def solve(rt, at):
-        y, nfev = _dop853(lambda t: _sample(Omega, t), rhs, y0, grid, np.inf, rt, at)
-        a, b, z, e, m = y.T
-        return OdeSolution(grid=grid, alpha=a, beta=b, zeta=z, eta=e,
-                           lam=phase * np.sqrt(np.maximum(m.real, 0.0)),
-                           err_est={}, nfev=nfev)
+        return _dop853(lambda t: _sample(Omega, t), rhs,
+                       np.array([1.0, 1.0, 0.0, 0.0, 0.0], dtype=complex), grid,
+                       np.inf, rt, at)
 
-    out = solve(1e-10, 1e-12)
-    out.err_est = out.max_dev(solve(1e-8, 1e-10))
-    if np.any(out.norm() > 1.0 + 1e-9):
-        raise NumericError("integrated state norm exceeded one beyond tolerance")
-    return out
+    tight, nfev = solve(1e-10, 1e-12)
+    return tight, solve(1e-8, 1e-10)[0], nfev
 
 
 @dataclass
@@ -340,19 +379,25 @@ def lindblad_simulate(p_raw: RawRates, p: EmitterParams, env, Omega,
     passes the virtual cavity, so an L0 jump leaves a photon in a waveguide
     mode orthogonal to the target mode. Such a branch is orthogonal to the
     target alpha0 |0;0c;1v> + beta0 |0;0c;0v> even though its emitter and
-    cavity end in |0;0c;0v>. Three states are therefore evolved together:
+    cavity end in |0;0c;0v>. Three blocks are therefore evolved together:
     the total state (which rho and the diagnostics describe), the branch
     with no photon outside the target mode (every jump but L0; fidelity is
     scored on it), and the no-jump branch (fidelity_coherent).
 
-    The right-hand side is w(t) @ (S @ y) on one sparse Liouvillian S built
-    per call (_liouvillian). _dop853 runs at rtol 1e-8, atol 1e-11 and
-    max_step T/64; the checkpoints before T come from its dense output and
-    keep trace and Hermiticity exact to rounding: each stage is the
-    Liouvillian of a Hermitian state, so Hermitian and traceless on the
-    total block, and the interpolant sums stages with real coefficients.
-    Omega is called on a 1-d array of times, at t = 0 and once per attempted
-    step on its stage times (a scalar return is broadcast). nfev counts
+    One drive defines one channel Phi, linear in the initial state and
+    Hermiticity-preserving on every block. The initial state a |1> + b |0>
+    (times |0c;0v>) is |a|^2 E11 + a b* E10 + (a b* E10)^dag + |b|^2 E00 on
+    E11 = |1><1|, E10 = |1><0| and E00 = |0><0|, so one solve of these three
+    inputs (_channel) gives every state at every checkpoint as
+    |a|^2 Phi(E11) + a b* Phi(E10) + (a b* Phi(E10))^dag + |b|^2 Phi(E00).
+    The trace, Hermiticity, marker and eigenvalue checks and both
+    fidelities are made per state, on that sum. The solve is kept for the
+    next call with an equal (p_raw, p, env, Omega) (one entry), whose nfev
+    it reports too; the rate-consistency check runs on every call. A bound
+    ClosedFormSolution.Omega is equal only to the same instance's, so a new
+    synthesis solves afresh. Omega must be a pure function of t: it is
+    called on a 1-d array of times, at t = 0 and once per attempted step on
+    its stage times (a scalar return is broadcast). nfev counts
     right-hand-side evaluations.
     """
     comb = combine_rates(p_raw)
@@ -364,26 +409,15 @@ def lindblad_simulate(p_raw: RawRates, p: EmitterParams, env, Omega,
                 f"raw rates and effective parameters disagree on {name}")
 
     env = as_envelope(env)
-    T = env.T
-
     if forbidden_tol is None:
         forbidden_tol = 1e-8 if p_raw.gamma_0to1 == 0.0 else 0.05
 
-    def weights(t):
-        om, gv = _sample(Omega, t), virtual_coupling(env, t, kappa=p.kappa)
-        return np.stack([np.ones_like(om), om, om.conj(), gv, gv.conj(),
-                         abs(gv) ** 2], axis=1)
-
-    psi0 = np.zeros(_DIM, dtype=complex)
-    psi0[_flat_index("1", 0, 0)] = init.alpha0
-    psi0[_flat_index("0", 0, 0)] = init.beta0
-    rho0 = np.outer(psi0, psi0.conj())
-
-    S = _liouvillian(p, _static_dissipators(p_raw))
-    states, nfev = _dop853(weights, lambda w, y: w @ (S @ y).reshape(w.size, -1),
-                           np.tile(rho0.reshape(-1), _N_BLOCKS),
-                           np.linspace(0.0, T, 41), T / 64.0, 1e-8, 1e-11)
-    states = states.reshape(-1, _N_BLOCKS, _DIM, _DIM)
+    (E11, E10, E00), nfev = _CHANNEL_MEMO.get(
+        (p_raw, p, env, Omega), lambda: _channel(p_raw, p, env, Omega))
+    a, b = complex(init.alpha0), complex(init.beta0)
+    coherence = a * b.conjugate() * E10
+    states = (abs(a) ** 2 * E11 + coherence + coherence.conj().swapaxes(-1, -2)
+              + abs(b) ** 2 * E00)
 
     total = states[:, _TOTAL]
     trace_drift = float(np.max(np.abs(np.trace(total, axis1=1, axis2=2).real - 1.0)))
@@ -405,11 +439,65 @@ def lindblad_simulate(p_raw: RawRates, p: EmitterParams, env, Omega,
             f"final state has eigenvalue {dm.min_eigenvalue():.3e} below -1e-8")
 
     psi_tgt = np.zeros(_DIM, dtype=complex)
-    psi_tgt[_flat_index("0", 0, 1)] = init.alpha0
-    psi_tgt[_flat_index("0", 0, 0)] = init.beta0
+    psi_tgt[_flat_index("0", 0, 1)] = a
+    psi_tgt[_flat_index("0", 0, 0)] = b
     fid, fid_coherent = (float(np.real(psi_tgt.conj() @ final[k] @ psi_tgt))
                          for k in (_IN_MODE, _NO_JUMP))
 
     return LindbladResult(rho=dm, fidelity=fid, fidelity_coherent=fid_coherent,
                           trace_drift=trace_drift, herm_dev=herm_dev,
                           marker_max=marker_max, nfev=nfev)
+
+
+# (row, column) of the channel's basis inputs E11, E10 and E00
+_BASIS = tuple((_flat_index(m, 0, 0), _flat_index(n, 0, 0))
+               for m, n in (("1", "1"), ("1", "0"), ("0", "0")))
+
+
+def _channel(p_raw: RawRates, p: EmitterParams, env, Omega):
+    """Phi(E11), Phi(E10) and Phi(E00) at the 41 checkpoints, each of shape
+    (41, blocks, 12, 12), and the nfev.
+
+    The three inputs evolve side by side as one 1296-vector laid out as
+    (432, 3): the right-hand side is w(t) @ (S @ y) with S = kron(L, I_3)
+    on the sparse Liouvillian L of _liouvillian. _dop853 runs at
+    rtol 1e-8, atol 1e-11 and max_step T/64; the checkpoints before T come
+    from its dense output and keep trace and Hermiticity exact to rounding:
+    each stage of E11 and E00 is the Liouvillian of a Hermitian state, so
+    Hermitian and traceless on the total block (E10's is traceless), and
+    the interpolant sums stages with real coefficients.
+    """
+    T = env.T
+
+    def weights(t):
+        om, gv = _sample(Omega, t), virtual_coupling(env, t, kappa=p.kappa)
+        return np.stack([np.ones_like(om), om, om.conj(), gv, gv.conj(),
+                         abs(gv) ** 2], axis=1)
+
+    n_in = len(_BASIS)
+    y0 = np.zeros((_N_BLOCKS, _DIM, _DIM, n_in), dtype=complex)
+    for c, (i, j) in enumerate(_BASIS):
+        y0[:, i, j, c] = 1.0
+    S = sparse.kron(_liouvillian(p, _static_dissipators(p_raw)),
+                    sparse.identity(n_in), format="csr")
+    states, nfev = _dop853(weights, lambda w, y: w @ (S @ y).reshape(w.size, -1),
+                           y0.reshape(-1), np.linspace(0.0, T, 41), T / 64.0,
+                           1e-8, 1e-11)
+    return np.moveaxis(states.reshape(-1, _N_BLOCKS, _DIM, _DIM, n_in), -1, 0), nfev
+
+
+# The six Pauli eigenstates: a 2-design, so the mean over them of a fidelity
+# of degree (2, 2) in (alpha0, beta0) is its exact Bloch-sphere average.
+_H = math.sqrt(0.5)
+PAULI_STATES = tuple(InitialState(a, b) for a, b in (
+    (1.0, 0.0), (0.0, 1.0), (_H, _H), (_H, -_H), (_H, 1j * _H), (_H, -1j * _H)))
+
+
+def lindblad_bloch_average(p_raw: RawRates, p: EmitterParams, env,
+                           Omega) -> tuple:
+    """Bloch-sphere averages of fidelity and fidelity_coherent: the means
+    over PAULI_STATES, each read by lindblad_simulate from the one channel
+    solve of this drive."""
+    runs = [lindblad_simulate(p_raw, p, env, Omega, init) for init in PAULI_STATES]
+    return (float(np.mean([r.fidelity for r in runs])),
+            float(np.mean([r.fidelity_coherent for r in runs])))

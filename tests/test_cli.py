@@ -45,6 +45,15 @@ def test_verify_reports_lindblad_branches(tmp_path):
     report = json.loads((out / "verify_report.json").read_text())
     assert abs(report["F_lindblad_coherent"] - report["F_closed"]) < 1e-6
     assert report["F_lindblad"] >= report["F_lindblad_coherent"] - 1e-8
+    # the Bloch averages of the same channel: the no-jump branch is the
+    # closed-form average fidelity
+    syn = json.loads((out / "synthesis.json").read_text())
+    p = params_from_dict(syn["params"])[0]
+    T = syn["pulse"]["T_ns"]
+    assert abs(report["F_lindblad_coherent_bloch_avg"]
+               - bounds.avg_fidelity(syn["efficiency"], p.Gamma2, T)) < 1e-9
+    assert (report["F_lindblad_bloch_avg"]
+            >= report["F_lindblad_coherent_bloch_avg"] - 1e-8)
 
 
 def test_protocol_subcommand(tmp_path):

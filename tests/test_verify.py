@@ -317,6 +317,38 @@ def test_precomputed_generator_matches_direct_assembly(siv_raw):
         assert np.max(np.abs(product - direct)) <= 1e-14 * np.max(np.abs(direct))
 
 
+def _attempts(calls):
+    """Start, end and acceptance of each attempted step, from the drive
+    samples of one _dop853 run (the first, at t = 0, is left out)."""
+    c1 = verify.DOP853.C[1]
+    starts = np.array([(t[0] - c1 * t[10]) / (1.0 - c1) for t in calls[1:]])
+    ends = np.array([t[10] for t in calls[1:]])
+    # an attempt from the same start as the one after it was rejected
+    accepted = np.append(np.diff(starts) > 1e-12 * ends[-1], True)
+    return starts, ends, accepted
+
+
+def _weights(p, env, Omega):
+    """The six weights of the Liouvillian's row blocks, as lindblad_simulate
+    forms them."""
+    def weights(t):
+        om = np.broadcast_to(np.asarray(Omega(t), dtype=complex), t.shape)
+        gv = virtual_coupling(env, t, kappa=p.kappa)
+        return np.stack([np.ones_like(om), om, om.conj(), gv, gv.conj(),
+                         abs(gv) ** 2], axis=1)
+    return weights
+
+
+def _rho0(init):
+    """|psi0><psi0| with psi0 = alpha0 |1;0c;0v> + beta0 |0;0c;0v>, and the
+    target alpha0 |0;0c;1v> + beta0 |0;0c;0v>."""
+    i1, i0, i_tgt = (verify._flat_index(m, 0, nv)
+                     for m, nv in (("1", 0), ("0", 0), ("0", 1)))
+    psi0, psi_tgt = np.zeros((2, 12), dtype=complex)
+    psi0[[i1, i0]] = psi_tgt[[i_tgt, i0]] = init.alpha0, init.beta0
+    return np.outer(psi0, psi0.conj()), psi_tgt
+
+
 @pytest.mark.parametrize("Delta_GHz, chirp", [(0.0, 0.0), (1.0, 0.0), (0.0, 2.5)],
                          ids=["resonant", "detuned", "chirped"])
 def test_step_loop_matches_scipy_dop853(siv_raw, Delta_GHz, chirp):
@@ -336,11 +368,8 @@ def test_step_loop_matches_scipy_dop853(siv_raw, Delta_GHz, chirp):
         w = np.array([1.0, om, np.conj(om), gv, np.conj(gv), abs(gv) ** 2])
         return w @ (S @ y).reshape(w.size, -1)
 
-    i1, i0, i_tgt = (verify._flat_index(m, 0, nv) for m, nv in (("1", 0), ("0", 0), ("0", 1)))
-    psi0, psi_tgt = np.zeros((2, 12), dtype=complex)
-    psi0[[i1, i0]] = psi_tgt[[i_tgt, i0]] = init.alpha0, init.beta0
-    rho0 = np.outer(psi0, psi0.conj()).reshape(-1)
-    ref = solve_ivp(rhs, (0.0, pl.T), np.tile(rho0, 3), method="DOP853",
+    rho0, psi_tgt = _rho0(init)
+    ref = solve_ivp(rhs, (0.0, pl.T), np.tile(rho0.reshape(-1), 3), method="DOP853",
                     t_eval=np.linspace(0.0, pl.T, 41), rtol=1e-8, atol=1e-11,
                     max_step=pl.T / 64.0)
     assert ref.success
@@ -378,35 +407,182 @@ def test_drive_sampled_once_per_attempted_step(monkeypatch, siv_raw, siv_params,
     real_gv = verify.virtual_coupling
     monkeypatch.setattr(verify, "virtual_coupling", lambda env, t, kappa:
                         gv_calls.append(t) or real_gv(env, t, kappa=kappa))
+    init = InitialState(math.sqrt(0.5), math.sqrt(0.5))
     res = lindblad_simulate(siv_raw, siv_params, optimal_sin2,
-                            lambda t: calls.append(t) or cf.Omega(t),
-                            InitialState(math.sqrt(0.5), math.sqrt(0.5)))
+                            lambda t: calls.append(t) or cf.Omega(t), init)
     assert all(isinstance(t, np.ndarray) and t.ndim == 1 for t in calls)
     # one sample at t = 0, then one per attempted step over its 11 new stage
     # times (the 11th is its end) and the 3 of the dense output
     assert np.array_equal(calls[0], [0.0])
     assert all(t.size == 14 and 0.0 < t[0] and t[10] <= T for t in calls[1:])
     assert len(gv_calls) == len(calls)
-    c1 = verify.DOP853.C[1]
-    starts = np.array([(t[0] - c1 * t[10]) / (1.0 - c1) for t in calls[1:]])
-    ends = np.array([t[10] for t in calls[1:]])
+    starts, ends, accepted = _attempts(calls)
     # each attempt makes 12 right-hand-side evaluations, and each accepted
     # step holding checkpoints before T 3 more; the last step ends at T
-    accepted = np.append(np.diff(starts) > 1e-12 * T, True)
     inner = np.linspace(0.0, T, 41)[1:-1]
     holding = sum(np.any((inner > s) & (inner <= e))
                   for s, e in zip(starts[accepted], ends[accepted]))
     assert res.nfev == 1 + 12 * (len(calls) - 1) + 3 * holding
     assert ends[-1] == T
-    # an attempt from the same start as the one before retries a rejected
-    # step: it is shorter, and the step after it is no longer (here the
-    # first guess is rejected twice)
+
+    # the same drive on this one state alone: Hairer's first guess is too
+    # long and is rejected twice. An attempt from the same start as the one
+    # before retries a rejected step: it is shorter, and the step after it
+    # is no longer
+    S = verify._liouvillian(siv_params, verify._static_dissipators(siv_raw))
+    weights = _weights(siv_params, optimal_sin2, cf.Omega)
+    calls[:] = []
+    verify._dop853(lambda t: calls.append(t) or weights(t),
+                   lambda w, y: w @ (S @ y).reshape(w.size, -1),
+                   np.tile(_rho0(init)[0].reshape(-1), 3),
+                   np.linspace(0.0, T, 41), T / 64.0, 1e-8, 1e-11)
+    starts, ends, accepted = _attempts(calls)
     steps = ends - starts
     retried = np.flatnonzero(~accepted)
     assert retried.size >= 1
     for i in retried:
         assert steps[i + 1] <= steps[i]
         assert steps[i + 2] <= steps[i + 1] * (1 + 1e-9)
+
+
+_CHANNEL_STATES = (InitialState(0.0, 1.0), InitialState(1.0, 0.0),
+                   InitialState(0.6, 0.8j),
+                   InitialState(0.8 * np.exp(0.3j), 0.6 * np.exp(-2.1j)))
+
+
+@pytest.fixture(scope="module")
+def channel_drive(siv_params, optimal_sin2):
+    E = 0.99 * max_efficiency(siv_params, optimal_sin2)
+    return optimal_sin2, ClosedFormSolution(siv_params, optimal_sin2, E)
+
+
+def test_channel_matches_one_state_solves(siv_raw, siv_params, channel_drive):
+    # every state read from the one channel solve against a solve of that
+    # state alone, on the same stepper and tolerances
+    pl, cf = channel_drive
+    T = pl.T
+    S = verify._liouvillian(siv_params, verify._static_dissipators(siv_raw))
+    weights = _weights(siv_params, pl, cf.Omega)
+    markers = list(verify._MARKER_INDICES)
+    for init in _CHANNEL_STATES:
+        res = lindblad_simulate(siv_raw, siv_params, pl, cf.Omega, init)
+        rho0, psi_tgt = _rho0(init)
+        states, _ = verify._dop853(weights,
+                                   lambda w, y: w @ (S @ y).reshape(w.size, -1),
+                                   np.tile(rho0.reshape(-1), 3),
+                                   np.linspace(0.0, T, 41), T / 64.0, 1e-8, 1e-11)
+        states = states.reshape(-1, 3, 12, 12)
+        total = states[:, verify._TOTAL]
+        diag = np.einsum("kii->ki", total).real
+        marker = np.max(diag[:, markers].sum(axis=1))
+        drift = np.max(np.abs(diag.sum(axis=1) - 1.0))
+        F, F_coherent = (np.real(psi_tgt.conj() @ states[-1, k] @ psi_tgt)
+                         for k in (verify._IN_MODE, verify._NO_JUMP))
+        assert abs(res.fidelity - F) <= 1e-12
+        assert abs(res.fidelity_coherent - F_coherent) <= 1e-12
+        assert abs(res.marker_max - marker) <= 1e-12
+        assert abs(res.trace_drift - drift) <= 1e-12
+        assert np.max(np.abs(res.rho.matrix - total[-1])) <= 1e-12
+
+
+def test_states_of_one_drive_share_one_solve(monkeypatch, siv_raw, siv_params,
+                                             optimal_sin2):
+    E = 0.99 * max_efficiency(siv_params, optimal_sin2)
+    counts = {"_dop853": 0, "_liouvillian": 0}
+    for name in counts:
+        real = getattr(verify, name)
+        monkeypatch.setattr(verify, name, lambda *a, real=real, name=name:
+                            counts.__setitem__(name, counts[name] + 1) or real(*a))
+    runs = []
+    for _ in range(2):
+        cf = ClosedFormSolution(siv_params, optimal_sin2, E)
+        runs.append([lindblad_simulate(siv_raw, siv_params, optimal_sin2, cf.Omega,
+                                       InitialState(math.sqrt(a), math.sqrt(1 - a)))
+                     for a in (0.0, 0.5, 1.0)])
+        # three states on one bound Omega: one solve and one Liouvillian;
+        # a new ClosedFormSolution solves again
+        assert counts == {"_dop853": len(runs), "_liouvillian": len(runs)}
+    assert all(r.nfev == runs[0][0].nfev for r in runs[0])
+    # the same numbers in the opposite order, from a fresh solve
+    cf = ClosedFormSolution(siv_params, optimal_sin2, E)
+    backwards = [lindblad_simulate(siv_raw, siv_params, optimal_sin2, cf.Omega,
+                                   InitialState(math.sqrt(a), math.sqrt(1 - a)))
+                 for a in (1.0, 0.5, 0.0)][::-1]
+    assert counts["_dop853"] == 3
+    for first, again, other in zip(runs[0], runs[1], backwards):
+        for r in (again, other):
+            assert (r.fidelity, r.fidelity_coherent, r.marker_max, r.trace_drift,
+                    r.herm_dev, r.nfev) == (first.fidelity, first.fidelity_coherent,
+                                            first.marker_max, first.trace_drift,
+                                            first.herm_dev, first.nfev)
+            assert np.array_equal(r.rho.matrix, first.rho.matrix)
+
+
+def test_failed_solve_is_not_kept(monkeypatch, siv_raw, synthesis):
+    p, pl, E, grid, init, _, cf = synthesis
+    drive = lambda t: np.where(t < 0.2, cf.Omega(t), np.nan)  # noqa: E731
+    calls = []
+    real = verify._dop853
+    monkeypatch.setattr(verify, "_dop853", lambda *a: calls.append(1) or real(*a))
+    for _ in range(2):
+        with pytest.raises(NumericError):
+            lindblad_simulate(siv_raw, p, pl, drive, init)
+        with pytest.raises(NumericError):
+            integrate_nonhermitian(p, drive, init, grid)
+    # each call solved again: one channel solve, and the tight amplitude pass
+    assert len(calls) == 4
+    assert verify._CHANNEL_MEMO.value is None and verify._AMPLITUDE_MEMO.value is None
+
+
+def test_amplitudes_scale_one_unit_solve(monkeypatch, synthesis):
+    p, pl, E, grid, _, _, cf = synthesis
+    calls = []
+    real = verify._dop853
+    monkeypatch.setattr(verify, "_dop853", lambda *a: calls.append(1) or real(*a))
+    runs = [integrate_nonhermitian(p, cf.Omega, init, grid) for init in _CHANNEL_STATES]
+    assert len(calls) == 2  # the tight and the loose unit pass
+    # another grid is another solve
+    half = integrate_nonhermitian(p, cf.Omega, _CHANNEL_STATES[2], grid[::2])
+    assert len(calls) == 4 and half.alpha.shape == grid[::2].shape
+    monkeypatch.setattr(verify, "_dop853", real)
+    for init, ode in zip(_CHANNEL_STATES, runs):
+        # a direct solve of this state, as the oracle solved before one unit
+        # solve served every state
+        y0 = np.array([init.alpha0, init.beta0, 0, 0, 0], dtype=complex)
+        y, _ = verify._dop853(lambda t: verify._sample(cf.Omega, t),
+                              lambda om, y: np.array([
+                                  -0.5 * p.Gamma1 * y[0] + np.conj(om) * y[2],
+                                  -0.5 * p.Gamma2 * y[1],
+                                  (-1j * p.Delta - 0.5 * p.gamma_tilde) * y[2]
+                                  - p.g * y[3] - om * y[0],
+                                  -0.5 * (p.Gamma2 + p.kappa + p.kappa_tilde) * y[3]
+                                  + p.g * y[2],
+                                  -p.Gamma2 * y[4].real + p.kappa * abs(y[3]) ** 2]),
+                              y0, grid, np.inf, 1e-10, 1e-12)
+        a, b, z, e, m = y.T
+        phase = init.alpha0 / abs(init.alpha0) if init.alpha0 != 0 else 1.0
+        for got, want in ((ode.alpha, a), (ode.beta, b), (ode.zeta, z), (ode.eta, e),
+                          (ode.lam, phase * np.sqrt(np.maximum(m.real, 0.0)))):
+            assert np.max(np.abs(got - want)) <= 1e-9
+        assert ode.nfev == runs[0].nfev
+    dark = runs[0]
+    for amp in (dark.alpha, dark.zeta, dark.eta, dark.lam):
+        assert np.all(amp == 0.0)
+
+
+def test_bloch_average_reads_the_formula(siv_raw, siv_params, channel_drive):
+    # the Pauli-eigenstate means of the channel against the closed-form
+    # Bloch average: exact on the no-jump branch, the total under the bound
+    pl, cf = channel_drive
+    F, F_coherent = verify.lindblad_bloch_average(siv_raw, siv_params, pl, cf.Omega)
+    T, G2 = pl.T, siv_params.Gamma2
+    assert abs(F_coherent - bounds.avg_fidelity(cf.E, G2, T)) <= 1e-9
+    assert F >= F_coherent - 1e-8
+    assert F <= bounds.avg_fidelity(cf.E_max, G2, T) + 1e-3
+    means = [np.mean([getattr(lindblad_simulate(siv_raw, siv_params, pl, cf.Omega, s),
+                              name) for s in verify.PAULI_STATES])
+             for name in ("fidelity", "fidelity_coherent")]
+    assert means == [F, F_coherent]
 
 
 def test_dense_output_between_steps():
