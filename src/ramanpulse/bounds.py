@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .depletion import DepletionProfile
 from .errors import DomainError, ValidationError
-from .model import EmitterParams, cooperativity
+from .model import EmitterParams
 
 
 @dataclass(frozen=True)
@@ -26,7 +26,6 @@ class BoundResult:
     F_worst: float
     F_avg: float
     F_simplified: float
-    E2_slow: float
 
 
 def e_max(profile: DepletionProfile) -> float:
@@ -80,9 +79,10 @@ def avg_fidelity(E: float, Gamma2: float, T: float) -> float:
 
 
 def slow_pulse_bound(p: EmitterParams) -> float:
-    """Flat-pulse, perfect-memory limit of E^2: kappa/(kappa+kappa_tilde) * 2C/(1+2C)."""
-    C = cooperativity(p)
-    return p.kappa / (p.kappa + p.kappa_tilde) * 2.0 * C / (1.0 + 2.0 * C)
+    """Flat-pulse, perfect-memory limit of E^2: kappa/(kappa+kappa_tilde) * 2C/(1+2C),
+    written with no division by C, so it holds at gamma_tilde = 0 as well."""
+    k, four_g2 = p.kappa + p.kappa_tilde, 4.0 * p.g ** 2
+    return p.kappa / k * four_g2 / (four_g2 + p.gamma_tilde * k)
 
 
 def compute_bounds(p: EmitterParams, profile: DepletionProfile) -> BoundResult:
@@ -97,5 +97,4 @@ def compute_bounds(p: EmitterParams, profile: DepletionProfile) -> BoundResult:
         F_worst=fidelity(Em, p.Gamma2, T, 1.0),
         F_avg=avg_fidelity(Em, p.Gamma2, T),
         F_simplified=fidelity(Es, p.Gamma2, T, 1.0),
-        E2_slow=slow_pulse_bound(p),
     )

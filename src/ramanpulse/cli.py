@@ -331,10 +331,11 @@ def cmd_figures(args) -> int:
         for frac in np.geomspace(0.01, 0.5, 9):
             ps = dataclasses.replace(p, Gamma1=frac * pattern[0] * p.gamma_tilde,
                                      Gamma2=frac * pattern[1] * p.gamma_tilde)
+            rate = max(ps.Gamma1, ps.Gamma2)  # 0 for an emitter with gamma_tilde = 0
             try:
                 res = optimize.optimize_duration(
                     ps, T_lo=max(1.0 / p.g, 1.0 / p.kappa),
-                    T_hi=min(20.0, 1.0 / max(ps.Gamma1, ps.Gamma2)))
+                    T_hi=min(20.0, 1.0 / rate) if rate > 0 else 20.0)
             except ValidationError:
                 continue
             rows.append((sweep, ps.Gamma1, ps.Gamma2, res.pulse.T, res.F_worst,

@@ -16,9 +16,9 @@ read by its bound, drive and phase. Quadrature of d is only the oracle.
 The maximum of G sets the efficiency bound; as G' = d, it sits at the end
 T or where d falls through zero. g_max finds it for a block of series
 pulses at once (analytic_profile: one pulse): one shared grid, then every
-falling zero of d refined together (_falling_zeros); g_and_max searches one
-sampler the same way. The drive phase phi(t) is one Chebyshev series with
-its nodes on the 1/r^2 spike at the depletion maximum (drive_phase).
+falling zero of d refined together (_falling_zeros); g_and_max is the one
+entry of any single envelope. The drive phase phi(t) is one Chebyshev series
+with its nodes on the 1/r^2 spike at the depletion maximum (drive_phase).
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ G_MAX_ROWS = 16
 
 @dataclass
 class DepletionProfile:
-    """Sampled depletion data on a time grid.
+    """G sampled on a time grid, and its maximum.
 
     G_max is the maximum of G over t >= 0 (g_and_max: over [0, t_end]) at
     argmax_t: the largest G at the grid (the search grid, save on the
@@ -59,7 +59,6 @@ class DepletionProfile:
     """
 
     grid: np.ndarray
-    d: np.ndarray
     G: np.ndarray
     G_max: float
     argmax_t: float
@@ -249,7 +248,7 @@ def _falling_zeros(d, ts, ds):
 
 
 def _max_search(p: EmitterParams, T, V, chirp: float):
-    """g_max's search: its grid t, G and d there, then G_max and argmax_t."""
+    """g_max's search: its grid t, G there, then G_max and argmax_t."""
     T = np.asarray(T, dtype=float)
     Gamma, *rows = _pulse_rows(p, T, V, chirp)
     G_rows, P_sum, d_rows, A_sum = (x[:, 0] for x in rows)
@@ -270,7 +269,7 @@ def _max_search(p: EmitterParams, T, V, chirp: float):
     t_z[r, slot] = zeros
     G_all, t_all = np.hstack([G, G_z]), np.hstack([t, t_z])
     i = (np.arange(T.size), np.argmax(G_all, axis=1))
-    return t, G, d, G_all[i], t_all[i]
+    return t, G, G_all[i], t_all[i]
 
 
 def g_max(p: EmitterParams, T, V):
@@ -288,7 +287,7 @@ def g_max(p: EmitterParams, T, V):
     if not (np.all(T > 0) and np.isfinite(T).all() and np.isfinite(V).all()):
         raise ValidationError("g_max needs finite durations T > 0 and finite V")
     for i in range(0, T.size, G_MAX_ROWS):
-        _, G, _, G_max, argmax_t = _max_search(
+        _, G, G_max, argmax_t = _max_search(
             p, T[i:i + G_MAX_ROWS], V[i:i + G_MAX_ROWS], 0.0)
         out.append((G_max, argmax_t, G[:, -1]))
     return tuple(np.concatenate(x) for x in zip(*out))
@@ -296,14 +295,11 @@ def g_max(p: EmitterParams, T, V):
 
 def analytic_profile(p: EmitterParams, pulse: CosineSeriesPulse) -> DepletionProfile:
     """DepletionProfile of a series pulse, chirped or not, from a one-row
-    g_max search: G and d on its grid, G_max and argmax_t."""
+    g_max search: G on its grid, G_max and argmax_t."""
     if not isinstance(pulse, CosineSeriesPulse):
         raise ValidationError("analytic G needs a CosineSeriesPulse")
-    t, G, d, G_max, argmax_t = _max_search(p, [pulse.T], [pulse.coeffs],
-                                           pulse.chirp)
-    t = t[0]  # d = 0 at both ends, as f = f' = 0 there
-    return DepletionProfile(grid=t, d=np.where((t > 0) & (t < pulse.T), d[0], 0),
-                            G=G[0], G_max=float(G_max[0]),
+    t, G, G_max, argmax_t = _max_search(p, [pulse.T], [pulse.coeffs], pulse.chirp)
+    return DepletionProfile(grid=t[0], G=G[0], G_max=float(G_max[0]),
                             argmax_t=float(argmax_t[0]))
 
 
@@ -346,8 +342,7 @@ def integrated_depletion_numeric(p: EmitterParams, env, t_grid,
                          for a, b in zip(np.r_[0.0, nodes[:-1]], nodes)])
     G = G_nodes[np.searchsorted(nodes, times)]
     i = int(np.argmax(G))
-    return DepletionProfile(grid=grid, d=np.atleast_1d(d(grid)),
-                            G=G[:grid.size], G_max=float(G[i]),
+    return DepletionProfile(grid=grid, G=G[:grid.size], G_max=float(G[i]),
                             argmax_t=float(times[i]))
 
 
@@ -356,13 +351,17 @@ def _cumulative(rate, t_star: float, w: float, t_end: float, tol: float):
     t = t* + w sinh(u), for a spike of width ~w at t* (Elliott & Johnston, J.
     Comput. Appl. Math. 203, 103 (2007)), chopped (Aurentz & Trefethen, ACM
     TOMS 43, 33 (2017)) also at the noise floor of, say, finite differences;
-    sampled by barycentric rows (Berrut & Trefethen, SIAM Rev. 46, 501 (2004))."""
+    sampled by barycentric rows (Berrut & Trefethen, SIAM Rev. 46, 501 (2004)).
+    A rate 0 at every node of the first pass integrates to exact zeros."""
     u0, u1 = math.asinh(-t_star / w), math.asinh((t_end - t_star) / w)
     uc, ur = 0.5 * (u0 + u1), 0.5 * (u1 - u0)
     n, tail = 64, np.inf
     while True:
         u = uc + ur * np.cos(np.pi * np.arange(n + 1) / n)
-        c = dct(rate(t_star + w * np.sinh(u)) * np.cosh(u), type=1) / n
+        r = rate(t_star + w * np.sinh(u))
+        if not r.any():  # the nodes nest, so only the first pass gets here
+            return lambda t: np.zeros(np.shape(t))[()]
+        c = dct(r * np.cosh(u), type=1) / n
         c[[0, -1]] /= 2.0
         big, last = np.abs(c).max(), np.abs(c[-8:]).max()
         if last <= tol * big or tail / 4.0 < last <= 1e-8 * big:
@@ -389,7 +388,8 @@ def drive_phase(p: EmitterParams, env, E: float, t_end: float, G_max: float,
     """t -> phi(t) on [0, t_end]: phidot = E^2 e^(Gamma t) N / r^2 spikes at
     t_star, where r^2 = 1 - E^2 G (G a sampler) is r2_min = 1 - E^2 G_max, so
     _cumulative with w = t_end sqrt(r2_min) and tol max(1e-14, 10 eps / r2_min),
-    r^2's conditioning. DomainError first where r2_min < R2_FLOOR."""
+    r^2's conditioning; exact zeros where the rate vanishes (E = 0, or N = 0:
+    a real envelope on resonance). DomainError first where r2_min < R2_FLOOR."""
     if (r2_min := 1.0 - E * E * G_max) < R2_FLOOR:
         raise DomainError(f"r^2 = 1 - E^2 G falls to {r2_min:.3g} at t = {t_star:.6g}"
                           " ns: the efficiency is at or above the envelope's bound")
@@ -403,33 +403,39 @@ def drive_phase(p: EmitterParams, env, E: float, t_end: float, G_max: float,
 
 
 def g_and_max(p: EmitterParams, env, t_end: float):
-    """t -> G(t) on [0, t_end], exact for a series (series_g), else one
-    _cumulative pass over d, near linear; and the DepletionProfile of G and d
-    at N_SEARCH_GRID uniform times, G_max the largest G there and at the
-    falling zeros of d: the one maximum search for any single envelope."""
+    """The one depletion entry of any envelope on [0, t_end]: its jet t -> (f,
+    f', f'', G, theta', theta'') and the DepletionProfile of G. A series has
+    series_g's exact G and, at t_end = T, analytic_profile's profile; other
+    envelopes G as one _cumulative pass over d, near linear. Otherwise G_max is
+    the largest G at N_SEARCH_GRID uniform times and the falling zeros of d."""
     d = partial(depletion_rate, p, env)
     if isinstance(env, CosineSeriesPulse):
-        jet = series_g(p, env)[0]
-        G = lambda t: jet(t)[3]  # noqa: E731
+        series = series_g(p, env)[0]
+        jet = lambda t: (*series(t), env.chirp, 0.0)  # noqa: E731
+        if t_end == env.T:
+            return jet, analytic_profile(p, env)
+        G = lambda t: series(t)[3]  # noqa: E731
     else:
         G = _cumulative(d, t_end / 2, t_end, t_end, 1e-14)
+        jet = lambda t: (*env.evaluate(t), G(t), env.dtheta(t),  # noqa: E731
+                         env.d2theta(t))
     ts = SEARCH_TAU * t_end
-    d_ts = d(ts)
-    times = np.r_[ts, _falling_zeros(lambda t, r: d(t), ts[None], d_ts[None])[1]]
+    times = np.r_[ts, _falling_zeros(lambda t, r: d(t), ts[None], d(ts)[None])[1]]
     G_t = G(times)
     i = int(np.argmax(G_t))
-    return G, DepletionProfile(grid=ts, d=d_ts, G=G_t[:ts.size],
-                               G_max=float(G_t[i]), argmax_t=float(times[i]))
+    return jet, DepletionProfile(grid=ts, G=G_t[:ts.size], G_max=float(G_t[i]),
+                                 argmax_t=float(times[i]))
 
 
 def phase_evolution(p: EmitterParams, env, E: float, t_grid) -> np.ndarray:
     """Drive phase phi(t) accumulated by the ground-state amplitude: drive_phase
     up to the last grid time, on the G and its maximum of g_and_max there.
-    Exactly zero on resonance for a real envelope, and at E = 0."""
+    Exactly zero where its rate vanishes: a real envelope on resonance, E = 0."""
     env, grid = as_envelope(env), time_grid(t_grid)
     if E < 0:
         raise ValidationError("efficiency E must be >= 0")
     if grid.size == 0 or grid[-1] <= 0.0:
         return np.zeros_like(grid)
-    G, prof = g_and_max(p, env, grid[-1])
-    return drive_phase(p, env, E, grid[-1], prof.G_max, prof.argmax_t, G)(grid)
+    jet, prof = g_and_max(p, env, grid[-1])
+    return drive_phase(p, env, E, grid[-1], prof.G_max, prof.argmax_t,
+                       lambda t: jet(t)[3])(grid)

@@ -19,7 +19,7 @@ import numpy as np
 from . import bounds, depletion
 from .errors import PoleError, ValidationError, finite, finite_times, time_grid
 from .model import EmitterParams
-from .pulse import CosineSeriesPulse, as_envelope, write_csv
+from .pulse import as_envelope, write_csv
 
 
 @dataclass(frozen=True)
@@ -74,7 +74,6 @@ class Trajectory(Amplitudes):
     """Closed-form amplitudes and drive sampled on a grid."""
 
     Omega: np.ndarray
-    E: float
     drive_irrelevant: bool = False
 
     @property
@@ -92,10 +91,8 @@ class Trajectory(Amplitudes):
 
 
 def max_efficiency(p: EmitterParams, env) -> float:
-    """Efficiency bound 1 / sqrt(G_max) for this envelope: analytic_profile
-    for a series, else the one search of depletion.g_and_max on [0, T]."""
-    if isinstance(env, CosineSeriesPulse):
-        return bounds.e_max(depletion.analytic_profile(p, env))
+    """Efficiency bound 1 / sqrt(G_max) for this envelope, from the profile
+    of depletion.g_and_max on [0, T] (a series: analytic_profile's)."""
     return bounds.e_max(depletion.g_and_max(p, env, as_envelope(env).T)[1])
 
 
@@ -106,12 +103,12 @@ class ClosedFormSolution:
     initial qubit state; Omega(t) is the drive alone, which the verification
     integrators call one t at a time. Both read one jet of the amplitudes
     with the initial |1> amplitude divided out (one path for scalars and
-    grids). For a series pulse f, f', f'' and the exact G(t) come from one
-    pass of depletion.series_g, the sampler every caller of a series G
-    reads, and the bound from analytic_profile; any other envelope gets G
-    (one Chebyshev series) and the bound from one depletion.g_and_max call.
-    With no phase source (a series pulse, resonant cavity, zero chirp) the
-    phase is exact too, which makes the synthesized drive itself exact.
+    grids). The jet of the envelope and G, and the bound, come from one
+    depletion.g_and_max call: for a series pulse one pass of the exact
+    depletion.series_g and analytic_profile's maximum, for any other
+    envelope G as one Chebyshev series. The phase is depletion.drive_phase;
+    it is exactly zero where its rate vanishes (a real envelope on
+    resonance, or E = 0), which makes a resonant series drive exact too.
 
     The drive diverges where r^2 = 1 - E^2 G(t) vanishes. The minimum of
     r^2 is 1 - (E / E_max)^2, at the depletion maximum; the constructor
@@ -130,26 +127,16 @@ class ClosedFormSolution:
                 f"envelope must be normalized, int |v|^2 = {norm:.8g}")
         self.E = float(E)
         # _envelope: t -> f, f', f'', G, theta', theta''
-        if series := isinstance(env, CosineSeriesPulse):
-            prof = depletion.analytic_profile(p, env)
-            jet = depletion.series_g(p, env)[0]
-            self._envelope = lambda t: (*jet(t), env.chirp, 0.0)
-            self.G = lambda t: jet(t)[3]
-        else:
-            self.G, prof = depletion.g_and_max(p, env, env.T)
-            self._envelope = lambda t: (*env.evaluate(t), self.G(t),
-                                        env.dtheta(t), env.d2theta(t))
+        jet, prof = depletion.g_and_max(p, env, env.T)
+        self._envelope, self.G = jet, lambda t: jet(t)[3]
         self.E_max = bounds.e_max(prof)
         if 1.0 - (self.E / self.E_max) ** 2 < depletion.R2_FLOOR:
             raise PoleError(
                 f"target efficiency {E:.6g} is at or above the bound "
                 f"{self.E_max:.6g}: the ground state empties at the depletion "
                 "maximum, where the drive diverges; lower E below E_max")
-        if series and (self.E == 0.0 or (p.Delta == 0.0 and env.chirp == 0.0)):
-            self.phi = lambda t: 0.0 * t  # no phase source; it grows as E^2
-        else:
-            self.phi = depletion.drive_phase(p, env, self.E, env.T, prof.G_max,
-                                             prof.argmax_t, self.G)
+        self.phi = depletion.drive_phase(p, env, self.E, env.T, prof.G_max,
+                                         prof.argmax_t, self.G)
 
     # -- amplitudes with alpha0 divided out ----------------------------------
 
@@ -199,7 +186,7 @@ class ClosedFormSolution:
                  else _drive(alpha, num))
         return Trajectory(grid=grid, alpha=a0 * alpha, beta=b0 * decay,
                           zeta=a0 * zeta, eta=a0 * eta,
-                          lam=a0 * (self.E * decay * cum), Omega=Omega, E=self.E,
+                          lam=a0 * (self.E * decay * cum), Omega=Omega,
                           drive_irrelevant=drive_irrelevant)
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy import sparse
@@ -30,25 +31,6 @@ class OdeSolution(Amplitudes):
     nfev: int
 
 
-class _Memo:
-    """The last solve of one oracle and its key; a call with an equal key
-    reads it, any other solves afresh. The entry is dropped before a solve,
-    so a solve that raises leaves nothing stored."""
-
-    def __init__(self):
-        self.key = self.value = None
-
-    def get(self, key, solve):
-        if self.value is None or self.key != key:
-            self.key = self.value = None
-            self.value, self.key = solve(), key
-        return self.value
-
-
-_AMPLITUDE_MEMO = _Memo()
-_CHANNEL_MEMO = _Memo()
-
-
 def integrate_nonhermitian(p: EmitterParams, Omega, init: InitialState,
                            grid) -> OdeSolution:
     """Integrate the amplitude equations for a given drive.
@@ -66,18 +48,18 @@ def integrate_nonhermitian(p: EmitterParams, Omega, init: InitialState,
     largest difference from a second unit pass at tolerances 100 times
     looser, scaled alike; the norm check is made per state.
 
-    The unit solve is kept for the next call with an equal (p, Omega, grid)
-    (one entry), whose nfev it reports too. A bound ClosedFormSolution.Omega
-    is equal only to the same instance's, so a new synthesis solves afresh.
-    Omega must be a pure function of t: the drive, called on a 1-d array of
-    times (a scalar return is broadcast). grid must hold at least two
-    strictly increasing times.
+    The unit solve is cached for the next call with an equal (p, Omega,
+    grid) (lru_cache, one entry), whose nfev it reports too; a bound
+    ClosedFormSolution.Omega equals only the same instance's. A solve that
+    raises is not cached and evicts nothing. Omega must be a hashable pure
+    function of t (functions, lambdas, bound methods and partials hash),
+    called on a 1-d array of times (a scalar return is broadcast). grid
+    must hold at least two strictly increasing times.
     """
     grid = time_grid(grid, "grid")
     if grid.size < 2 or np.any(np.diff(grid) <= 0):
         raise ValidationError("grid must hold two or more strictly increasing times")
-    tight, loose, nfev = _AMPLITUDE_MEMO.get(
-        (p, Omega, grid.tobytes()), lambda: _unit_amplitudes(p, Omega, grid))
+    tight, loose, nfev = _unit_amplitudes(p, Omega, grid.tobytes())
     a0, b0 = complex(init.alpha0), complex(init.beta0)
 
     def scaled(y):
@@ -93,8 +75,10 @@ def integrate_nonhermitian(p: EmitterParams, Omega, init: InitialState,
     return out
 
 
-def _unit_amplitudes(p: EmitterParams, Omega, grid):
-    """The tight and the loose unit solve on grid, and the tight one's nfev."""
+@lru_cache(maxsize=1)
+def _unit_amplitudes(p: EmitterParams, Omega, grid: bytes):
+    """The tight and loose unit solves on grid (its float bytes), the tight nfev."""
+    grid = np.frombuffer(grid)
     g, kappa, G2 = p.g, p.kappa, p.Gamma2
     half_eta_rate = 0.5 * (G2 + kappa + p.kappa_tilde)
 
@@ -391,14 +375,15 @@ def lindblad_simulate(p_raw: RawRates, p: EmitterParams, env, Omega,
     inputs (_channel) gives every state at every checkpoint as
     |a|^2 Phi(E11) + a b* Phi(E10) + (a b* Phi(E10))^dag + |b|^2 Phi(E00).
     The trace, Hermiticity, marker and eigenvalue checks and both
-    fidelities are made per state, on that sum. The solve is kept for the
-    next call with an equal (p_raw, p, env, Omega) (one entry), whose nfev
-    it reports too; the rate-consistency check runs on every call. A bound
-    ClosedFormSolution.Omega is equal only to the same instance's, so a new
-    synthesis solves afresh. Omega must be a pure function of t: it is
-    called on a 1-d array of times, at t = 0 and once per attempted step on
-    its stage times (a scalar return is broadcast). nfev counts
-    right-hand-side evaluations.
+    fidelities are made per state, on that sum. The solve is cached for the
+    next call with an equal (p_raw, p, env, Omega) (lru_cache, one entry),
+    whose nfev it reports too; a bound ClosedFormSolution.Omega equals only
+    the same instance's. A solve that raises is not cached and evicts
+    nothing. The rate-consistency check runs on every call. Omega must be a
+    hashable pure function of t (functions, lambdas, bound methods and
+    partials hash): it is called on a 1-d array of times, at t = 0 and once
+    per attempted step on its stage times (a scalar return is broadcast).
+    nfev counts right-hand-side evaluations.
     """
     comb = combine_rates(p_raw)
     for name, mine, theirs in (("gamma_tilde", comb.gamma_tilde, p.gamma_tilde),
@@ -412,8 +397,7 @@ def lindblad_simulate(p_raw: RawRates, p: EmitterParams, env, Omega,
     if forbidden_tol is None:
         forbidden_tol = 1e-8 if p_raw.gamma_0to1 == 0.0 else 0.05
 
-    (E11, E10, E00), nfev = _CHANNEL_MEMO.get(
-        (p_raw, p, env, Omega), lambda: _channel(p_raw, p, env, Omega))
+    (E11, E10, E00), nfev = _channel(p_raw, p, env, Omega)
     a, b = complex(init.alpha0), complex(init.beta0)
     coherence = a * b.conjugate() * E10
     states = (abs(a) ** 2 * E11 + coherence + coherence.conj().swapaxes(-1, -2)
@@ -454,6 +438,7 @@ _BASIS = tuple((_flat_index(m, 0, 0), _flat_index(n, 0, 0))
                for m, n in (("1", "1"), ("1", "0"), ("0", "0")))
 
 
+@lru_cache(maxsize=1)
 def _channel(p_raw: RawRates, p: EmitterParams, env, Omega):
     """Phi(E11), Phi(E10) and Phi(E00) at the 41 checkpoints, each of shape
     (41, blocks, 12, 12), and the nfev.

@@ -3,16 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from ramanpulse import (DomainError, EmitterParams, ValidationError, ghz,
-                        sin2_pulse)
+from ramanpulse import (DomainError, EmitterParams, ValidationError,
+                        cooperativity, ghz, sin2_pulse)
 from ramanpulse import bounds, checks
 from ramanpulse.depletion import DepletionProfile, analytic_profile
 
 
 def _profile(G_max, G_end, T=1.0):
     grid = np.array([0.0, T])
-    return DepletionProfile(grid=grid, d=np.zeros(2),
-                            G=np.array([0.0, G_end]), G_max=G_max,
+    return DepletionProfile(grid=grid, G=np.array([0.0, G_end]), G_max=G_max,
                             argmax_t=T / 2)
 
 
@@ -98,6 +97,20 @@ def test_slow_pulse_bound_values():
     assert bounds.slow_pulse_bound(lossy) < 1e-3
     strong = EmitterParams(g=ghz(600), kappa=ghz(30), gamma_tilde=ghz(0.001))
     assert bounds.slow_pulse_bound(strong) == pytest.approx(1.0, abs=1e-5)
+
+
+def test_slow_pulse_bound_is_the_cooperativity_form():
+    # kappa/k * 4 g^2 / (4 g^2 + gamma_tilde k) is kappa/k * 2C/(1+2C), and it
+    # stays defined at gamma_tilde = 0, where C is not
+    rng = np.random.default_rng(3)
+    for g, kappa, kappa_tilde, gamma_tilde in 10.0 ** rng.uniform(-3, 3, (500, 4)):
+        p = EmitterParams(g=g, kappa=kappa, kappa_tilde=kappa_tilde,
+                          gamma_tilde=gamma_tilde)
+        C = cooperativity(p)
+        want = kappa / (kappa + kappa_tilde) * 2.0 * C / (1.0 + 2.0 * C)
+        assert abs(bounds.slow_pulse_bound(p) - want) <= 1e-14 * want
+    lossless = EmitterParams(g=ghz(6), kappa=ghz(30), kappa_tilde=ghz(3))
+    assert bounds.slow_pulse_bound(lossless) == pytest.approx(30 / 33, rel=1e-15)
 
 
 def test_worst_case_approaches_slow_bound_from_below(perfect_params):

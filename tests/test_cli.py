@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from ramanpulse import bounds, checks, cli, depletion
+from ramanpulse import bounds, checks, cli, depletion, optimize
 from ramanpulse.cli import DECOHERENCE_SETS, DEFAULT_PARAMS, main, run_checks
 from ramanpulse.model import params_from_dict
 from ramanpulse.pulse import sin2_pulse
@@ -105,6 +105,27 @@ def test_bound_subcommand_deterministic(tmp_path):
                 bounds.avg_fidelity(e_slow, ps.Gamma2, T))
         got = [float(x) for x in line.split(",")[:7]]
         assert got == pytest.approx(want, rel=1e-11, abs=0.0), T
+
+
+def test_lossless_emitter_is_optimized(tmp_path, recwarn):
+    # gamma_tilde = 0 leaves the cooperativity undefined; neither the
+    # slow-pulse bound nor the figures' duration sweep divides by it or by a
+    # zero decoherence rate
+    data = {"g_GHz": 6, "kappa_GHz": 30, "gamma_1to0_GHz": 0.01,
+            "gamma_0to1_GHz": 0.01}
+    p = params_from_dict(data)[0]
+    assert p.gamma_tilde == 0.0
+    for res in (optimize.optimize_shape(p, optimize.desk_config(1)),
+                optimize.optimize_duration(p)):
+        assert 0.99 < res.E_max < 1.0
+    params = tmp_path / "lossless.json"
+    params.write_text(json.dumps(data))
+    for command in (["optimize", "--L", "2"], ["figures", "--grid", "desk"]):
+        assert main([*command, "--params", str(params), "--out",
+                     str(tmp_path / command[0])]) == 0
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+    rows = (tmp_path / "figures" / "optimal_duration.csv").read_text().splitlines()
+    assert len(rows) == 2 + 27  # every sweep point, on the 20 ns window
 
 
 def test_bad_params_exit_code(tmp_path):

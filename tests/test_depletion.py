@@ -310,6 +310,41 @@ def test_phase_zero_on_resonance(siv_params):
     assert np.max(np.abs(phi)) < 1e-10
 
 
+def test_cumulative_of_a_zero_rate_is_exact_zeros():
+    # a rate 0 at every node of the first pass integrates to exact zeros,
+    # with no series built or sampled
+    nodes = []
+    integral = depletion._cumulative(lambda t: nodes.append(t.size) or 0.0 * t,
+                                     0.3, 0.05, 1.0, 1e-14)
+    assert nodes == [65]
+    t = np.linspace(-0.5, 1.5, 41)
+    assert integral(t).shape == t.shape
+    assert np.all(integral(t) == 0.0) and not np.signbit(integral(t)).any()
+    assert integral(0.7) == 0.0 and np.shape(integral(0.7)) == ()
+    # one nonzero node is a series
+    bump = depletion._cumulative(lambda t: np.exp(-((t - 0.3) / 0.05) ** 2),
+                                 0.3, 0.05, 1.0, 1e-14)
+    assert bump(1.0) == pytest.approx(0.05 * math.sqrt(math.pi), rel=1e-12)
+
+
+def test_g_and_max_is_the_one_entry_of_a_series(siv_params):
+    # the jet is series_g's with the chirp as theta'; on [0, T] the profile is
+    # analytic_profile's, bit for bit, on a shorter window a search of it
+    pl = CosineSeriesPulse(0.44, (1.0, -0.06), chirp=1.5).normalize()
+    jet, prof = depletion.g_and_max(siv_params, pl, pl.T)
+    ref = analytic_profile(siv_params, pl)
+    assert (prof.G_max, prof.argmax_t) == (ref.G_max, ref.argmax_t)
+    assert np.array_equal(prof.G, ref.G) and np.array_equal(prof.grid, ref.grid)
+    t = np.linspace(0.0, pl.T, 31)
+    *series, dth, d2th = jet(t)
+    for got, want in zip(series, depletion.series_g(siv_params, pl)[0](t)):
+        assert np.array_equal(got, want)
+    assert (dth, d2th) == (pl.chirp, 0.0)
+    _, head = depletion.g_and_max(siv_params, pl, 0.1)
+    assert head.grid[-1] == 0.1 and head.G_max == pytest.approx(
+        integrated_depletion_analytic(siv_params, pl, 0.1), rel=1e-14)
+
+
 def test_phase_zero_at_zero_efficiency():
     p = EmitterParams(g=ghz(6), kappa=ghz(30), gamma_tilde=ghz(0.1),
                       Delta=ghz(1.0))

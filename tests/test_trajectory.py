@@ -297,6 +297,30 @@ def test_series_and_generic_envelope_give_the_same_drive(siv_params):
         np.abs(series_drive))
 
 
+# Omega of sin2_pulse(0.44) at 0.9 E_max on 9 uniform times, for the series
+# and for the generic Envelope of its callables, recorded when a resonant
+# series skipped its phase and a resonant Envelope integrated a zero rate
+_RESONANT_DRIVE = np.array([
+    -0.43108077324722943, -3.2322857683437034, -6.198943698571456,
+    -8.350347492983571, -8.862139250092037, -6.0017936375973076,
+    -0.474938070358599, 1.8530732221939314, -0.9764319385631499])
+
+
+@pytest.mark.parametrize("kind", ["series", "envelope"])
+def test_resonant_phase_is_exactly_zero(siv_params, kind):
+    # a real envelope on resonance has a zero phase rate: phi is exact zeros
+    # and the drive is real, as before the phase was read from its rate
+    pl = sin2_pulse(0.44)
+    env = pl if kind == "series" else Envelope(T=pl.T, f=pl.f, df=pl.df,
+                                               d2f=pl.d2f)
+    cf = ClosedFormSolution(siv_params, env, 0.9 * max_efficiency(siv_params, pl))
+    grid = np.linspace(0.0, pl.T, 9)
+    assert np.all(cf.phi(grid) == 0.0) and cf.phi(0.2) == 0.0
+    om = cf.Omega(grid)
+    assert np.all(om.imag == 0.0)
+    assert np.max(np.abs(om.real / _RESONANT_DRIVE - 1.0)) <= 1e-15
+
+
 def test_chirped_drive_sample_costs_little_more_than_resonant(monkeypatch):
     # counted work, not wall clock: on the 14 stage times of a DOP853 step a
     # chirped Omega builds one sine table, as the resonant drive does, and

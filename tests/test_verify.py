@@ -531,7 +531,23 @@ def test_failed_solve_is_not_kept(monkeypatch, siv_raw, synthesis):
             integrate_nonhermitian(p, drive, init, grid)
     # each call solved again: one channel solve, and the tight amplitude pass
     assert len(calls) == 4
-    assert verify._CHANNEL_MEMO.value is None and verify._AMPLITUDE_MEMO.value is None
+
+
+def test_each_oracle_keeps_one_solve(monkeypatch, siv_raw, synthesis):
+    # one cached entry per oracle: a second drive evicts the first, so the
+    # first drive solves again on its third call
+    p, pl, E, grid, init, _, _ = synthesis
+    first, second = (ClosedFormSolution(p, pl, E).Omega for _ in range(2))
+    calls = []
+    real = verify._dop853
+    monkeypatch.setattr(verify, "_dop853", lambda *a: calls.append(1) or real(*a))
+    for oracle, per_solve in (
+            (lambda drive: lindblad_simulate(siv_raw, p, pl, drive, init), 1),
+            (lambda drive: integrate_nonhermitian(p, drive, init, grid), 2)):
+        for drive, solves in ((first, 1), (first, 0), (second, 1), (first, 1)):
+            del calls[:]
+            oracle(drive)
+            assert len(calls) == solves * per_solve
 
 
 def test_amplitudes_scale_one_unit_solve(monkeypatch, synthesis):
