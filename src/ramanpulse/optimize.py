@@ -4,9 +4,13 @@ The figure of merit is the worst-case transfer fidelity at the efficiency
 bound, 1 / (exp(Gamma2 T) max_t G(t)). Because G is a quadratic form in
 the series coefficients with duration-dependent matrix, a full duration by
 ratio grid evaluates as batched linear algebra: one integral matrix per
-duration serves every candidate coefficient vector. The search itself is
-deterministic; ties resolve toward the smaller duration, then the
-lexicographically smaller ratio vector.
+duration serves every candidate coefficient vector. Few grid points are
+scored in full: G on a subset of the time samples bounds max_t G from
+below, so its merit bounds the point's merit from above, and the scan
+prunes in nested levels (G(T) alone, then 8 and 63 of the 1001 samples)
+before it builds the full integral matrix where a point survives. The
+search itself is deterministic; ties resolve toward the smaller duration,
+then the lexicographically smaller ratio vector.
 """
 
 from __future__ import annotations
@@ -24,16 +28,22 @@ from .pulse import CosineSeriesPulse, series_norm_sq, slaved_series
 REFINE_SAMPLES = 21   # points per axis of the shape search's refinement box
 DURATION_SAMPLES = 200  # durations per stage of optimize_duration
 
-# Bytes of the largest array one step of the grid scan builds: the scores of
-# a block of candidates at a block of durations, or the integral matrices X.
-BLOCK_BYTES = 8 * 2 ** 20
-# Bytes of the scan's arrays of every candidate (ratios, coefficients v, v x v)
+# Bytes of the largest array one step of the grid scan builds: at each level,
+# the products of a chunk of candidates at a group of durations on that
+# level's samples, their integral matrices X, or a chunk's copied v x v. Each
+# level sizes its groups and chunks from its own sample count.
+BLOCK_BYTES = 2 ** 19
+# Bytes of the scan's arrays of every candidate (ratios, coefficients v,
+# v x v and the series norm)
 CANDIDATE_BYTES = 2 ** 30
-# Every COARSE-th time sample, and the last, bound each candidate's G_max
-# from below; a candidate is dropped when the merit bound this gives falls
-# below the incumbent by more than PRUNE_MARGIN (relative), so rounding in
-# the products cannot drop the optimum.
-COARSE = 16
+# Strides of the bound levels over the N_SEARCH_GRID time samples: each
+# level reads every COARSE[i]-th sample after t = 0 (G(0) = 0) and the last,
+# so G(T) alone, then 8 and 63 samples, before the full grid. The maximum on
+# a subset of samples bounds G_max from below, so each level's merit bound
+# is at least the next one's; a point is dropped when its bound falls below
+# the incumbent by more than PRUNE_MARGIN (relative), so rounding in the
+# products cannot drop the optimum.
+COARSE = (1000, 128, 16)
 PRUNE_MARGIN = 1e-12
 
 
@@ -61,7 +71,7 @@ class OptimizationConfig:
             raise ValidationError("need at least 2 samples per grid axis")
         ncoef = 2 * self.L if self.constrained else self.L
         axis = max(self.ratio_samples, REFINE_SAMPLES * self.refine)  # refine box too
-        size = 8 * axis ** (self.L - 1) * (self.L + ncoef + ncoef ** 2)
+        size = 8 * axis ** (self.L - 1) * (self.L + ncoef + ncoef ** 2 + 1)
         if size > CANDIDATE_BYTES:
             raise ValidationError(
                 f"the grid's candidate arrays would take {size / 2 ** 30:.3g} GiB,"
@@ -154,65 +164,126 @@ class _Best:
                 "pruned": self.pruned, "full_durations": self.full_durations}
 
 
+def _levels():
+    """The sample indices of each bound level of COARSE, coarsest first."""
+    n = depletion.N_SEARCH_GRID
+    return [np.r_[s:n - 1:s, n - 1] for s in COARSE]
+
+
+def _products(V):
+    """v x v of every row of V, sample-major: (ncoef * ncoef, ncand), C order.
+
+    Built in place through out=, with no contiguous copy of V.T.
+    """
+    ncand, ncoef = V.shape
+    VVt = np.empty((ncoef, ncoef, ncand))
+    np.multiply(V.T[:, None], V.T[None], out=VVt)
+    return VVt.reshape(ncoef * ncoef, ncand)
+
+
+def _bound(p: EmitterParams, T, X, VVt, norm):
+    """Merit bound of candidates (columns of VVt) at each duration of T.
+
+    X holds some of the time samples, (durations, ncoef^2, samples). The
+    product runs sample-major, (durations, samples, candidates), so the max
+    over the samples is an elementwise max of contiguous rows.
+    """
+    G = (X.swapaxes(1, 2) @ VVt).max(axis=1)
+    return _merit(p, T, G / (T[:, None] * norm))
+
+
 def _scan(p: EmitterParams, axes, constrained: bool, best: _Best):
     """Score the grid axes[0] (durations) x axes[1] x ... (ratios).
 
     One integral matrix X per duration serves every candidate: G = v.X.v
-    is the product of X with the outer products v x v. The grid goes in
-    blocks of at most BLOCK_BYTES: many durations per block when the
-    candidates are few, candidate chunks at one duration when they are
-    many. Per block, X on the coarse samples alone bounds every merit from
-    above; the point with the best bound is scored in full (the seed), and
-    points bounded below max(incumbent, seed) are dropped. Full X is then
-    built only for the durations that keep a candidate, and the survivors
-    are scored in grid order. Only a strictly better survivor (never the
-    seed) replaces the incumbent, so ties keep the earlier one.
+    is the product of X with the outer products v x v. The levels of
+    COARSE (G(T) alone, then 8 and 63 samples) bound each point's merit
+    from above, and the full 1001-sample grid gives its exact score. The
+    grid goes in groups of durations sized by the first level; within a
+    group, each level bounds only the points still alive after the level
+    before and builds X only at the durations that keep one. At each
+    level the point with the best bound is scored in full (a seed), and
+    points bounded below max(incumbent, seeds) are dropped. Every level
+    sizes its duration groups and candidate chunks from its own sample
+    count, so no array of one step exceeds about BLOCK_BYTES. The bounds
+    run sample-major (_bound) on slices of the (ncoef^2, candidates)
+    products, or on a copy of the alive columns; the exact level keeps the
+    candidate-major product of the survivors' v x v with X, so every merit
+    that can become the optimum is computed as a full score, and scores
+    them in grid order. Only a strictly better survivor (never a seed)
+    replaces the incumbent, so ties keep the earlier one.
     """
     mesh = np.meshgrid(np.ones(1), *axes[1:], indexing="ij")
     free = np.stack([m.ravel() for m in mesh], axis=1)  # (1, ratios...)
     V = slaved_series(free) if constrained else free
     ncand, ncoef = V.shape
-    VV = (V[:, :, None] * V[:, None, :]).reshape(ncand, -1)
+    VVt = _products(V)
     norm = series_norm_sq(1.0, V)  # times T: the series norm at duration T
     Ts = np.asarray(axes[0], dtype=float)
-    n = depletion.N_SEARCH_GRID
-    coarse = np.r_[0:n - 1:COARSE, n - 1]
-    row = 8 * n  # bytes of one duration's samples
-    chunk = max(1, min(ncand, BLOCK_BYTES // row))
-    per_block = max(1, BLOCK_BYTES // (row * max(ncoef * ncoef, ncand)))
+    n, levels = depletion.N_SEARCH_GRID, _levels()
 
-    def merits(Tb, X, k):  # of candidates k (indices or a slice) at each of Tb
-        return _merit(p, Tb, (VV[k] @ X).max(axis=2) / (Tb[:, None] * norm[k]))
+    def group(samples):  # durations per step: their X, or all candidates' products
+        return max(1, BLOCK_BYTES // (8 * samples * max(ncoef * ncoef, ncand)))
 
-    for j in range(0, Ts.size, per_block):
-        Tb = Ts[j:j + per_block]
-        Xc = depletion.g_matrix(p, Tb, ncoef, coarse)
-        bound = np.hstack([merits(Tb, Xc, slice(c, c + chunk))
-                           for c in range(0, ncand, chunk)])
-        best.evaluations += bound.size
-        best.pruned += bound.size
-        alive = bound >= best.objective * (1.0 - PRUNE_MARGIN)  # a NaN is not
-        if alive.any():  # the seed: the best bound, scored in full
-            t, k = np.unravel_index(np.nanargmax(bound), bound.shape)
-            Tt = Tb[t:t + 1]
-            seed = merits(Tt, depletion.g_matrix(p, Tt, ncoef), [k])[0, 0]
-            alive &= bound >= max(best.objective, seed) * (1.0 - PRUNE_MARGIN)
-        live = np.flatnonzero(alive.any(axis=1))  # durations keeping a point
-        if live.size == 0:
-            continue
-        Ta, X = Tb[live], depletion.g_matrix(p, Tb[live], ncoef)
-        best.full_durations += live.size
-        for c in range(0, ncand, chunk):
-            keep = c + np.flatnonzero(alive[live, c:c + chunk].any(axis=0))
-            best.pruned -= live.size * keep.size
-            if keep.size == 0:
-                continue
-            merit = merits(Ta, X, keep)
-            t, k = np.unravel_index(np.argmax(merit), merit.shape)
-            if merit[t, k] > best.objective:
-                i = keep[k]
-                best.objective, best.T = float(merit[t, k]), float(Ta[t])
-                best.ratios, best.coeffs = tuple(free[i, 1:]), tuple(V[i])
+    def chunk(samples, copied):  # candidates per step: products, copied v x v
+        return max(1, BLOCK_BYTES // (8 * max(samples, ncoef * ncoef if copied else 1)))
+
+    def exact(Tb, X, k):  # merits of candidates k at each of Tb
+        vv = (V[k, :, None] * V[k, None, :]).reshape(len(k), -1)
+        return _merit(p, Tb, (vv @ X).max(axis=2) / (Tb[:, None] * norm[k]))
+
+    def bound(cols, D, alive):  # the level's bound on the alive points
+        per, out = group(cols.size), np.full(alive.shape, -np.inf)
+        for g in range(0, D.size, per):
+            rows = slice(g, g + per)
+            Tg = Ts[D[rows]]
+            X = depletion.g_matrix(p, Tg, ncoef, cols)
+            keep = np.flatnonzero(alive[rows].any(axis=0))
+            whole = keep.size == ncand  # then slices of VVt, with no copy
+            step = chunk(cols.size, not whole)
+            for c in range(0, keep.size, step):
+                k = slice(c, c + step) if whole else keep[c:c + step]
+                vvt = VVt[:, k] if whole else np.take(VVt, k, axis=1)
+                out[rows, k] = _bound(p, Tg, X, vvt, norm[k])
+        return np.where(alive, out, -np.inf)
+
+    def score(D, alive):  # the survivors' exact merits, in grid order
+        per, step = group(n), chunk(n, True)
+        for g in range(0, D.size, per):
+            rows = slice(g, g + per)
+            Ta = Ts[D[rows]]
+            X = depletion.g_matrix(p, Ta, ncoef)
+            best.full_durations += Ta.size
+            keep = np.flatnonzero(alive[rows].any(axis=0))
+            best.pruned -= Ta.size * keep.size
+            for c in range(0, keep.size, step):
+                k = keep[c:c + step]
+                merit = exact(Ta, X, k)
+                t, i = np.unravel_index(np.argmax(merit), merit.shape)
+                if merit[t, i] > best.objective:
+                    best.objective, best.T = float(merit[t, i]), float(Ta[t])
+                    best.ratios, best.coeffs = tuple(free[k[i], 1:]), tuple(V[k[i]])
+
+    per = group(levels[0].size)
+    for j in range(0, Ts.size, per):
+        D = np.arange(j, min(j + per, Ts.size))
+        alive = np.ones((D.size, ncand), dtype=bool)
+        best.evaluations += alive.size
+        best.pruned += alive.size
+        floor = best.objective  # max(incumbent, seeds)
+        for cols in levels:
+            b = bound(cols, D, alive)
+            alive &= b >= floor * (1.0 - PRUNE_MARGIN)  # a NaN is not
+            if not alive.any():
+                break
+            t, k = np.unravel_index(np.nanargmax(b), b.shape)  # the seed
+            Tt = Ts[D[t:t + 1]]
+            floor = max(floor, exact(Tt, depletion.g_matrix(p, Tt, ncoef), [k])[0, 0])
+            alive &= b >= floor * (1.0 - PRUNE_MARGIN)
+            live = alive.any(axis=1)  # durations keeping a point
+            D, alive = D[live], alive[live]
+        else:  # some point outlived every bound
+            score(D, alive)
 
 
 def _search(p: EmitterParams, axes, constrained: bool, refine_samples: int):

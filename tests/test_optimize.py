@@ -227,15 +227,18 @@ def _reference_scan(p, axes, constrained):
 
 
 # (Gamma1, Gamma2) in rad/ns, order L, constrained, duration window, block
-# size in rows of 1001 samples. The narrow windows put near-ties next to the
-# optimum. Block size None: optimize_duration's sweep, DURATION_SAMPLES
-# durations in one block of the unpatched size, so the seed prunes in-block.
+# size (BLOCK_BYTES) in rows of 1001 samples. The narrow windows put near-ties
+# next to the optimum. Block size None: optimize_duration's sweep,
+# DURATION_SAMPLES durations in one first-level group of the unpatched size,
+# so the seeds prune in-group. The comments give the durations per group of
+# the bound levels that see a survivor (G(T), 8 and 63 samples).
 SCAN_CASES = [
-    ((ghz(0.01), ghz(0.01)), 3, False, (0.28, 0.345), 7),  # pole; chunks of 7
-    ((ghz(0.03), ghz(0.01)), 1, False, (0.32, 0.37), 20),  # blocks of 3
-    ((ghz(0.01), ghz(0.05)), 2, False, (0.15, 1.2), 40),   # blocks of 4 of 9
-    ((5e-324, 0.0), 2, True, (1.0, 1.3), 40),              # subnormal; of 2
-    ((ghz(0.01), ghz(0.01)), 1, False, (0.2, 0.7), None),  # 200 in one block
+    ((ghz(0.01), ghz(0.01)), 3, False, (0.28, 0.345), 7),  # pole; 9, 9, 5+4
+    ((ghz(0.03), ghz(0.01)), 1, False, (0.32, 0.37), 20),  # 7, 7, 7
+    ((ghz(0.01), ghz(0.05)), 2, False, (0.15, 1.2), 40),   # 9, 6, 1
+    ((5e-324, 0.0), 2, True, (1.0, 1.3), 40),              # subnormal; 9, 9, 9
+    ((ghz(0.01), ghz(0.01)), 1, False, (0.2, 0.7), None),  # 200, 200, 114
+    ((ghz(0.01), ghz(0.01)), 3, False, (0.1, 0.5), 1),     # 9, 6+3, 1 x 6
 ]
 
 
@@ -263,6 +266,34 @@ def test_blocked_pruned_scan_matches_reference(monkeypatch, rates, L, constraine
         assert (best.T, best.ratios) == (T, ratios)
     if L == 3:
         assert best.pruned > 0
+
+
+@pytest.mark.parametrize("rates,constrained", [
+    ((ghz(0.01), ghz(0.01)), False), ((ghz(0.03), ghz(0.01)), True),
+    ((5e-324, 0.0), False), ((5e-324, 0.0), True)])
+def test_every_level_bounds_the_exact_merit(rates, constrained):
+    # G on a subset of the samples is at most G_max, so every level's merit
+    # bound holds each point's exact score from above, and each level's bound
+    # holds the next one's, both up to PRUNE_MARGIN
+    p = EmitterParams(g=ghz(6), kappa=ghz(30), gamma_tilde=ghz(0.1),
+                      Gamma1=rates[0], Gamma2=rates[1])
+    rng = np.random.default_rng(5 + constrained)
+    T = np.sort(rng.uniform(0.03, 8.0, size=12))
+    free = np.column_stack([np.ones(300), rng.uniform(-1.0, 1.0, size=(300, 2))])
+    V = slaved_series(free) if constrained else free
+    ncoef = V.shape[1]
+    norm = series_norm_sq(1.0, V)
+    VV = (V[:, :, None] * V[:, None, :]).reshape(len(V), -1)
+    exact = optimize._merit(p, T, (VV @ depletion.g_matrix(p, T, ncoef)).max(axis=2)
+                            / (T[:, None] * norm))
+    VVt = optimize._products(V)
+    assert VVt.flags.c_contiguous and np.array_equal(VVt, VV.T)
+    below = exact
+    for cols in reversed(optimize._levels()):
+        bound = optimize._bound(p, T, depletion.g_matrix(p, T, ncoef, cols), VVt, norm)
+        assert np.all(bound >= below * (1.0 - optimize.PRUNE_MARGIN))
+        below = bound
+    assert [len(c) for c in optimize._levels()] == [1, 8, 63]
 
 
 def test_duration_scan_builds_full_samples_where_a_candidate_survives(siv_params):
