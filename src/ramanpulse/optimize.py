@@ -207,11 +207,11 @@ def _scan(p: EmitterParams, axes, constrained: bool, best: _Best):
     sizes its duration groups and candidate chunks from its own sample
     count, so no array of one step exceeds about BLOCK_BYTES. The bounds
     run sample-major (_bound) on slices of the (ncoef^2, candidates)
-    products, or on a copy of the alive columns; the exact level keeps the
-    candidate-major product of the survivors' v x v with X, so every merit
-    that can become the optimum is computed as a full score, and scores
-    them in grid order. Only a strictly better survivor (never a seed)
-    replaces the incumbent, so ties keep the earlier one.
+    products, or on a copy of the alive columns. The exact level scores
+    the survivors in grid order with the candidate-major product of their
+    v x v with X, the arithmetic every full score has used. Only a
+    strictly better survivor (never a seed) replaces the incumbent, so ties
+    keep the earlier one.
     """
     mesh = np.meshgrid(np.ones(1), *axes[1:], indexing="ij")
     free = np.stack([m.ravel() for m in mesh], axis=1)  # (1, ratios...)
