@@ -109,12 +109,17 @@ class OptimizationResult:
 
 
 def default_T_range(p: EmitterParams) -> tuple:
-    """Duration window between the coupling timescale and the memory time."""
+    """Duration window between the coupling timescale and the memory time.
+
+    The memory time is the shorter of 1/Gamma1 and 1/Gamma2 over the rates
+    that are positive; with both zero there is none.
+    """
     lo = max(1.0 / p.g, 1.0 / p.kappa)
-    if p.Gamma1 <= 0 or p.Gamma2 <= 0:
-        raise ValidationError(
-            "default duration range needs Gamma1, Gamma2 > 0; pass T_range")
-    hi = min(1.0 / p.Gamma1, 1.0 / p.Gamma2)
+    rates = [r for r in (p.Gamma1, p.Gamma2) if r > 0]
+    if not rates:
+        raise ValidationError("Gamma1 = Gamma2 = 0: no memory time bounds the "
+                              "default duration range; pass T_range")
+    hi = min(1.0 / r for r in rates)
     if hi <= lo:
         raise ValidationError("decoherence too fast: no duration window")
     return lo, hi

@@ -185,9 +185,9 @@ class LindbladResult:
 
     rho and the trace, Hermiticity and marker diagnostics describe the full
     (total) state. fidelity is scored on the branch with no photon outside
-    the target mode; fidelity_coherent is the no-jump branch alone, so
-    fidelity - fidelity_coherent is the part recycled through emitter and
-    cavity jumps.
+    the target mode; fidelity_coherent on the no-jump branch alone, a pure
+    state evolved as a vector, so fidelity - fidelity_coherent is the part
+    recycled through emitter and cavity jumps.
     """
 
     rho: DensityMatrix
@@ -215,7 +215,7 @@ def _static_dissipators(raw: RawRates) -> list[np.ndarray]:
 
 
 def _k_parts(p: EmitterParams, static_L) -> tuple:
-    """Constant parts of K(t) = -i H(t) - (1/2) sum_k L_k^dag L_k.
+    """K(t) = -i H(t) - (1/2) sum_k L_k^dag L_k by weight.
 
     With the capture operator L0 = sqrt(kappa) c + conj(g_v) a and the
     cascaded term (i sqrt(kappa) / 2)(conj(g_v) c^dag a - g_v a^dag c) of H,
@@ -224,38 +224,39 @@ def _k_parts(p: EmitterParams, static_L) -> tuple:
         K = K0 - i Omega D - i Omega* D^dag - sqrt(kappa) g_v a^dag c
             - (1/2) |g_v|^2 a^dag a.
 
-    Returns (K0, -i D, -i D^dag, -sqrt(kappa) a^dag c, -(1/2) a^dag a).
+    Returns K's parts at the weights (1, Omega, Omega*, g_v, g_v*, |g_v|^2):
+    (K0, -i D, -i D^dag, -sqrt(kappa) a^dag c, 0, -(1/2) a^dag a).
     """
     H_static = p.Delta * _P_E + p.g * (_OP_CAV + _OP_CAV.conj().T)
     M = sum((L.conj().T @ L for L in static_L), start=p.kappa * OP_C.conj().T @ OP_C)
     return (-1j * H_static - 0.5 * M, -1j * _OP_DRIVE, -1j * _OP_DRIVE.conj().T,
-            -math.sqrt(p.kappa) * OP_A.conj().T @ OP_C,
+            -math.sqrt(p.kappa) * OP_A.conj().T @ OP_C, np.zeros((_DIM, _DIM)),
             -0.5 * OP_A.conj().T @ OP_A)
 
 
-# Blocks of the stacked state evolved by lindblad_simulate. Every block
-# shares the coherent and anti-commutator terms; the capture jump feeds only
-# _TOTAL, the emitter and cavity jumps feed the blocks before _NO_JUMP.
-_N_BLOCKS = 3
-_TOTAL, _IN_MODE, _NO_JUMP = range(_N_BLOCKS)
+# Density blocks of the state evolved by _channel. Both share the coherent,
+# anti-commutator and static-jump terms; the capture jump feeds only _TOTAL.
+# The no-jump branch is pure and rides along as the state vectors psi.
+_N_BLOCKS = 2
+_TOTAL, _IN_MODE = range(_N_BLOCKS)
 
 
 def _liouvillian(p: EmitterParams, static_L) -> sparse.csr_matrix:
     """Superoperators of the weights (1, Omega, Omega*, g_v, g_v*, |g_v|^2).
 
-    Row block k is the weight-k part of d(rho)/dt on every branch block:
-    K rho + rho K^dag (K from _k_parts), L0 rho L0^dag with L0 = conj(g_v) a
-    + sqrt(kappa) c, and the static jumps. On the row-major flattened rho,
-    X rho Y is kron(X, Y^T).
+    Row block k is the weight-k part of d(rho)/dt on both density blocks:
+    K rho + rho K^dag (K from _k_parts) and the static jumps on each, and
+    L0 rho L0^dag with L0 = conj(g_v) a + sqrt(kappa) c on _TOTAL. On the
+    row-major flattened rho, X rho Y is kron(X, Y^T).
     """
     dag = lambda op: op.conj().T  # noqa: E731
     eye = np.eye(_DIM, dtype=complex)
-    K0, K_om, K_om_conj, K_gv, K_gv2 = _k_parts(p, static_L)
+    K0, K_om, K_om_conj, K_gv, _, K_gv2 = _k_parts(p, static_L)
     A, C = OP_A, math.sqrt(p.kappa) * OP_C
-    every, total, jumps = range(_N_BLOCKS), (_TOTAL,), range(_NO_JUMP)
+    every, total = range(_N_BLOCKS), (_TOTAL,)
     # (weight, X, Y, blocks) of each term X rho Y
     terms = ((0, K0, eye, every), (0, eye, dag(K0), every), (0, C, dag(C), total),
-             *((0, L, dag(L), jumps) for L in static_L),
+             *((0, L, dag(L), every) for L in static_L),
              (1, K_om, eye, every), (1, eye, dag(K_om_conj), every),
              (2, K_om_conj, eye, every), (2, eye, dag(K_om), every),
              (3, K_gv, eye, every), (3, C, dag(A), total),
@@ -363,27 +364,32 @@ def lindblad_simulate(p_raw: RawRates, p: EmitterParams, env, Omega,
     passes the virtual cavity, so an L0 jump leaves a photon in a waveguide
     mode orthogonal to the target mode. Such a branch is orthogonal to the
     target alpha0 |0;0c;1v> + beta0 |0;0c;0v> even though its emitter and
-    cavity end in |0;0c;0v>. Three blocks are therefore evolved together:
-    the total state (which rho and the diagnostics describe), the branch
-    with no photon outside the target mode (every jump but L0; fidelity is
-    scored on it), and the no-jump branch (fidelity_coherent).
+    cavity end in |0;0c;0v>. Two density blocks are therefore evolved
+    together: the total state (which rho and the diagnostics describe) and
+    the branch with no photon outside the target mode (every jump but L0;
+    fidelity is scored on it). The no-jump branch is pure, psi psi^dag with
+    d(psi)/dt = K(t) psi, and is evolved as state vectors alongside them;
+    fidelity_coherent is |<target|psi(T)>|^2.
 
     One drive defines one channel Phi, linear in the initial state and
-    Hermiticity-preserving on every block. The initial state a |1> + b |0>
+    Hermiticity-preserving on both blocks. The initial state a |1> + b |0>
     (times |0c;0v>) is |a|^2 E11 + a b* E10 + (a b* E10)^dag + |b|^2 E00 on
     E11 = |1><1|, E10 = |1><0| and E00 = |0><0|, so one solve of these three
     inputs (_channel) gives every state at every checkpoint as
-    |a|^2 Phi(E11) + a b* Phi(E10) + (a b* Phi(E10))^dag + |b|^2 Phi(E00).
-    The trace, Hermiticity, marker and eigenvalue checks and both
-    fidelities are made per state, on that sum. The solve is cached for the
-    next call with an equal (p_raw, p, env, Omega) (lru_cache, one entry),
-    whose nfev it reports too; a bound ClosedFormSolution.Omega equals only
-    the same instance's. A solve that raises is not cached and evicts
-    nothing. The rate-consistency check runs on every call. Omega must be a
-    hashable pure function of t (functions, lambdas, bound methods and
-    partials hash): it is called on a 1-d array of times, at t = 0 and once
-    per attempted step on its stage times (a scalar return is broadcast).
-    nfev counts right-hand-side evaluations.
+    |a|^2 Phi(E11) + a b* Phi(E10) + (a b* Phi(E10))^dag + |b|^2 Phi(E00),
+    and its no-jump vector as a psi_1 + b psi_0 from the same solve of the
+    vectors psi_1 and psi_0 that start at |1> and |0>. The trace,
+    Hermiticity, marker and eigenvalue checks and both fidelities are made
+    per state. The solve is cached for the next call with an equal
+    (p_raw, p, env, Omega) (lru_cache, one entry), whose nfev it reports
+    too; a bound ClosedFormSolution.Omega equals only the same instance's.
+    A solve that raises is not cached and evicts nothing. The operator of
+    the solve is built once per emitter (_generator). The rate-consistency
+    check runs on every call. Omega must be a hashable pure function of t
+    (functions, lambdas, bound methods and partials hash): it is called on
+    a 1-d array of times, at t = 0 and once per attempted step on its stage
+    times (a scalar return is broadcast). nfev counts right-hand-side
+    evaluations.
     """
     comb = combine_rates(p_raw)
     for name, mine, theirs in (("gamma_tilde", comb.gamma_tilde, p.gamma_tilde),
@@ -397,7 +403,7 @@ def lindblad_simulate(p_raw: RawRates, p: EmitterParams, env, Omega,
     if forbidden_tol is None:
         forbidden_tol = 1e-8 if p_raw.gamma_0to1 == 0.0 else 0.05
 
-    (E11, E10, E00), nfev = _channel(p_raw, p, env, Omega)
+    (E11, E10, E00), (psi_1, psi_0), nfev = _channel(p_raw, p, env, Omega)
     a, b = complex(init.alpha0), complex(init.beta0)
     coherence = a * b.conjugate() * E10
     states = (abs(a) ** 2 * E11 + coherence + coherence.conj().swapaxes(-1, -2)
@@ -425,8 +431,8 @@ def lindblad_simulate(p_raw: RawRates, p: EmitterParams, env, Omega,
     psi_tgt = np.zeros(_DIM, dtype=complex)
     psi_tgt[_flat_index("0", 0, 1)] = a
     psi_tgt[_flat_index("0", 0, 0)] = b
-    fid, fid_coherent = (float(np.real(psi_tgt.conj() @ final[k] @ psi_tgt))
-                         for k in (_IN_MODE, _NO_JUMP))
+    fid = float(np.real(psi_tgt.conj() @ final[_IN_MODE] @ psi_tgt))
+    fid_coherent = float(abs(psi_tgt.conj() @ (a * psi_1 + b * psi_0)) ** 2)
 
     return LindbladResult(rho=dm, fidelity=fid, fidelity_coherent=fid_coherent,
                           trace_drift=trace_drift, herm_dev=herm_dev,
@@ -436,21 +442,42 @@ def lindblad_simulate(p_raw: RawRates, p: EmitterParams, env, Omega,
 # (row, column) of the channel's basis inputs E11, E10 and E00
 _BASIS = tuple((_flat_index(m, 0, 0), _flat_index(n, 0, 0))
                for m, n in (("1", "1"), ("1", "0"), ("0", "0")))
+# entries of the three inputs' density blocks, ahead of the 12 x 2 psi
+_N_RHO = _N_BLOCKS * _DIM ** 2 * len(_BASIS)
+
+
+@lru_cache(maxsize=1)
+def _generator(p_raw: RawRates, p: EmitterParams) -> sparse.csr_matrix:
+    """The operator S of _channel's right-hand side w(t) @ (S @ y).
+
+    Row block k is the weight-k part on the whole state: kron(L_k, I_3) on
+    the density blocks (L_k, row block k of _liouvillian) and kron(K_k, I_2)
+    on psi (K_k from _k_parts).
+    It depends on the emitter alone, so it is cached for the next call with
+    an equal (p_raw, p) (lru_cache, one entry).
+    """
+    static_L = _static_dissipators(p_raw)
+    L = _liouvillian(p, static_L)
+    n, I_3, I_2 = L.shape[1], sparse.identity(len(_BASIS)), sparse.identity(2)
+    return sparse.vstack([sparse.block_diag((sparse.kron(L[k * n:(k + 1) * n], I_3),
+                                             sparse.kron(K_k, I_2, format="csr")))
+                          for k, K_k in enumerate(_k_parts(p, static_L))], format="csr")
 
 
 @lru_cache(maxsize=1)
 def _channel(p_raw: RawRates, p: EmitterParams, env, Omega):
     """Phi(E11), Phi(E10) and Phi(E00) at the 41 checkpoints, each of shape
-    (41, blocks, 12, 12), and the nfev.
+    (41, blocks, 12, 12); the no-jump vectors psi_1 and psi_0 at T; the nfev.
 
-    The three inputs evolve side by side as one 1296-vector laid out as
-    (432, 3): the right-hand side is w(t) @ (S @ y) with S = kron(L, I_3)
-    on the sparse Liouvillian L of _liouvillian. _dop853 runs at
-    rtol 1e-8, atol 1e-11 and max_step T/64; the checkpoints before T come
-    from its dense output and keep trace and Hermiticity exact to rounding:
-    each stage of E11 and E00 is the Liouvillian of a Hermitian state, so
-    Hermitian and traceless on the total block (E10's is traceless), and
-    the interpolant sums stages with real coefficients.
+    The three density inputs, laid out as (288, 3), and the two vectors
+    from |1;0c;0v> and |0;0c;0v>, laid out as (12, 2), evolve side by side
+    as one 888-vector: the right-hand side is w(t) @ (S @ y) on the sparse
+    operator S of _generator. _dop853 runs at rtol 1e-8, atol 1e-11 and
+    max_step T/64; the checkpoints before T come from its dense output and
+    keep trace and Hermiticity exact to rounding: each stage of E11 and E00
+    is the Liouvillian of a Hermitian state, so Hermitian and traceless on
+    the total block (E10's is traceless), and the interpolant sums stages
+    with real coefficients.
     """
     T = env.T
 
@@ -460,15 +487,17 @@ def _channel(p_raw: RawRates, p: EmitterParams, env, Omega):
                          abs(gv) ** 2], axis=1)
 
     n_in = len(_BASIS)
-    y0 = np.zeros((_N_BLOCKS, _DIM, _DIM, n_in), dtype=complex)
+    rho0 = np.zeros((_N_BLOCKS, _DIM, _DIM, n_in), dtype=complex)
     for c, (i, j) in enumerate(_BASIS):
-        y0[:, i, j, c] = 1.0
-    S = sparse.kron(_liouvillian(p, _static_dissipators(p_raw)),
-                    sparse.identity(n_in), format="csr")
+        rho0[:, i, j, c] = 1.0
+    psi0 = np.zeros((_DIM, 2), dtype=complex)
+    psi0[[_flat_index("1", 0, 0), _flat_index("0", 0, 0)], [0, 1]] = 1.0
+    S = _generator(p_raw, p)
     states, nfev = _dop853(weights, lambda w, y: w @ (S @ y).reshape(w.size, -1),
-                           y0.reshape(-1), np.linspace(0.0, T, 41), T / 64.0,
-                           1e-8, 1e-11)
-    return np.moveaxis(states.reshape(-1, _N_BLOCKS, _DIM, _DIM, n_in), -1, 0), nfev
+                           np.concatenate([rho0.reshape(-1), psi0.reshape(-1)]),
+                           np.linspace(0.0, T, 41), T / 64.0, 1e-8, 1e-11)
+    rho = states[:, :_N_RHO].reshape(-1, _N_BLOCKS, _DIM, _DIM, n_in)
+    return np.moveaxis(rho, -1, 0), states[-1, _N_RHO:].reshape(_DIM, 2).T, nfev
 
 
 # The six Pauli eigenstates: a 2-design, so the mean over them of a fidelity

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from ramanpulse import bounds, checks, cli, depletion, optimize
+from ramanpulse import ValidationError, bounds, checks, cli, depletion, optimize
 from ramanpulse.cli import DECOHERENCE_SETS, DEFAULT_PARAMS, main, run_checks
 from ramanpulse.model import params_from_dict
 from ramanpulse.pulse import sin2_pulse
@@ -126,6 +126,41 @@ def test_lossless_emitter_is_optimized(tmp_path, recwarn):
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
     rows = (tmp_path / "figures" / "optimal_duration.csv").read_text().splitlines()
     assert len(rows) == 2 + 27  # every sweep point, on the 20 ns window
+
+
+def test_emitter_without_upward_rate_is_optimized(tmp_path):
+    # gamma_0to1 = 0 makes Gamma2 = 0: the duration window ends at the memory
+    # time of |1> alone. With both rates positive it is the shorter of the
+    # two, and with both zero there is no memory time to end it
+    data = {"g_GHz": 6, "kappa_GHz": 30, "gamma_GHz": 0.1, "gamma_1to0_GHz": 0.01,
+            "gamma_0to1_GHz": 0}
+    p = params_from_dict(data)[0]
+    assert p.Gamma2 == 0.0 < p.Gamma1
+    lo, hi = optimize.default_T_range(p)
+    assert (lo, hi) == (1.0 / p.g, 1.0 / p.Gamma1)
+    both = dataclasses.replace(p, Gamma2=0.5 * p.Gamma1)
+    assert optimize.default_T_range(both) == (lo, min(1.0 / p.Gamma1, 1.0 / both.Gamma2))
+    with pytest.raises(ValidationError, match="no memory time"):
+        optimize.default_T_range(dataclasses.replace(p, Gamma1=0.0))
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps(data))
+    assert main(["optimize", "--params", str(params), "--out", str(tmp_path)]) == 0
+    T = json.loads((tmp_path / "optimize_L1_unc.json").read_text())["pulse"]["T_ns"]
+    assert lo < T < hi
+    params.write_text(json.dumps({**data, "gamma_1to0_GHz": 0}))
+    assert main(["optimize", "--params", str(params), "--out", str(tmp_path)]) == 1
+
+
+def test_c6_runs_below_a_low_bound():
+    # at C = 0.033 the L=1 optimum's E_max is 0.339, below C6's E = 0.9 on
+    # the paper's emitter: the phase check runs at 0.95 E_max and names it
+    p = params_from_dict({"g_GHz": 1, "kappa_GHz": 30, "gamma_GHz": 1,
+                          "gamma_1to0_GHz": 0.01, "gamma_0to1_GHz": 0.01})[0]
+    best = checks.l1_optimum(p)
+    assert best.E_max == pytest.approx(0.339, abs=1e-3)
+    phase = checks.c6_phase_properties(p, best.pulse)[0]
+    assert phase.name == f"C6 max |phi| at E = {0.95 * best.E_max:.6g}"
+    assert phase.passed
 
 
 def test_bad_params_exit_code(tmp_path):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from scipy import sparse
 from scipy.integrate import solve_ivp
 
 from ramanpulse import (CosineSeriesPulse, EmitterParams, Envelope,
@@ -287,34 +288,42 @@ def test_static_dissipators_drop_zero_operators():
 
 
 def test_precomputed_generator_matches_direct_assembly(siv_raw):
-    # d(rho)/dt assembled term by term here: K rho + rho K^dag with
-    # K = -i H - (1/2)(M_static + L0^dag L0) on every block, L0 rho L0^dag on
-    # the total, the static jumps on the total and in-mode blocks
+    # the right-hand side assembled term by term here: K rho + rho K^dag with
+    # K = -i H - (1/2)(M_static + L0^dag L0) and the static jumps on both
+    # density blocks, L0 rho L0^dag on the total, and K psi on the no-jump
+    # vectors
     p = EmitterParams(g=ghz(6), kappa=ghz(30), kappa_tilde=ghz(0.2),
                       gamma_tilde=ghz(0.1), Delta=ghz(0.7))
     static_L = verify._static_dissipators(siv_raw)
     M_static = sum(L.conj().T @ L for L in static_L)
-    S = verify._liouvillian(p, static_L)
+    S = verify._generator(siv_raw, p)
+    assert S.shape == (6 * 888, 888)
     dag = lambda op: op.conj().T  # noqa: E731
     c_dag_a = dag(verify.OP_C) @ verify.OP_A
     sqrt_kappa = math.sqrt(p.kappa)
     rng = np.random.default_rng(3)
     for _ in range(20):
         om, gv = rng.normal(scale=[30.0, 30.0, 300.0, 300.0]).view(complex)
-        rho = rng.normal(size=(3, 12, 12, 2)).view(complex)[..., 0]
-        rho = rho + rho.conj().transpose(0, 2, 1)
+        # three inputs of two blocks each, and two vectors
+        rho = rng.normal(size=(3, 2, 12, 12, 2)).view(complex)[..., 0]
+        rho = rho + rho.conj().swapaxes(-1, -2)
+        psi = rng.normal(size=(12, 2, 2)).view(complex)[..., 0]
         H = (p.Delta * verify._P_E + p.g * (verify._OP_CAV + dag(verify._OP_CAV))
              + om * verify._OP_DRIVE + np.conj(om) * dag(verify._OP_DRIVE)
              + 0.5j * sqrt_kappa * (np.conj(gv) * c_dag_a - gv * dag(c_dag_a)))
         L0 = np.conj(gv) * verify.OP_A + sqrt_kappa * verify.OP_C
         K = -1j * H - 0.5 * (M_static + dag(L0) @ L0)
         direct = K @ rho + rho @ dag(K)
-        direct[verify._TOTAL] += L0 @ rho[verify._TOTAL] @ dag(L0)
+        direct[:, verify._TOTAL] += L0 @ rho[:, verify._TOTAL] @ dag(L0)
         for L in static_L:
-            direct[:verify._NO_JUMP] += L @ rho[:verify._NO_JUMP] @ dag(L)
+            direct += L @ rho @ dag(L)
         w = np.array([1.0, om, np.conj(om), gv, np.conj(gv), abs(gv) ** 2])
-        product = (w @ (S @ rho.reshape(-1)).reshape(w.size, -1)).reshape(rho.shape)
-        assert np.max(np.abs(product - direct)) <= 1e-14 * np.max(np.abs(direct))
+        y = np.concatenate([np.moveaxis(rho, 0, -1).reshape(-1), psi.reshape(-1)])
+        product = w @ (S @ y).reshape(w.size, -1)
+        got = np.moveaxis(product[:verify._N_RHO].reshape(2, 12, 12, 3), -1, 0)
+        assert np.max(np.abs(got - direct)) <= 1e-14 * np.max(np.abs(direct))
+        got = product[verify._N_RHO:].reshape(12, 2)
+        assert np.max(np.abs(got - K @ psi)) <= 1e-14 * np.max(np.abs(K @ psi))
 
 
 def _attempts(calls):
@@ -349,6 +358,37 @@ def _rho0(init):
     return np.outer(psi0, psi0.conj()), psi_tgt
 
 
+def _one_state(p_raw, p, init):
+    """One state in the channel's layout: the weight-k operators on its two
+    density blocks and its no-jump vector, and its start."""
+    static_L = verify._static_dissipators(p_raw)
+    L = verify._liouvillian(p, static_L)
+    n = L.shape[1]
+    S = sparse.vstack([sparse.block_diag((L[k * n:(k + 1) * n], K))
+                       for k, K in enumerate(verify._k_parts(p, static_L))], format="csr")
+    rho0, psi_tgt = _rho0(init)
+    psi0 = np.zeros(12, dtype=complex)
+    psi0[[verify._flat_index("1", 0, 0), verify._flat_index("0", 0, 0)]] = (
+        init.alpha0, init.beta0)
+    return S, np.concatenate([np.tile(rho0.reshape(-1), 2), psi0]), psi_tgt
+
+
+def _three_blocks(p_raw, p):
+    """The weight-k operators on a state held as three density blocks: the
+    two of _liouvillian and the no-jump branch, K rho + rho K^dag."""
+    static_L = verify._static_dissipators(p_raw)
+    L = verify._liouvillian(p, static_L)
+    n, eye = L.shape[1], sparse.identity(12)
+    K = [sparse.coo_matrix(K_k) for K_k in verify._k_parts(p, static_L)]
+    # rho K^dag at weight k: K^dag's weight-k part is the conjugate of K's
+    # part at the conjugate weight
+    conj = (0, 2, 1, 4, 3, 5)
+    return sparse.vstack([
+        sparse.block_diag((L[k * n:(k + 1) * n],
+                           sparse.kron(K[k], eye) + sparse.kron(eye, K[conj[k]].conj())))
+        for k in range(6)], format="csr")
+
+
 @pytest.mark.parametrize("Delta_GHz, chirp", [(0.0, 0.0), (1.0, 0.0), (0.0, 2.5)],
                          ids=["resonant", "detuned", "chirped"])
 def test_step_loop_matches_scipy_dop853(siv_raw, Delta_GHz, chirp):
@@ -360,7 +400,7 @@ def test_step_loop_matches_scipy_dop853(siv_raw, Delta_GHz, chirp):
     init = InitialState(0.6, 0.8j)
     res = lindblad_simulate(siv_raw, p, pl, cf.Omega, init)
 
-    S = verify._liouvillian(p, verify._static_dissipators(siv_raw))
+    S, y0, psi_tgt = _one_state(siv_raw, p, init)
 
     def rhs(t, y):
         om = complex(cf.Omega(t))
@@ -368,15 +408,14 @@ def test_step_loop_matches_scipy_dop853(siv_raw, Delta_GHz, chirp):
         w = np.array([1.0, om, np.conj(om), gv, np.conj(gv), abs(gv) ** 2])
         return w @ (S @ y).reshape(w.size, -1)
 
-    rho0, psi_tgt = _rho0(init)
-    ref = solve_ivp(rhs, (0.0, pl.T), np.tile(rho0.reshape(-1), 3), method="DOP853",
+    ref = solve_ivp(rhs, (0.0, pl.T), y0, method="DOP853",
                     t_eval=np.linspace(0.0, pl.T, 41), rtol=1e-8, atol=1e-11,
                     max_step=pl.T / 64.0)
     assert ref.success
-    final = ref.y[:, -1].reshape(3, 12, 12)
-    for got, k in ((res.fidelity, verify._IN_MODE),
-                   (res.fidelity_coherent, verify._NO_JUMP)):
-        assert abs(got - np.real(psi_tgt.conj() @ final[k] @ psi_tgt)) <= 1e-10
+    rho, psi = ref.y[:288, -1].reshape(2, 12, 12), ref.y[288:, -1]
+    F = np.real(psi_tgt.conj() @ rho[verify._IN_MODE] @ psi_tgt)
+    assert abs(res.fidelity - F) <= 1e-10
+    assert abs(res.fidelity_coherent - abs(psi_tgt.conj() @ psi) ** 2) <= 1e-10
 
     def amp_rhs(t, y):
         a, b, z, e, m = y
@@ -429,12 +468,11 @@ def test_drive_sampled_once_per_attempted_step(monkeypatch, siv_raw, siv_params,
     # long and is rejected twice. An attempt from the same start as the one
     # before retries a rejected step: it is shorter, and the step after it
     # is no longer
-    S = verify._liouvillian(siv_params, verify._static_dissipators(siv_raw))
+    S, y0, _ = _one_state(siv_raw, siv_params, init)
     weights = _weights(siv_params, optimal_sin2, cf.Omega)
     calls[:] = []
     verify._dop853(lambda t: calls.append(t) or weights(t),
-                   lambda w, y: w @ (S @ y).reshape(w.size, -1),
-                   np.tile(_rho0(init)[0].reshape(-1), 3),
+                   lambda w, y: w @ (S @ y).reshape(w.size, -1), y0,
                    np.linspace(0.0, T, 41), T / 64.0, 1e-8, 1e-11)
     starts, ends, accepted = _attempts(calls)
     steps = ends - starts
@@ -461,23 +499,21 @@ def test_channel_matches_one_state_solves(siv_raw, siv_params, channel_drive):
     # state alone, on the same stepper and tolerances
     pl, cf = channel_drive
     T = pl.T
-    S = verify._liouvillian(siv_params, verify._static_dissipators(siv_raw))
     weights = _weights(siv_params, pl, cf.Omega)
     markers = list(verify._MARKER_INDICES)
     for init in _CHANNEL_STATES:
         res = lindblad_simulate(siv_raw, siv_params, pl, cf.Omega, init)
-        rho0, psi_tgt = _rho0(init)
+        S, y0, psi_tgt = _one_state(siv_raw, siv_params, init)
         states, _ = verify._dop853(weights,
-                                   lambda w, y: w @ (S @ y).reshape(w.size, -1),
-                                   np.tile(rho0.reshape(-1), 3),
+                                   lambda w, y: w @ (S @ y).reshape(w.size, -1), y0,
                                    np.linspace(0.0, T, 41), T / 64.0, 1e-8, 1e-11)
-        states = states.reshape(-1, 3, 12, 12)
-        total = states[:, verify._TOTAL]
+        rho = states[:, :288].reshape(-1, 2, 12, 12)
+        total = rho[:, verify._TOTAL]
         diag = np.einsum("kii->ki", total).real
         marker = np.max(diag[:, markers].sum(axis=1))
         drift = np.max(np.abs(diag.sum(axis=1) - 1.0))
-        F, F_coherent = (np.real(psi_tgt.conj() @ states[-1, k] @ psi_tgt)
-                         for k in (verify._IN_MODE, verify._NO_JUMP))
+        F = np.real(psi_tgt.conj() @ rho[-1, verify._IN_MODE] @ psi_tgt)
+        F_coherent = abs(psi_tgt.conj() @ states[-1, 288:]) ** 2
         assert abs(res.fidelity - F) <= 1e-12
         assert abs(res.fidelity_coherent - F_coherent) <= 1e-12
         assert abs(res.marker_max - marker) <= 1e-12
@@ -488,7 +524,7 @@ def test_channel_matches_one_state_solves(siv_raw, siv_params, channel_drive):
 def test_states_of_one_drive_share_one_solve(monkeypatch, siv_raw, siv_params,
                                              optimal_sin2):
     E = 0.99 * max_efficiency(siv_params, optimal_sin2)
-    counts = {"_dop853": 0, "_liouvillian": 0}
+    counts = {"_dop853": 0}
     for name in counts:
         real = getattr(verify, name)
         monkeypatch.setattr(verify, name, lambda *a, real=real, name=name:
@@ -499,9 +535,9 @@ def test_states_of_one_drive_share_one_solve(monkeypatch, siv_raw, siv_params,
         runs.append([lindblad_simulate(siv_raw, siv_params, optimal_sin2, cf.Omega,
                                        InitialState(math.sqrt(a), math.sqrt(1 - a)))
                      for a in (0.0, 0.5, 1.0)])
-        # three states on one bound Omega: one solve and one Liouvillian;
-        # a new ClosedFormSolution solves again
-        assert counts == {"_dop853": len(runs), "_liouvillian": len(runs)}
+        # three states on one bound Omega: one solve; a new
+        # ClosedFormSolution solves again
+        assert counts == {"_dop853": len(runs)}
     assert all(r.nfev == runs[0][0].nfev for r in runs[0])
     # the same numbers in the opposite order, from a fresh solve
     cf = ClosedFormSolution(siv_params, optimal_sin2, E)
@@ -516,6 +552,52 @@ def test_states_of_one_drive_share_one_solve(monkeypatch, siv_raw, siv_params,
                                             first.marker_max, first.trace_drift,
                                             first.herm_dev, first.nfev)
             assert np.array_equal(r.rho.matrix, first.rho.matrix)
+
+
+def test_drives_on_one_emitter_build_one_operator(monkeypatch, siv_raw, siv_params,
+                                                  optimal_sin2, perfect_params):
+    # the channel's operator depends on the emitter alone: two drives on one
+    # emitter build it once, another emitter builds its own
+    verify._generator.cache_clear()
+    calls = []
+    real = verify._liouvillian
+    monkeypatch.setattr(verify, "_liouvillian", lambda *a: calls.append(1) or real(*a))
+    init = InitialState(0.6, 0.8)
+    for p_raw, p, builds in ((siv_raw, siv_params, 1), (siv_raw, siv_params, 1),
+                             (RawRates(gamma=ghz(0.1)), perfect_params, 2)):
+        cf = ClosedFormSolution(p, optimal_sin2, 0.99 * max_efficiency(p, optimal_sin2))
+        lindblad_simulate(p_raw, p, optimal_sin2, cf.Omega, init)
+        assert len(calls) == builds
+
+
+# the L=3 optimum of the full-grid search
+_L3 = (0.344942025959689, (1.0, -0.2, 0.11))
+
+
+@pytest.mark.parametrize("pl", [None, CosineSeriesPulse(*_L3).normalize(),
+                                CosineSeriesPulse(*_L3, chirp=2.5).normalize()],
+                         ids=["L1", "L3", "chirped L3"])
+def test_coherent_fidelity_matches_three_block_reference(siv_raw, siv_params,
+                                                         optimal_sin2, pl):
+    # fidelity_coherent read from the no-jump vectors against the no-jump
+    # density block of a one-state solve in three blocks at tighter
+    # tolerances and steps, on C5's states
+    pl = optimal_sin2 if pl is None else pl
+    T = pl.T
+    cf = ClosedFormSolution(siv_params, pl, 0.99 * max_efficiency(siv_params, pl))
+    S = _three_blocks(siv_raw, siv_params)
+    weights = _weights(siv_params, pl, cf.Omega)
+    for a0sq in (0.0, 0.5, 1.0):
+        init = InitialState(math.sqrt(a0sq), math.sqrt(1 - a0sq))
+        res = lindblad_simulate(siv_raw, siv_params, pl, cf.Omega, init)
+        rho0, psi_tgt = _rho0(init)
+        states, _ = verify._dop853(weights,
+                                   lambda w, y: w @ (S @ y).reshape(w.size, -1),
+                                   np.tile(rho0.reshape(-1), 3), np.array([0.0, T]),
+                                   T / 256.0, 1e-12, 1e-15)
+        no_jump = states[-1].reshape(3, 12, 12)[2]
+        assert abs(res.fidelity_coherent
+                   - np.real(psi_tgt.conj() @ no_jump @ psi_tgt)) <= 1e-10
 
 
 def test_failed_solve_is_not_kept(monkeypatch, siv_raw, synthesis):
