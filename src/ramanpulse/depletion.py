@@ -10,15 +10,17 @@ their first two derivatives, and the system rates. d is independent of the
 detuning and of the target efficiency E. G(t) = int_0^t d has one sampler
 per envelope: for the cosine series exact real rows (pulse._series_rows) on
 the envelope's table of sines, which give G and d (series_g) and a grid
-scan's quadratic form X, a linear chirp shifting only two of the five
+scan's quadratic form X (g_matrix: the rows of a duration, g_rows, read on
+any samples by g_on_rows), a linear chirp shifting only two of the five
 weights of d; for any other envelope one Chebyshev series (_cumulative),
 read by its bound, drive and phase. Quadrature of d is only the oracle.
 The maximum of G sets the efficiency bound; as G' = d, it sits at the end
 T or where d falls through zero. g_max finds it for a block of series
-pulses at once (analytic_profile: one pulse): one shared grid, then every
-falling zero of d refined together (_falling_zeros); g_and_max is the one
-entry of any single envelope. The drive phase phi(t) is one Chebyshev series
-with its nodes on the 1/r^2 spike at the depletion maximum (drive_phase).
+pulses at once (analytic_profile: one pulse): the rows of every pulse, one
+shared grid in passes of G_MAX_ROWS pulses, then the falling zeros of d of
+all pulses refined in one run (_refine_zeros); g_and_max is the one entry
+of any single envelope. The drive phase phi(t) is one Chebyshev series with
+its nodes on the 1/r^2 spike at the depletion maximum (drive_phase).
 """
 
 from __future__ import annotations
@@ -44,8 +46,8 @@ R2_FLOOR = 1e-10
 N_SEARCH_GRID = 1001
 SEARCH_TAU = np.linspace(0.0, 1.0, N_SEARCH_GRID)
 SEARCH_TAU.setflags(write=False)
-# durations per pass of g_max: each array of samples stays at 125 kB, so a
-# long sweep takes no more memory than a short one
+# durations per pass of g_max over the search grid: each array of samples
+# stays at 125 kB, so a long sweep takes no more memory than a short one
 G_MAX_ROWS = 16
 
 
@@ -139,6 +141,27 @@ def _g_on_table(Gamma: float, T, tau, G, P):
     return G
 
 
+def g_rows(p: EmitterParams, T, order: int):
+    """g_matrix's part that depends only on the durations T: the Gamma of
+    _series_rows, then per duration the rows of G on _sine_table, one per
+    pair (n, m) of v x v, and their sums P. g_on_rows reads X from them on
+    any samples of the search grid."""
+    T = np.asarray(T, dtype=float)
+    C = _harmonic_coefficients(T, order, _rate_weights(p)).reshape(
+        T.shape + (order * order, -1))
+    return _series_rows(p.Gamma1 - p.Gamma2, T, C)[:3]
+
+
+def g_on_rows(Gamma: float, T, rows, P_sum, columns=slice(None)) -> np.ndarray:
+    """g_matrix at the durations T from their g_rows: the rows times the
+    search grid's sine table at SEARCH_TAU[columns], then one exp and one
+    expm1 row per duration (_g_on_table)."""
+    T = np.asarray(T, dtype=float)
+    return _g_on_table(Gamma, T[..., None, None], SEARCH_TAU[columns],
+                       rows @ _search_table(rows.shape[-1] // 2)[:, columns],
+                       P_sum[..., None])
+
+
 def g_matrix(p: EmitterParams, T, order: int, columns=slice(None)) -> np.ndarray:
     """Quadratic form X with G(t) = (v x v) . X(t) at t = SEARCH_TAU[columns] T.
 
@@ -148,16 +171,11 @@ def g_matrix(p: EmitterParams, T, order: int, columns=slice(None)) -> np.ndarray
     row per pair (n, m) of the flattened outer product v x v. The pulse
     coefficients enter bilinearly, so a grid scan reuses one X per duration
     for every candidate, and one call builds X for a block of durations.
-    Each pair is one row of _series_rows on the search grid's sine table, so
-    a duration costs one exp and one expm1 row.
+    X is g_on_rows of g_rows: a scan that reads several sample sets of a
+    duration builds its rows once (g_rows) and reads each set (g_on_rows).
     """
-    T = np.asarray(T, dtype=float)
-    C = _harmonic_coefficients(T, order, _rate_weights(p)).reshape(
-        T.shape + (order * order, -1))
-    Gamma, rows, P_sum, _, _ = _series_rows(p.Gamma1 - p.Gamma2, T, C)
-    return _g_on_table(Gamma, T[..., None, None], SEARCH_TAU[columns],
-                       rows @ _search_table(2 * order + 1)[:, columns],
-                       P_sum[..., None])
+    Gamma, rows, P_sum = g_rows(p, T, order)
+    return g_on_rows(Gamma, T, rows, P_sum, columns)
 
 
 def _pulse_rows(p: EmitterParams, T, V, chirp: float):
@@ -203,17 +221,28 @@ def integrated_depletion_analytic(p: EmitterParams, pulse: CosineSeriesPulse, t)
 
 
 def _falling_zeros(d, ts, ds):
-    """Rows r and times of the zeros where d falls through zero, all at once.
+    """Rows r and times of the zeros where d falls through zero, all at once:
+    _brackets of the samples ds of d at the times ts (a row per pulse), each
+    refined by _refine_zeros; d(t, r) is d of rows r at times t."""
+    r, a, b = _brackets(ts, ds)
+    return r, _refine_zeros(d, r, a, b, np.abs(ds).max(axis=1)[r])
 
-    ds samples d at the times ts, a row per pulse; d(t, r) is d of rows r at
-    times t. Each step ds[r, i] > 0 >= ds[r, i + 1] brackets one; where d at
-    an end rounds to the other sign than its sample did, that end is the
-    zero. The rest are refined together by Chandrupatla's method (Adv. Eng.
-    Softw. 28, 145 (1997)) to a bracket of 4 eps t or a d of 4 eps max|ds|,
-    in at most 100 passes; a nan in d ends its bracket.
-    """
+
+def _brackets(ts, ds):
+    """Rows r and ends a < b of the steps where ds[r, i] > 0 >= ds[r, i + 1]."""
     r, i = np.nonzero((ds[:, :-1] > 0.0) & (ds[:, 1:] <= 0.0))
-    a, b = ts[r, i], ts[r, i + 1]
+    return r, ts[r, i], ts[r, i + 1]
+
+
+def _refine_zeros(d, r, a, b, scale):
+    """The zero of d(., r) in each bracket [a, b] where d falls, all at once.
+
+    Where d at an end rounds to the other sign than its sample did, that end
+    is the zero. The rest are refined together by Chandrupatla's method (Adv.
+    Eng. Softw. 28, 145 (1997)) to a bracket of 4 eps t or a d of 4 eps
+    scale (max |d| of the bracket's row), in at most 100 passes; a nan in d
+    ends its bracket.
+    """
     fa, fb = d(np.concatenate([a, b]), np.concatenate([r, r])).reshape(2, -1)
     zeros = np.where(fb >= 0.0, b, a)
     k = np.flatnonzero((fa > 0.0) & (fb < 0.0))
@@ -221,7 +250,7 @@ def _falling_zeros(d, ts, ds):
     # the newest replaced; t places the next point between x1 and x2
     x1, f1, x2, f2 = a[k], fa[k], b[k], fb[k]
     t, eps = f1 / (f1 - f2), 4.0 * np.finfo(float).eps  # a secant step first
-    tol, ftol = eps * b[k], eps * np.abs(ds).max(axis=1)[r[k]]
+    tol, ftol = eps * b[k], eps * scale[k]
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(100):
             if not k.size:
@@ -244,32 +273,50 @@ def _falling_zeros(d, ts, ds):
                          - (x3 - x1) / (x2 - x1) * f1 / (f3 - f1)
                          * f2 / (f2 - f3), 0.5)
             t = np.minimum(np.maximum(t, tl), 1.0 - tl)
-    return r, zeros
+    return zeros
 
 
 def _max_search(p: EmitterParams, T, V, chirp: float):
-    """g_max's search: its grid t, G there, then G_max and argmax_t."""
+    """g_max's search: per row G_max, argmax_t and G(T), then the grid t and
+    G of the last pass (all of a one-row search).
+
+    G and d go through the search grid in passes of G_MAX_ROWS rows; a pass
+    keeps its rows' grid maximum, G(T), max |d| and the brackets of d's
+    falling zeros. Then every bracket is refined in one _refine_zeros run
+    and G evaluated once at every zero. Of equal values the grid's wins,
+    then the zeros in time order.
+    """
     T = np.asarray(T, dtype=float)
     Gamma, *rows = _pulse_rows(p, T, V, chirp)
     G_rows, P_sum, d_rows, A_sum = (x[:, 0] for x in rows)
     K = G_rows.shape[-1] // 2
     table, tab = _sine_table(K), _search_table(K)
-    t = np.multiply.outer(T, SEARCH_TAU)
-    G = _g_on_table(Gamma, T[:, None], SEARCH_TAU, G_rows @ tab, P_sum[:, None])
-    d = np.exp(Gamma * t) * (d_rows @ tab + A_sum[:, None])
+    (top, t_top, G_end, d_max), brackets = np.empty((4, T.size)), []
+    for i in range(0, T.size, G_MAX_ROWS):
+        s = slice(i, i + G_MAX_ROWS)
+        t = np.multiply.outer(T[s], SEARCH_TAU)
+        G = _g_on_table(Gamma, T[s, None], SEARCH_TAU, G_rows[s] @ tab,
+                        P_sum[s, None])
+        d = np.exp(Gamma * t) * (d_rows[s] @ tab + A_sum[s, None])
+        j = (np.arange(t.shape[0]), np.argmax(G, axis=1))
+        top[s], t_top[s], G_end[s] = G[j], t[j], G[:, -1]
+        d_max[s] = np.abs(d).max(axis=1)
+        r, a, b = _brackets(t, d)
+        brackets.append((r + i, a, b))
+    r, a, b = (np.concatenate(x) for x in zip(*brackets))
 
     def at(rows, t, r):  # the rows r times the table at the times t
         return np.einsum("ij,ji->i", rows[r], table(t / T[r]))
 
-    r, zeros = _falling_zeros(lambda t, r: np.exp(Gamma * t) * at(d_rows, t, r)
-                              + np.exp(Gamma * t) * A_sum[r], t, d)
-    slot = np.arange(r.size) - np.searchsorted(r, r)
-    G_z, t_z = np.full((2, T.size, slot.max(initial=-1) + 1), -np.inf)
-    G_z[r, slot] = _g_on_table(Gamma, 1.0, zeros, at(G_rows, zeros, r), P_sum[r])
-    t_z[r, slot] = zeros
-    G_all, t_all = np.hstack([G, G_z]), np.hstack([t, t_z])
-    i = (np.arange(T.size), np.argmax(G_all, axis=1))
-    return t, G, G_all[i], t_all[i]
+    zeros = _refine_zeros(lambda t, r: np.exp(Gamma * t) * at(d_rows, t, r)
+                          + np.exp(Gamma * t) * A_sum[r], r, a, b, d_max[r])
+    slot = np.arange(r.size) - np.searchsorted(r, r) + 1
+    G_c, t_c = np.full((2, T.size, slot.max(initial=0) + 1), -np.inf)
+    G_c[:, 0], t_c[:, 0] = top, t_top
+    G_c[r, slot] = _g_on_table(Gamma, 1.0, zeros, at(G_rows, zeros, r), P_sum[r])
+    t_c[r, slot] = zeros
+    i = (np.arange(T.size), np.argmax(G_c, axis=1))
+    return G_c[i], t_c[i], G_end, t, G
 
 
 def g_max(p: EmitterParams, T, V):
@@ -277,20 +324,17 @@ def g_max(p: EmitterParams, T, V):
 
     T is a 1-d array of durations, V one row of coefficients v each. G and d
     are sampled at t = tau T, N_SEARCH_GRID uniform tau on one sine table
-    for all rows; the falling zeros of d = G' are refined together and G is
-    evaluated once at each. G_max is the largest G on the grid and there.
-    The durations go in passes of G_MAX_ROWS.
+    for all rows, in passes of G_MAX_ROWS rows, so a long sweep holds no
+    more samples than a short one. The falling zeros of d = G' of all rows
+    are refined in one run and G evaluated once at each. G_max is the
+    largest G on the grid and there.
     """
-    T, V, out = np.asarray(T, dtype=float), np.asarray(V, dtype=float), []
+    T, V = np.asarray(T, dtype=float), np.asarray(V, dtype=float)
     if T.ndim != 1 or V.ndim != 2 or len(V) != T.size or V.shape[1] < 1:
         raise ValidationError("g_max needs 1-d T and one row of V per duration")
     if not (np.all(T > 0) and np.isfinite(T).all() and np.isfinite(V).all()):
         raise ValidationError("g_max needs finite durations T > 0 and finite V")
-    for i in range(0, T.size, G_MAX_ROWS):
-        _, G, G_max, argmax_t = _max_search(
-            p, T[i:i + G_MAX_ROWS], V[i:i + G_MAX_ROWS], 0.0)
-        out.append((G_max, argmax_t, G[:, -1]))
-    return tuple(np.concatenate(x) for x in zip(*out))
+    return _max_search(p, T, V, 0.0)[:3]
 
 
 def analytic_profile(p: EmitterParams, pulse: CosineSeriesPulse) -> DepletionProfile:
@@ -298,7 +342,8 @@ def analytic_profile(p: EmitterParams, pulse: CosineSeriesPulse) -> DepletionPro
     g_max search: G on its grid, G_max and argmax_t."""
     if not isinstance(pulse, CosineSeriesPulse):
         raise ValidationError("analytic G needs a CosineSeriesPulse")
-    t, G, G_max, argmax_t = _max_search(p, [pulse.T], [pulse.coeffs], pulse.chirp)
+    G_max, argmax_t, _, t, G = _max_search(p, [pulse.T], [pulse.coeffs],
+                                           pulse.chirp)
     return DepletionProfile(grid=t[0], G=G[0], G_max=float(G_max[0]),
                             argmax_t=float(argmax_t[0]))
 

@@ -8,9 +8,10 @@ duration serves every candidate coefficient vector. Few grid points are
 scored in full: G on a subset of the time samples bounds max_t G from
 below, so its merit bounds the point's merit from above, and the scan
 prunes in nested levels (G(T) alone, then 8 and 63 of the 1001 samples)
-before it builds the full integral matrix where a point survives. The
-search itself is deterministic; ties resolve toward the smaller duration,
-then the lexicographically smaller ratio vector.
+before it builds the full integral matrix where a point survives. Every
+level reads its matrices from the series rows of each duration, built once
+per scan. The search itself is deterministic; ties resolve toward the
+smaller duration, then the lexicographically smaller ratio vector.
 """
 
 from __future__ import annotations
@@ -33,6 +34,12 @@ DURATION_SAMPLES = 200  # durations per stage of optimize_duration
 # level's samples, their integral matrices X, or a chunk's copied v x v. Each
 # level sizes its groups and chunks from its own sample count.
 BLOCK_BYTES = 2 ** 19
+# The scan builds each duration's series rows once (depletion.g_rows), in
+# chunks of durations: 8 ncoef^2 (4 ncoef + 3) bytes of rows per duration,
+# and about ROW_BUILD times that while they are built. A chunk holds as
+# many whole first-level groups as fit in BLOCK_BYTES, or, where one group
+# does not fit, as many of its durations as do.
+ROW_BUILD = 6
 # Bytes of the scan's arrays of every candidate (ratios, coefficients v,
 # v x v and the series norm)
 CANDIDATE_BYTES = 2 ** 30
@@ -204,9 +211,12 @@ def _scan(p: EmitterParams, axes, constrained: bool, best: _Best):
     is the product of X with the outer products v x v. The levels of
     COARSE (G(T) alone, then 8 and 63 samples) bound each point's merit
     from above, and the full 1001-sample grid gives its exact score. The
-    grid goes in groups of durations sized by the first level; within a
+    series rows of each duration are built once (depletion.g_rows), in
+    chunks of durations that keep them and their build within BLOCK_BYTES;
+    every level, seed and exact score reads its X from them (g_on_rows).
+    A chunk goes in groups of durations sized by the first level; within a
     group, each level bounds only the points still alive after the level
-    before and builds X only at the durations that keep one. At each
+    before and reads X only at the durations that keep one. At each
     level the point with the best bound is scored in full (a seed), and
     points bounded below max(incumbent, seeds) are dropped. Every level
     sizes its duration groups and candidate chunks from its own sample
@@ -233,6 +243,10 @@ def _scan(p: EmitterParams, axes, constrained: bool, best: _Best):
     def chunk(samples, copied):  # candidates per step: products, copied v x v
         return max(1, BLOCK_BYTES // (8 * max(samples, ncoef * ncoef if copied else 1)))
 
+    def matrix(D, cols=slice(None)):  # X at durations D, from the chunk's rows
+        return depletion.g_on_rows(Gamma, Ts[D], rows[D - start],
+                                   P_sum[D - start], cols)
+
     def exact(Tb, X, k):  # merits of candidates k at each of Tb
         vv = (V[k, :, None] * V[k, None, :]).reshape(len(k), -1)
         return _merit(p, Tb, (vv @ X).max(axis=2) / (Tb[:, None] * norm[k]))
@@ -240,26 +254,26 @@ def _scan(p: EmitterParams, axes, constrained: bool, best: _Best):
     def bound(cols, D, alive):  # the level's bound on the alive points
         per, out = group(cols.size), np.full(alive.shape, -np.inf)
         for g in range(0, D.size, per):
-            rows = slice(g, g + per)
-            Tg = Ts[D[rows]]
-            X = depletion.g_matrix(p, Tg, ncoef, cols)
-            keep = np.flatnonzero(alive[rows].any(axis=0))
+            part = slice(g, g + per)
+            Tg = Ts[D[part]]
+            X = matrix(D[part], cols)
+            keep = np.flatnonzero(alive[part].any(axis=0))
             whole = keep.size == ncand  # then slices of VVt, with no copy
             step = chunk(cols.size, not whole)
             for c in range(0, keep.size, step):
                 k = slice(c, c + step) if whole else keep[c:c + step]
                 vvt = VVt[:, k] if whole else np.take(VVt, k, axis=1)
-                out[rows, k] = _bound(p, Tg, X, vvt, norm[k])
+                out[part, k] = _bound(p, Tg, X, vvt, norm[k])
         return np.where(alive, out, -np.inf)
 
     def score(D, alive):  # the survivors' exact merits, in grid order
         per, step = group(n), chunk(n, True)
         for g in range(0, D.size, per):
-            rows = slice(g, g + per)
-            Ta = Ts[D[rows]]
-            X = depletion.g_matrix(p, Ta, ncoef)
+            part = slice(g, g + per)
+            Ta = Ts[D[part]]
+            X = matrix(D[part])
             best.full_durations += Ta.size
-            keep = np.flatnonzero(alive[rows].any(axis=0))
+            keep = np.flatnonzero(alive[part].any(axis=0))
             best.pruned -= Ta.size * keep.size
             for c in range(0, keep.size, step):
                 k = keep[c:c + step]
@@ -269,26 +283,32 @@ def _scan(p: EmitterParams, axes, constrained: bool, best: _Best):
                     best.objective, best.T = float(merit[t, i]), float(Ta[t])
                     best.ratios, best.coeffs = tuple(free[k[i], 1:]), tuple(V[k[i]])
 
+    # durations per chunk of rows: whole first-level groups where one fits
     per = group(levels[0].size)
-    for j in range(0, Ts.size, per):
-        D = np.arange(j, min(j + per, Ts.size))
-        alive = np.ones((D.size, ncand), dtype=bool)
-        best.evaluations += alive.size
-        best.pruned += alive.size
-        floor = best.objective  # max(incumbent, seeds)
-        for cols in levels:
-            b = bound(cols, D, alive)
-            alive &= b >= floor * (1.0 - PRUNE_MARGIN)  # a NaN is not
-            if not alive.any():
-                break
-            t, k = np.unravel_index(np.nanargmax(b), b.shape)  # the seed
-            Tt = Ts[D[t:t + 1]]
-            floor = max(floor, exact(Tt, depletion.g_matrix(p, Tt, ncoef), [k])[0, 0])
-            alive &= b >= floor * (1.0 - PRUNE_MARGIN)
-            live = alive.any(axis=1)  # durations keeping a point
-            D, alive = D[live], alive[live]
-        else:  # some point outlived every bound
-            score(D, alive)
+    fit = max(1, BLOCK_BYTES // (8 * ROW_BUILD * ncoef * ncoef * (4 * ncoef + 3)))
+    span = fit // per * per or fit
+    for start in range(0, Ts.size, span):
+        stop = min(start + span, Ts.size)
+        Gamma, rows, P_sum = depletion.g_rows(p, Ts[start:stop], ncoef)
+        for j in range(start, stop, per):
+            D = np.arange(j, min(j + per, stop))
+            alive = np.ones((D.size, ncand), dtype=bool)
+            best.evaluations += alive.size
+            best.pruned += alive.size
+            floor = best.objective  # max(incumbent, seeds)
+            for cols in levels:
+                b = bound(cols, D, alive)
+                alive &= b >= floor * (1.0 - PRUNE_MARGIN)  # a NaN is not
+                if not alive.any():
+                    break
+                t, k = np.unravel_index(np.nanargmax(b), b.shape)  # the seed
+                Dt = D[t:t + 1]
+                floor = max(floor, exact(Ts[Dt], matrix(Dt), [k])[0, 0])
+                alive &= b >= floor * (1.0 - PRUNE_MARGIN)
+                live = alive.any(axis=1)  # durations keeping a point
+                D, alive = D[live], alive[live]
+            else:  # some point outlived every bound
+                score(D, alive)
 
 
 def _search(p: EmitterParams, axes, constrained: bool, refine_samples: int):

@@ -13,6 +13,7 @@ from ramanpulse import (CosineSeriesPulse, DomainError, EmitterParams,
                         Envelope, NumericError, ValidationError,
                         cooperativity, ghz, sin2_pulse)
 from ramanpulse import checks, depletion
+from ramanpulse.cli import DECOHERENCE_SETS
 from ramanpulse.trajectory import ClosedFormSolution, max_efficiency
 from ramanpulse.pulse import _harmonic_coefficients, slaved_series
 from ramanpulse.depletion import (analytic_profile, depletion_rate,
@@ -692,3 +693,47 @@ def test_g_max_batch_matches_one_row_calls_and_quadrature(siv_params):
     G_max, argmax_t, G_end = depletion.g_max(
         perfect, sin2_T[-1:], np.sqrt(2.0 / (3.0 * sin2_T[-1:]))[:, None])
     assert argmax_t[0] == sin2_T[-1] and G_max[0] == G_end[0]
+
+
+def test_g_max_does_not_depend_on_its_pass_size(monkeypatch, siv_params):
+    # figures' bound curves: 160 sin^2 pulses per decoherence set; (0, 0) has
+    # Gamma = 0, and most rows have two falling zeros of d. Each g_max call
+    # builds its rows once and refines every row's zeros in one run, so the
+    # pass size only sets which rows share a sample array
+    T = np.geomspace(0.04, 12.0, 160)
+    V = np.sqrt(2.0 / (3.0 * T))[:, None]
+    built, refined = [], []
+    pulse_rows, refine = depletion._pulse_rows, depletion._refine_zeros
+
+    def counting_rows(*args):
+        built.append(args[1])
+        return pulse_rows(*args)
+
+    def counting_refine(d, r, *args):
+        refined.append(r)
+        return refine(d, r, *args)
+
+    monkeypatch.setattr(depletion, "_pulse_rows", counting_rows)
+    monkeypatch.setattr(depletion, "_refine_zeros", counting_refine)
+    for frac1, frac2 in DECOHERENCE_SETS:
+        p = dataclasses.replace(siv_params, Gamma1=frac1 * siv_params.gamma_tilde,
+                                Gamma2=frac2 * siv_params.gamma_tilde)
+        runs = []
+        for rows in (1, 7, 16, 200):
+            monkeypatch.setattr(depletion, "G_MAX_ROWS", rows)
+            built.clear()
+            refined.clear()
+            runs.append(depletion.g_max(p, T, V))
+            assert len(built) == len(refined) == 1 and built[0].size == T.size
+            assert np.bincount(refined[0]).max() == 2
+        for run in runs[1:]:
+            assert all(np.array_equal(x, y) for x, y in zip(run, runs[0]))
+        # a one-row search takes other kernels for its grid products (a
+        # matrix-vector product) and for a lone zero's sums, so its maximum
+        # can differ in the last bits; G(T) is the same
+        G_max, argmax_t, G_end = runs[0]
+        one = [analytic_profile(p, CosineSeriesPulse(Tj, (v,)))
+               for Tj, v in zip(T, V[:, 0])]
+        assert np.array_equal(G_end, [prof.G[-1] for prof in one])
+        assert np.allclose(G_max, [prof.G_max for prof in one], rtol=1e-15, atol=0.0)
+        assert np.all(np.abs(argmax_t - [prof.argmax_t for prof in one]) <= 1e-14 * T)

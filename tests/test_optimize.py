@@ -231,14 +231,15 @@ def _reference_scan(p, axes, constrained):
 # next to the optimum. Block size None: optimize_duration's sweep,
 # DURATION_SAMPLES durations in one first-level group of the unpatched size,
 # so the seeds prune in-group. The comments give the durations per group of
-# the bound levels that see a survivor (G(T), 8 and 63 samples).
+# the bound levels that see a survivor (G(T), 8 and 63 samples); at L = 3
+# the chunks of series rows (8 durations, then 1) cut the first-level group.
 SCAN_CASES = [
-    ((ghz(0.01), ghz(0.01)), 3, False, (0.28, 0.345), 7),  # pole; 9, 9, 5+4
+    ((ghz(0.01), ghz(0.01)), 3, False, (0.28, 0.345), 7),  # pole; 8+1, 8+1, 5+3+1
     ((ghz(0.03), ghz(0.01)), 1, False, (0.32, 0.37), 20),  # 7, 7, 7
     ((ghz(0.01), ghz(0.05)), 2, False, (0.15, 1.2), 40),   # 9, 6, 1
     ((5e-324, 0.0), 2, True, (1.0, 1.3), 40),              # subnormal; 9, 9, 9
     ((ghz(0.01), ghz(0.01)), 1, False, (0.2, 0.7), None),  # 200, 200, 114
-    ((ghz(0.01), ghz(0.01)), 3, False, (0.1, 0.5), 1),     # 9, 6+3, 1 x 6
+    ((ghz(0.01), ghz(0.01)), 3, False, (0.1, 0.5), 1),     # 1 x 9, 1 x 9, 1 x 8
 ]
 
 
@@ -256,7 +257,15 @@ def test_blocked_pruned_scan_matches_reference(monkeypatch, rates, L, constraine
                             rows * 8 * depletion.N_SEARCH_GRID)
     axes = [np.sort(rng.uniform(*window, size=size))]
     axes += [np.sort(rng.uniform(-0.4, 0.4, size=5 - i)) for i in range(L - 1)]
+    built, g_rows = [], depletion.g_rows  # the durations of each row build
+
+    def counting_rows(p, T, order):
+        built.append(T)
+        return g_rows(p, T, order)
+
+    monkeypatch.setattr(depletion, "g_rows", counting_rows)
     best, _ = optimize._search(p, axes, constrained, 0)
+    assert np.array_equal(np.concatenate(built), axes[0])  # each once, in order
     merits, points = _reference_scan(p, axes, constrained)
     assert best.evaluations == len(points)
     assert best.objective == pytest.approx(merits.max(), rel=1e-12)
@@ -323,3 +332,40 @@ def test_scan_memory_stays_in_blocks(siv_params):
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2 ** 20
+
+
+def test_row_chunks_keep_the_scan_in_blocks(siv_params):
+    # constrained L = 3 (ncoef 6) on 500 durations and 9 candidates: one
+    # first-level group holds every duration, and the series rows and their
+    # build dominate; built for all durations at once they peak near 18 MB
+    axis = np.linspace(-1.0, 1.0, 3)
+    Ts = np.linspace(*optimize.default_T_range(siv_params), 500)
+    tracemalloc.start()
+    try:
+        optimize._search(siv_params, [Ts, axis, axis], True, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * optimize.BLOCK_BYTES
+
+
+def test_duration_scan_builds_its_rows_once(monkeypatch, siv_params):
+    # each of optimize_duration's two scans (grid and refinement box) builds
+    # the series rows of its 200 durations in one _harmonic_coefficients call,
+    # and every bound level, seed and exact score reads them
+    calls, scans = [], []
+    harmonic, scan = depletion._harmonic_coefficients, optimize._scan
+
+    def counting_harmonic(*args):
+        calls.append(args[0])
+        return harmonic(*args)
+
+    def counting_scan(*args):
+        start = len(calls)
+        scan(*args)
+        scans.append(len(calls) - start)
+
+    monkeypatch.setattr(depletion, "_harmonic_coefficients", counting_harmonic)
+    monkeypatch.setattr(optimize, "_scan", counting_scan)
+    optimize_duration(siv_params)
+    assert scans == [1, 1]
