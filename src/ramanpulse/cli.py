@@ -19,8 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, bounds, checks, depletion, optimize, protocol, verify
-from .errors import (DomainError, NumericError, RamanPulseError,
-                     ValidationError, finite)
+from .errors import NumericError, RamanPulseError, ValidationError, finite
 from .model import EmitterParams, RawRates, params_from_dict, read_json_object
 from .pulse import (CosineSeriesPulse, load_pulse, sin2_pulse, write_csv,
                     write_json, write_samples)
@@ -70,9 +69,9 @@ def _check_samples(n: int, flag: str = "--samples"):
         raise ValidationError(f"{flag} must be at least 2, got {n}")
 
 
-def _check_s(s: float):
+def _check_s(s: float, flag: str = "--s"):
     if not 0.0 <= s < 1.0:  # NaN fails too; s >= 1 always meets the pole
-        raise ValidationError(f"--s must be finite with 0 <= s < 1, got {s}")
+        raise ValidationError(f"{flag} must be finite with 0 <= s < 1, got {s}")
 
 
 # ---------------------------------------------------------------------------
@@ -315,6 +314,8 @@ def cmd_protocol(args) -> int:
 
 def cmd_figures(args) -> int:
     s_list = [finite(x, "--s-list entry") for x in args.s_list.split(",")]
+    for s in s_list:
+        _check_s(s, "--s-list")
     p, raw, data = _load_params(args)
     out = _out_dir(args)
 
@@ -482,9 +483,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValidationError, DomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 2

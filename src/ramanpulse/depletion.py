@@ -51,7 +51,7 @@ SEARCH_TAU.setflags(write=False)
 G_MAX_ROWS = 16
 
 
-@dataclass
+@dataclass(frozen=True)
 class DepletionProfile:
     """G sampled on a time grid, and its maximum.
 
@@ -339,11 +339,21 @@ def g_max(p: EmitterParams, T, V):
 
 def analytic_profile(p: EmitterParams, pulse: CosineSeriesPulse) -> DepletionProfile:
     """DepletionProfile of a series pulse, chirped or not, from a one-row
-    g_max search: G on its grid, G_max and argmax_t."""
+    g_max search: G on its grid, G_max and argmax_t. The profile is cached
+    for the next call with an equal (p, pulse) (lru_cache, one entry), so a
+    bound and a synthesis of one pulse search it once; its arrays are
+    read-only."""
     if not isinstance(pulse, CosineSeriesPulse):
         raise ValidationError("analytic G needs a CosineSeriesPulse")
+    return _series_profile(p, pulse)
+
+
+@lru_cache(maxsize=1)
+def _series_profile(p: EmitterParams, pulse: CosineSeriesPulse) -> DepletionProfile:
     G_max, argmax_t, _, t, G = _max_search(p, [pulse.T], [pulse.coeffs],
                                            pulse.chirp)
+    for x in (t, G):
+        x.setflags(write=False)
     return DepletionProfile(grid=t[0], G=G[0], G_max=float(G_max[0]),
                             argmax_t=float(argmax_t[0]))
 

@@ -6,12 +6,13 @@ the series coefficients with duration-dependent matrix, a full duration by
 ratio grid evaluates as batched linear algebra: one integral matrix per
 duration serves every candidate coefficient vector. Few grid points are
 scored in full: G on a subset of the time samples bounds max_t G from
-below, so its merit bounds the point's merit from above, and the scan
-prunes in nested levels (G(T) alone, then 8 and 63 of the 1001 samples)
-before it builds the full integral matrix where a point survives. Every
-level reads its matrices from the series rows of each duration, built once
-per scan. The search itself is deterministic; ties resolve toward the
-smaller duration, then the lexicographically smaller ratio vector.
+below, so its merit bounds the point's merit from above. The scan prunes
+in nested levels (G(T) alone, then 8 and 63 of the 1001 samples), and the
+last level, the full grid where a point survives, gives exact merits.
+Every bound, seed and exact merit comes from one product (_bound) on
+matrices read from the series rows of each duration, built once per scan.
+The search itself is deterministic; ties resolve toward the smaller
+duration, then the lexicographically smaller ratio vector.
 """
 
 from __future__ import annotations
@@ -208,25 +209,24 @@ def _scan(p: EmitterParams, axes, constrained: bool, best: _Best):
     """Score the grid axes[0] (durations) x axes[1] x ... (ratios).
 
     One integral matrix X per duration serves every candidate: G = v.X.v
-    is the product of X with the outer products v x v. The levels of
-    COARSE (G(T) alone, then 8 and 63 samples) bound each point's merit
-    from above, and the full 1001-sample grid gives its exact score. The
-    series rows of each duration are built once (depletion.g_rows), in
-    chunks of durations that keep them and their build within BLOCK_BYTES;
-    every level, seed and exact score reads its X from them (g_on_rows).
-    A chunk goes in groups of durations sized by the first level; within a
-    group, each level bounds only the points still alive after the level
-    before and reads X only at the durations that keep one. At each
-    level the point with the best bound is scored in full (a seed), and
-    points bounded below max(incumbent, seeds) are dropped. Every level
-    sizes its duration groups and candidate chunks from its own sample
-    count, so no array of one step exceeds about BLOCK_BYTES. The bounds
-    run sample-major (_bound) on slices of the (ncoef^2, candidates)
-    products, or on a copy of the alive columns. The exact level scores
-    the survivors in grid order with the candidate-major product of their
-    v x v with X, the arithmetic every full score has used. Only a
-    strictly better survivor (never a seed) replaces the incumbent, so ties
-    keep the earlier one.
+    is the product of X with the outer products v x v. Every point is
+    scored one way, by _bound (sample-major, on slices of the (ncoef^2,
+    candidates) products or on a copy of the alive columns), in a cascade
+    of levels: the samples of COARSE (G(T) alone, then 8 and 63) bound
+    each point's merit from above, and the last level, the full 1001-sample
+    grid, gives its exact merit. The series rows of each duration are
+    built once (depletion.g_rows), in chunks of durations that keep them
+    and their build within BLOCK_BYTES; every level and seed reads its X
+    from them (g_on_rows). A chunk goes in groups of durations sized by
+    the first level; within a group, each level bounds only the points
+    still alive after the level before and reads X only at the durations
+    that keep one. At each level the point with the best bound is scored
+    in full, _bound on its one column (a seed), and points bounded below
+    max(incumbent, seeds) are dropped. Every level sizes its duration
+    groups and candidate chunks from its own sample count, so no array of
+    one step exceeds about BLOCK_BYTES. The last level's seed is the
+    group's first maximum in (duration, ratio index) order; it replaces
+    the incumbent only when strictly better, so ties keep the earlier one.
     """
     mesh = np.meshgrid(np.ones(1), *axes[1:], indexing="ij")
     free = np.stack([m.ravel() for m in mesh], axis=1)  # (1, ratios...)
@@ -235,7 +235,8 @@ def _scan(p: EmitterParams, axes, constrained: bool, best: _Best):
     VVt = _products(V)
     norm = series_norm_sq(1.0, V)  # times T: the series norm at duration T
     Ts = np.asarray(axes[0], dtype=float)
-    n, levels = depletion.N_SEARCH_GRID, _levels()
+    full = slice(None)  # the last level: every sample, with no copy of the table
+    levels = _levels() + [full]
 
     def group(samples):  # durations per step: their X, or all candidates' products
         return max(1, BLOCK_BYTES // (8 * samples * max(ncoef * ncoef, ncand)))
@@ -243,45 +244,28 @@ def _scan(p: EmitterParams, axes, constrained: bool, best: _Best):
     def chunk(samples, copied):  # candidates per step: products, copied v x v
         return max(1, BLOCK_BYTES // (8 * max(samples, ncoef * ncoef if copied else 1)))
 
-    def matrix(D, cols=slice(None)):  # X at durations D, from the chunk's rows
+    def matrix(D, cols=full):  # X at durations D, from the chunk's rows
         return depletion.g_on_rows(Gamma, Ts[D], rows[D - start],
                                    P_sum[D - start], cols)
 
-    def exact(Tb, X, k):  # merits of candidates k at each of Tb
-        vv = (V[k, :, None] * V[k, None, :]).reshape(len(k), -1)
-        return _merit(p, Tb, (vv @ X).max(axis=2) / (Tb[:, None] * norm[k]))
-
     def bound(cols, D, alive):  # the level's bound on the alive points
-        per, out = group(cols.size), np.full(alive.shape, -np.inf)
+        size = depletion.N_SEARCH_GRID if cols is full else cols.size
+        per, out = group(size), np.full(alive.shape, -np.inf)
         for g in range(0, D.size, per):
             part = slice(g, g + per)
             Tg = Ts[D[part]]
             X = matrix(D[part], cols)
             keep = np.flatnonzero(alive[part].any(axis=0))
+            if cols is full:  # the last level scores these points in full
+                best.full_durations += Tg.size
+                best.pruned -= Tg.size * keep.size
             whole = keep.size == ncand  # then slices of VVt, with no copy
-            step = chunk(cols.size, not whole)
+            step = chunk(size, not whole)
             for c in range(0, keep.size, step):
                 k = slice(c, c + step) if whole else keep[c:c + step]
                 vvt = VVt[:, k] if whole else np.take(VVt, k, axis=1)
                 out[part, k] = _bound(p, Tg, X, vvt, norm[k])
         return np.where(alive, out, -np.inf)
-
-    def score(D, alive):  # the survivors' exact merits, in grid order
-        per, step = group(n), chunk(n, True)
-        for g in range(0, D.size, per):
-            part = slice(g, g + per)
-            Ta = Ts[D[part]]
-            X = matrix(D[part])
-            best.full_durations += Ta.size
-            keep = np.flatnonzero(alive[part].any(axis=0))
-            best.pruned -= Ta.size * keep.size
-            for c in range(0, keep.size, step):
-                k = keep[c:c + step]
-                merit = exact(Ta, X, k)
-                t, i = np.unravel_index(np.argmax(merit), merit.shape)
-                if merit[t, i] > best.objective:
-                    best.objective, best.T = float(merit[t, i]), float(Ta[t])
-                    best.ratios, best.coeffs = tuple(free[k[i], 1:]), tuple(V[k[i]])
 
     # durations per chunk of rows: whole first-level groups where one fits
     per = group(levels[0].size)
@@ -302,13 +286,17 @@ def _scan(p: EmitterParams, axes, constrained: bool, best: _Best):
                 if not alive.any():
                     break
                 t, k = np.unravel_index(np.nanargmax(b), b.shape)  # the seed
+                if cols is full:  # exact merits: the seed is the group's best
+                    if b[t, k] > best.objective:
+                        best.objective, best.T = float(b[t, k]), float(Ts[D[t]])
+                        best.ratios, best.coeffs = tuple(free[k, 1:]), tuple(V[k])
+                    break
                 Dt = D[t:t + 1]
-                floor = max(floor, exact(Ts[Dt], matrix(Dt), [k])[0, 0])
+                floor = max(floor, _bound(p, Ts[Dt], matrix(Dt), VVt[:, [k]],
+                                          norm[[k]])[0, 0])
                 alive &= b >= floor * (1.0 - PRUNE_MARGIN)
                 live = alive.any(axis=1)  # durations keeping a point
                 D, alive = D[live], alive[live]
-            else:  # some point outlived every bound
-                score(D, alive)
 
 
 def _search(p: EmitterParams, axes, constrained: bool, refine_samples: int):

@@ -276,6 +276,38 @@ def test_verify_and_c4_synthesize_once(tmp_path, monkeypatch, siv_params):
     assert len(calls) == 2
 
 
+def test_one_depletion_search_per_pulse(tmp_path, monkeypatch):
+    # the bound and the synthesis of one pulse share one cached profile:
+    # trajectory's max_efficiency and ClosedFormSolution, and optimize's
+    # result and its drive, search its depletion maximum once
+    calls = []
+    search = depletion._max_search
+
+    def counted(*args):
+        calls.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(depletion, "_max_search", counted)
+    depletion._series_profile.cache_clear()
+    assert main(["trajectory", "--out", str(tmp_path / "t"), "--samples", "101"]) == 0
+    assert len(calls) == 1
+    assert main(["optimize", "--L", "1", "--out", str(tmp_path / "o"),
+                 "--samples", "101"]) == 0
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("s_list", ["0.9,1.2", "0.9,-0.5"])
+def test_figures_checks_every_efficiency_fraction_first(tmp_path, capsys, s_list):
+    # an entry outside [0, 1) fails before any data file is written, and the
+    # message names the flag
+    out = tmp_path / "out"
+    assert main(["figures", "--grid", "desk", "--s-list", s_list,
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --s-list ") and "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("text", ["{not json", "5"])
 def test_unreadable_params_exit_code(tmp_path, capsys, text):
     bad = tmp_path / "params.json"

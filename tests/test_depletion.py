@@ -195,6 +195,20 @@ def test_profile_invariants(siv_params):
     assert prof.G_max > G[-1] + 1e-4
 
 
+def test_profile_is_shared_and_read_only(siv_params):
+    # an equal (params, pulse) returns the cached profile, which its users
+    # cannot change
+    prof = analytic_profile(siv_params, sin2_pulse(0.3))
+    assert analytic_profile(dataclasses.replace(siv_params), sin2_pulse(0.3)) is prof
+    for x in (prof.grid, prof.G):
+        with pytest.raises(ValueError):
+            x[0] = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        prof.G_max = 1.0
+    with pytest.raises(ValidationError):
+        analytic_profile(siv_params, [0.3, [1.0]])
+
+
 def test_numeric_profile_refined_max(siv_params):
     # both routes put G_max at a falling zero of d = G'; each pulse has two
     for T in (0.2, 0.44):

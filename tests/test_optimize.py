@@ -283,7 +283,8 @@ def test_blocked_pruned_scan_matches_reference(monkeypatch, rates, L, constraine
 def test_every_level_bounds_the_exact_merit(rates, constrained):
     # G on a subset of the samples is at most G_max, so every level's merit
     # bound holds each point's exact score from above, and each level's bound
-    # holds the next one's, both up to PRUNE_MARGIN
+    # holds the next one's, both up to PRUNE_MARGIN; on all the samples the
+    # bound is the exact score
     p = EmitterParams(g=ghz(6), kappa=ghz(30), gamma_tilde=ghz(0.1),
                       Gamma1=rates[0], Gamma2=rates[1])
     rng = np.random.default_rng(5 + constrained)
@@ -293,10 +294,14 @@ def test_every_level_bounds_the_exact_merit(rates, constrained):
     ncoef = V.shape[1]
     norm = series_norm_sq(1.0, V)
     VV = (V[:, :, None] * V[:, None, :]).reshape(len(V), -1)
-    exact = optimize._merit(p, T, (VV @ depletion.g_matrix(p, T, ncoef)).max(axis=2)
-                            / (T[:, None] * norm))
+    X = depletion.g_matrix(p, T, ncoef)
+    exact = optimize._merit(p, T, (VV @ X).max(axis=2) / (T[:, None] * norm))
     VVt = optimize._products(V)
     assert VVt.flags.c_contiguous and np.array_equal(VVt, VV.T)
+    # the scan's last level: the sample-major bound on every sample is the
+    # candidate-major exact merit
+    np.testing.assert_allclose(optimize._bound(p, T, X, VVt, norm), exact,
+                               rtol=1e-15, atol=0)
     below = exact
     for cols in reversed(optimize._levels()):
         bound = optimize._bound(p, T, depletion.g_matrix(p, T, ncoef, cols), VVt, norm)
