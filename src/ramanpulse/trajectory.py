@@ -19,7 +19,7 @@ import numpy as np
 from . import bounds, depletion
 from .errors import PoleError, ValidationError, finite, finite_times, time_grid
 from .model import EmitterParams
-from .pulse import as_envelope, write_csv
+from .pulse import CosineSeriesPulse, as_envelope, write_csv
 
 
 @dataclass(frozen=True)
@@ -91,9 +91,13 @@ class Trajectory(Amplitudes):
 
 
 def max_efficiency(p: EmitterParams, env) -> float:
-    """Efficiency bound 1 / sqrt(G_max) for this envelope, from the profile
-    of depletion.g_and_max on [0, T] (a series: analytic_profile's)."""
-    return bounds.e_max(depletion.g_and_max(p, env, as_envelope(env).T)[1])
+    """Efficiency bound 1 / sqrt(G_max) for this envelope, from its profile
+    on [0, T]: a series pulse's analytic_profile, with no G sampler built,
+    and depletion.g_and_max's for any other envelope."""
+    env = as_envelope(env)
+    if isinstance(env, CosineSeriesPulse):
+        return bounds.e_max(depletion.analytic_profile(p, env))
+    return bounds.e_max(depletion.g_and_max(p, env, env.T)[1])
 
 
 class ClosedFormSolution:
@@ -101,14 +105,26 @@ class ClosedFormSolution:
 
     trajectory(init, grid) samples every amplitude and the drive for one
     initial qubit state; Omega(t) is the drive alone, which the verification
-    integrators call one t at a time. Both read one jet of the amplitudes
-    with the initial |1> amplitude divided out (one path for scalars and
-    grids). The jet of the envelope and G, and the bound, come from one
-    depletion.g_and_max call: for a series pulse one pass of the exact
-    depletion.series_g and analytic_profile's maximum, for any other
-    envelope G as one Chebyshev series. The phase is depletion.drive_phase;
-    it is exactly zero where its rate vanishes (a real envelope on
-    resonance, or E = 0), which makes a resonant series drive exact too.
+    integrators call on each step's stage times. Both read one envelope pass
+    (_pass), and both take the drive from one formula (_drive). The jet of
+    the envelope and G, and the bound, come from one depletion.g_and_max
+    call: for a series pulse one pass of the exact depletion.series_g and
+    analytic_profile's maximum, for any other envelope G as one Chebyshev
+    series. The phase is depletion.drive_phase; it is exactly zero where its
+    rate vanishes (a real envelope on resonance, or E = 0), which makes a
+    resonant series drive exact too.
+
+    The drive is -num / alpha of the no-jump amplitude equations, with
+    num = (gamma_tilde / 2 + i Delta) zeta + g eta + zeta'. The photon
+    amplitude is eta = (E / sqrt(kappa)) exp(-Gamma2 t / 2) v and
+    g zeta = a eta + eta' with a = (Gamma2 + kappa + kappa_tilde) / 2, so
+    num is linear in v, v' and v'', and with v = exp(i theta) f,
+
+        Omega = -(E / sqrt(kappa)) exp(i (theta - phi) + (Gamma1 - Gamma2) t / 2)
+                (k0 f + k1 f' + k2 f'') / r,
+
+    where k0 and k1 follow from the emitter and theta', theta'' alone, and
+    k2 = 1 / g. No eta, zeta or their derivatives are built for the drive.
 
     The drive diverges where r^2 = 1 - E^2 G(t) vanishes. The minimum of
     r^2 is 1 - (E / E_max)^2, at the depletion maximum; the constructor
@@ -137,67 +153,81 @@ class ClosedFormSolution:
                 "maximum, where the drive diverges; lower E below E_max")
         self.phi = depletion.drive_phase(p, env, self.E, env.T, prof.G_max,
                                          prof.argmax_t, self.G)
+        # num's weights of v, v' and v'' over (E / sqrt(kappa)) exp(-Gamma2 t / 2)
+        a = 0.5 * (p.Gamma2 + p.kappa + p.kappa_tilde)
+        c = 0.5 * p.gamma_tilde + 1j * p.Delta
+        self._num_weights = ((c * a / p.g + p.g) - 0.5 * p.Gamma2 * (c + a) / p.g
+                             + 0.25 * p.Gamma2 ** 2 / p.g,
+                             (c + a - p.Gamma2) / p.g, 1.0 / p.g)
 
-    # -- amplitudes with alpha0 divided out ----------------------------------
-
-    def _jet(self, t):
-        """eta, zeta, alpha and the drive numerator at t, from one envelope
-        pass: v, v' and v'' give eta, eta' and eta'', and those zeta and zeta'.
-        t is finite; a scalar stays on numpy scalars."""
-        p, env = self.p, self.env
+    def _pass(self, t):
+        """t and one envelope pass at t: f, f', f'', theta', theta'', theta and
+        r. t is finite; a scalar stays on numpy scalars."""
         t = finite_times(t)
         f, df, d2f, G, dth, d2th = self._envelope(t)
-        ph = np.exp(1j * env.theta(t))
-        # a complex python number goes left of a numpy float: see pulse._pass
-        v, dv = ph * f, ph * (1j * dth * f + df)
-        d2v = ph * (2j * dth * df + d2f + 1j * d2th * f - dth ** 2 * f)
-        scale = self.E * np.exp(-0.5 * p.Gamma2 * t) / math.sqrt(p.kappa)
-        eta = scale * v
-        deta = scale * (dv - 0.5 * p.Gamma2 * v)
-        d2eta = scale * (d2v - p.Gamma2 * dv + 0.25 * p.Gamma2 ** 2 * v)
-        a = (p.Gamma2 + p.kappa + p.kappa_tilde) / (2.0 * p.g)
-        zeta, dzeta = a * eta + deta / p.g, a * deta + d2eta / p.g
-        num = (0.5 * p.gamma_tilde + 1j * p.Delta) * zeta + p.g * eta + dzeta
         r2 = 1.0 - self.E ** 2 * G
-        r = np.sqrt(r2 * (r2 > 0.0))  # r2 clipped at 0
-        alpha = np.exp(1j * self.phi(t) - 0.5 * p.Gamma1 * t) * r
-        return eta, zeta, alpha, num
+        return (t, f, df, d2f, dth, d2th, self.env.theta(t),
+                np.sqrt(r2 * (r2 > 0.0)))  # r2 clipped at 0
+
+    def _drive(self, t, f, df, d2f, dth, d2th, theta, r):
+        """The drive formula on one envelope pass (_pass): 0 where
+        |alpha| = exp(-Gamma1 t / 2) r is below 1e-14, PoleError where |num| is
+        above 1e-12 there. The exponential is split between num and |alpha|,
+        so neither overflows where the other underflows."""
+        w0, w1, w2 = self._num_weights
+        # v = e^(i theta) f: v' and v'' in f, f' and f''
+        k0 = w0 + w1 * 1j * dth + w2 * (1j * d2th - dth * dth)
+        k1 = w1 + w2 * 2j * dth
+        # num here is -num exp(-i phi), of num's magnitude; led by the real
+        # f'' term, a real drive keeps +0, not -0, as its imaginary part
+        num = (self.E / math.sqrt(self.p.kappa)
+               * np.exp(1j * (theta - self.phi(t)) - 0.5 * self.p.Gamma2 * t)
+               * (-w2 * d2f - k1 * df - k0 * f))
+        alpha = np.exp(-0.5 * self.p.Gamma1 * t) * r  # |alpha|
+        tiny = alpha < 1e-14
+        if np.count_nonzero(tiny):
+            if np.count_nonzero(tiny & (abs(num) > 1e-12)):
+                raise PoleError(
+                    "drive diverges: alpha(t) vanished with a finite numerator; "
+                    "lower the target efficiency below E_max")
+            num, alpha = num * ~tiny, alpha + tiny
+        return num / alpha
 
     def Omega(self, t):
-        """Drive Rabi frequency; diverges where the ground state empties."""
-        return _drive(*self._jet(t)[2:])
+        """Drive Rabi frequency at t, by the drive formula of the class on one
+        envelope pass; diverges where the ground state empties."""
+        return self._drive(*self._pass(t))
 
     def trajectory(self, init: InitialState, grid) -> Trajectory:
         """Sample the solution for a given initial qubit state.
 
         The drive is synthesized when the initial |1> amplitude is nonzero;
         for alpha0 = 0 no emission occurs, and the drive is zeroed and
-        flagged as irrelevant.
+        flagged as irrelevant. Amplitudes and drive read one envelope pass.
         """
         grid = time_grid(grid, "grid")
         p = self.p
         a0, b0 = complex(init.alpha0), complex(init.beta0)
-        eta, zeta, alpha, num = self._jet(grid)
+        jet = self._pass(grid)
+        _, f, df, _, dth, _, theta, r = jet
+        ph = np.exp(1j * theta)
+        # a complex python number goes left of a numpy float: see pulse._pass
+        v, dv = ph * f, ph * (1j * dth * f + df)
         decay = np.exp(-0.5 * p.Gamma2 * grid)
+        scale = self.E * decay / math.sqrt(p.kappa)
+        eta = scale * v
+        deta = scale * (dv - 0.5 * p.Gamma2 * v)
+        zeta = (p.Gamma2 + p.kappa + p.kappa_tilde) / (2.0 * p.g) * eta + deta / p.g
+        alpha = np.exp(1j * self.phi(grid) - 0.5 * p.Gamma1 * grid) * r
         cum = np.sqrt(np.maximum(np.asarray(self.env.cumulative_norm(grid)), 0.0))
 
         drive_irrelevant = a0 == 0.0
         Omega = (np.zeros_like(grid, dtype=complex) if drive_irrelevant
-                 else _drive(alpha, num))
+                 else self._drive(*jet))
         return Trajectory(grid=grid, alpha=a0 * alpha, beta=b0 * decay,
                           zeta=a0 * zeta, eta=a0 * eta,
                           lam=a0 * (self.E * decay * cum), Omega=Omega,
                           drive_irrelevant=drive_irrelevant)
-
-
-def _drive(alpha, num):
-    """-num / alpha, 0 where alpha vanishes; PoleError where num does not."""
-    tiny = abs(alpha) < 1e-14
-    if np.count_nonzero(tiny & (abs(num) > 1e-12)):
-        raise PoleError(
-            "drive diverges: alpha(t) vanished with a finite numerator; "
-            "lower the target efficiency below E_max")
-    return -num * (abs(alpha) >= 1e-14) / (alpha + tiny)
 
 
 def closed_form_trajectory(p: EmitterParams, env, E: float,

@@ -77,19 +77,26 @@ def integrate_nonhermitian(p: EmitterParams, Omega, init: InitialState,
 
 @lru_cache(maxsize=1)
 def _unit_amplitudes(p: EmitterParams, Omega, grid: bytes):
-    """The tight and loose unit solves on grid (its float bytes), the tight nfev."""
+    """The tight and loose unit solves on grid (its float bytes), the tight nfev.
+
+    The right-hand side works on python complex numbers (the state's
+    tolist(), the drive samples as a list): on 5 entries they cost less than
+    numpy's scalars or arrays, for the same bits.
+    """
     grid = np.frombuffer(grid)
     g, kappa, G2 = p.g, p.kappa, p.Gamma2
+    half_G1, half_G2 = 0.5 * p.Gamma1, 0.5 * G2
+    zeta_rate = -1j * p.Delta - 0.5 * p.gamma_tilde
     half_eta_rate = 0.5 * (G2 + kappa + p.kappa_tilde)
 
     def rhs(om, y):
-        a, b, z, e, m = y
-        return np.array([-0.5 * p.Gamma1 * a + np.conj(om) * z, -0.5 * G2 * b,
-                         (-1j * p.Delta - 0.5 * p.gamma_tilde) * z - g * e - om * a,
+        a, b, z, e, m = y.tolist()
+        return np.array([-half_G1 * a + om.conjugate() * z, -half_G2 * b,
+                         zeta_rate * z - g * e - om * a,
                          -half_eta_rate * e + g * z, -G2 * m.real + kappa * abs(e) ** 2])
 
     def solve(rt, at):
-        return _dop853(lambda t: _sample(Omega, t), rhs,
+        return _dop853(lambda t: _sample(Omega, t).tolist(), rhs,
                        np.array([1.0, 1.0, 0.0, 0.0, 0.0], dtype=complex), grid,
                        np.inf, rt, at)
 
@@ -281,8 +288,35 @@ _ERR = np.stack([DOP853.E5, DOP853.E3])
 _NODES = np.concatenate([DOP853.C[1:], DOP853.C_EXTRA])
 
 
+def _dense_rows():
+    """The rows, over h, of scipy's Dop853DenseOutput terms F_0..F_6 on a
+    step's 16 stages k: F_0 = y_new - y = h B k, F_1 = h k_0 - F_0,
+    F_2 = 2 F_0 - h (k_12 + k_0), F_3..F_6 = h D k. The step's 7th-order
+    interpolant is y(t + x h) = y + (_basis(x) @ (h * _DENSE)) @ k."""
+    n_st = DOP853.n_stages
+    dy = np.zeros(n_st + 4)
+    dy[:n_st] = DOP853.B
+    k0, k_end = np.eye(n_st + 4)[[0, n_st]]
+    return np.vstack([dy, k0 - dy, 2.0 * dy - k_end - k0, DOP853.D])
+
+
+_DENSE = _dense_rows()
+# powers of a and of x in each term of the interpolant's basis
+_A_POWERS, _X_POWERS = np.array([0, 1, 1, 2, 2, 3, 3.0]), np.array([1, 0, 1, 0, 1, 0, 1.0])
+
+
+def _basis(x):
+    """The interpolant's basis at the fractions x of a step, a row per x:
+    [x, a, a x, a^2, a^2 x, a^3, a^3 x] with a = x (1 - x), the terms of
+    scipy's Horner loop over F_0..F_6."""
+    x = x[:, None]
+    return (x * (1.0 - x)) ** _A_POWERS * x ** _X_POWERS
+
+
 def _sample(Omega, t):  # the drive on a 1-d array of times; a scalar return is broadcast
-    return np.broadcast_to(np.asarray(Omega(t), dtype=complex), t.shape)
+    out = np.empty(t.shape, dtype=complex)
+    out[...] = Omega(t)
+    return out
 
 
 def _dop853(weights, rhs, y0, times, max_step, rtol, atol):
@@ -290,14 +324,20 @@ def _dop853(weights, rhs, y0, times, max_step, rtol, atol):
 
     scipy's DOP853 step, error norm (on the real view of y) and step
     control, with steps clipped only at times[-1]; every earlier time is
-    read from the 7th-order dense output (scipy's Dop853DenseOutput), whose
-    3 extra stages run only on accepted steps that hold such times. The
-    first step is Hairer's guess 0.01 |y0| / |f0|, cut by rejections where
-    it is too long. weights(t) returns one w(t) per time of a 1-d array; it
-    is called at times[0], then once per attempted step on its 14 stage times.
+    read from the 7th-order dense output (scipy's Dop853DenseOutput as one
+    product, y + (_basis(x) @ (h * _DENSE)) @ k), whose 3 extra stages run
+    only on accepted steps that hold such times. All weights of the stages,
+    the step, the error estimate and the interpolant are real, so each sum
+    runs on the real views of k and y: a complex y costs two real entries,
+    not a complex product. The first step is Hairer's guess
+    0.01 |y0| / |f0|, cut by rejections where it is too long. weights(t)
+    returns one w(t) per time of a 1-d array (an array or a list); it is
+    called at times[0], then once per attempted step on its 14 stage times.
+    y0 is a 1-d complex array.
     """
     n_st = DOP853.n_stages
     k = np.empty((n_st + 4, y0.size), dtype=complex)
+    kr = k.view(float)
     k[0] = rhs(weights(times[:1])[0], y0)
     scale = atol + rtol * abs(y0.view(float))
     d0, d1 = (np.linalg.norm(v.view(float) / scale) / math.sqrt(scale.size)
@@ -313,14 +353,14 @@ def _dop853(weights, rhs, y0, times, max_step, rtol, atol):
         t_new = min(t + h_abs, times[-1])
         h = t_new - t
         W = weights(t + h * _NODES)
-        hA = h * DOP853.A
+        hA, yr = h * DOP853.A, y.view(float)
         for s in range(1, n_st):
-            k[s] = rhs(W[s - 1], y + hA[s, :s] @ k[:s])
-        y_new = y + h * (DOP853.B @ k[:n_st])
+            k[s] = rhs(W[s - 1], (yr + hA[s, :s] @ kr[:s]).view(complex))
+        y_new = (yr + (h * DOP853.B) @ kr[:n_st]).view(complex)
         k[n_st] = rhs(W[n_st - 2], y_new)
         nfev += n_st
-        scale = atol + rtol * np.maximum(abs(y.view(float)), abs(y_new.view(float)))
-        e5, e3 = np.sum(((_ERR @ k[:n_st + 1]).view(float) / scale) ** 2, axis=1)
+        scale = atol + rtol * np.maximum(abs(yr), abs(y_new.view(float)))
+        e5, e3 = np.sum((_ERR @ kr[:n_st + 1] / scale) ** 2, axis=1)
         err = h * e5 / math.sqrt((e5 + 0.01 * e3) * scale.size) if e5 + e3 else 0.0
         factor = 0.9 * err ** -0.125 if err else 10.0
         if not err < 1.0:  # retry shorter (NaN too); the step after grows no longer
@@ -330,15 +370,11 @@ def _dop853(weights, rhs, y0, times, max_step, rtol, atol):
         j = np.searchsorted(times[:-1], t_new, side="right")
         if j > i:
             for s, a in enumerate(h * DOP853.A_EXTRA, start=n_st + 1):
-                k[s] = rhs(W[s - 2], y + a[:s] @ k[:s])
+                k[s] = rhs(W[s - 2], (yr + a[:s] @ kr[:s]).view(complex))
             nfev += 3
-            dy = y_new - y
-            F = (dy, h * k[0] - dy, 2 * dy - h * (k[n_st] + k[0]), *(h * DOP853.D @ k))
-            x = ((times[i:j] - t) / h)[:, None]
-            y_out = 0.0
-            for n, f in enumerate(reversed(F)):
-                y_out = (y_out + f) * (x if n % 2 == 0 else 1 - x)
-            out[i:j], i = y + y_out, j
+            x = (times[i:j] - t) / h
+            out[i:j] = (yr + (_basis(x) @ (h * _DENSE)) @ kr).view(complex)
+            i = j
         k[0] = k[n_st]
         y, t = y_new, t_new
     out[-1] = y

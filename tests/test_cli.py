@@ -9,7 +9,7 @@ from ramanpulse import ValidationError, bounds, checks, cli, depletion, optimize
 from ramanpulse.cli import DECOHERENCE_SETS, DEFAULT_PARAMS, main, run_checks
 from ramanpulse.model import params_from_dict
 from ramanpulse.pulse import sin2_pulse
-from ramanpulse.trajectory import ClosedFormSolution
+from ramanpulse.trajectory import ClosedFormSolution, max_efficiency
 
 
 def test_version_flag(capsys):
@@ -294,6 +294,19 @@ def test_one_depletion_search_per_pulse(tmp_path, monkeypatch):
     assert main(["optimize", "--L", "1", "--out", str(tmp_path / "o"),
                  "--samples", "101"]) == 0
     assert len(calls) == 2
+
+
+def test_one_series_jet_per_synthesis(tmp_path, monkeypatch, siv_params):
+    # the bound reads the series pulse's profile alone; a trajectory run
+    # builds the series jet once, for its synthesis
+    calls = []
+    plain = depletion.series_g
+    monkeypatch.setattr(depletion, "series_g",
+                        lambda *args: calls.append(args) or plain(*args))
+    max_efficiency(siv_params, sin2_pulse(0.44))
+    assert calls == []
+    assert main(["trajectory", "--out", str(tmp_path), "--samples", "101"]) == 0
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("s_list", ["0.9,1.2", "0.9,-0.5"])

@@ -242,6 +242,56 @@ def test_scalar_calls_match_grid_calls(siv_params, kind):
         assert np.max(np.abs(scalar - grid)) <= 1e-13 * np.max(np.abs(grid)), name
 
 
+def _amplitude_route_drive(p, env, cf, t):
+    """-num / alpha of the amplitude equations at t, built the long way:
+    eta, eta' and eta'' from the envelope, the phase and E, then zeta, zeta',
+    the numerator num and alpha."""
+    f, df, d2f = (np.asarray(x) for x in env.evaluate(t))
+    dth, d2th = np.asarray(env.dtheta(t)), np.asarray(env.d2theta(t))
+    ph = np.exp(1j * np.asarray(env.theta(t)))
+    v, dv = ph * f, ph * (df + 1j * dth * f)
+    d2v = ph * (d2f + 2j * dth * df + 1j * d2th * f - dth ** 2 * f)
+    scale = cf.E * np.exp(-0.5 * p.Gamma2 * t) / math.sqrt(p.kappa)
+    eta = scale * v
+    deta = scale * (dv - 0.5 * p.Gamma2 * v)
+    d2eta = scale * (d2v - p.Gamma2 * dv + 0.25 * p.Gamma2 ** 2 * v)
+    a = (p.Gamma2 + p.kappa + p.kappa_tilde) / (2.0 * p.g)
+    zeta, dzeta = a * eta + deta / p.g, a * deta + d2eta / p.g
+    num = (0.5 * p.gamma_tilde + 1j * p.Delta) * zeta + p.g * eta + dzeta
+    alpha = (np.exp(1j * np.asarray(cf.phi(t)) - 0.5 * p.Gamma1 * t)
+             * np.sqrt(1.0 - cf.E ** 2 * np.asarray(cf.G(t))))
+    return -num / alpha
+
+
+@pytest.mark.parametrize("kind", ["resonant", "detuned", "chirped", "envelope"])
+def test_drive_formula_matches_the_amplitude_route(siv_params, kind):
+    # Omega's formula in f, f', f'' is -num / alpha of zeta and eta, on a grid
+    # and at scalar times; trajectory() reads the same drive
+    p, env, cf = _drive_case(siv_params, kind)
+    grid = np.linspace(0.0, env.T, 41)
+    want = _amplitude_route_drive(p, env, cf, grid)
+    tol = 1e-13 * np.max(np.abs(want))
+    assert np.max(np.abs(cf.Omega(grid) - want)) <= tol
+    for t in (0.0, 0.3 * env.T, 0.77 * env.T, env.T):
+        assert abs(cf.Omega(t) - _amplitude_route_drive(p, env, cf, t)) <= tol
+    assert np.array_equal(cf.trajectory(InitialState(1.0), grid).Omega,
+                          cf.Omega(grid))
+
+
+def test_drive_is_zero_or_a_pole_where_alpha_vanishes(setup):
+    # r = 0 at the middle time: with a finite numerator there the drive is a
+    # pole, with a zero one it is zero, and elsewhere it is Omega's
+    p, pl, E_max, _ = setup
+    cf = ClosedFormSolution(p, pl, 0.9 * E_max)
+    t = np.array([0.1, 0.2, 0.3])
+    _, f, df, d2f, dth, d2th, theta, r = cf._pass(t)
+    keep = np.array([1.0, 0.0, 1.0])
+    with pytest.raises(PoleError, match="alpha"):
+        cf._drive(t, f, df, d2f, dth, d2th, theta, r * keep)
+    om = cf._drive(t, f * keep, df * keep, d2f * keep, dth, d2th, theta, r * keep)
+    assert om[1] == 0.0 and np.array_equal(om[[0, 2]], cf.Omega(t)[[0, 2]])
+
+
 def _count_sine_tables(monkeypatch) -> list:
     """The order K of every sine table built from now on, in call order."""
     from ramanpulse import pulse

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from scipy import sparse
-from scipy.integrate import solve_ivp
+from scipy.integrate import DOP853, solve_ivp
 
 from ramanpulse import (CosineSeriesPulse, EmitterParams, Envelope,
                         InitialState, ModelError, NumericError, RawRates,
@@ -704,3 +704,19 @@ def test_dense_output_between_steps():
     # than interior times
     assert (n_dense - n_plain) % 3 == 0
     assert 0 < (n_dense - n_plain) // 3 < times.size - 2
+
+
+def test_dense_output_is_one_product_of_scipys_interpolant():
+    # one DOP853 step of scipy on a complex linear ODE: its dense output is
+    # the start plus the basis times the interpolant's rows on the 16 stages
+    A = np.array([[-1.0 + 2.0j, 0.5], [-0.3j, -0.2 + 0.1j]])
+    solver = DOP853(lambda t, y: A @ y, 0.0, np.array([1.0, 0.5j]), 2.0,
+                    rtol=1e-8, atol=1e-10)
+    solver.step()
+    dense = solver.dense_output()
+    h = solver.t - solver.t_old
+    x = np.linspace(0.0, 1.0, 9)
+    got = solver.y_old + (verify._basis(x) @ (h * verify._DENSE)) @ solver.K_extended
+    want = dense(solver.t_old + x * h).T
+    assert 0.0 < h < 2.0 and verify._DENSE.shape == (7, 16)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
