@@ -157,6 +157,7 @@ def cmd_optimize(args) -> int:
     _check_samples(args.samples)
     _check_s(args.s)
     p, raw, data = _load_params(args)
+    optimize.default_T_range(p)  # no window: refused before any file is written
     out = _out_dir(args)
     factory = optimize.full_config if args.grid == "full" else optimize.desk_config
     cfg = factory(args.L, constrained=args.constrained, refine=args.refine)
@@ -317,6 +318,7 @@ def cmd_figures(args) -> int:
     for s in s_list:
         _check_s(s, "--s-list")
     p, raw, data = _load_params(args)
+    T_lo = optimize.default_T_range(p)[0]  # no window: refused before any file
     out = _out_dir(args)
 
     # bound curves per decoherence set
@@ -333,12 +335,14 @@ def cmd_figures(args) -> int:
             ps = dataclasses.replace(p, Gamma1=frac * pattern[0] * p.gamma_tilde,
                                      Gamma2=frac * pattern[1] * p.gamma_tilde)
             rate = max(ps.Gamma1, ps.Gamma2)  # 0 for an emitter with gamma_tilde = 0
-            try:
-                res = optimize.optimize_duration(
-                    ps, T_lo=max(1.0 / p.g, 1.0 / p.kappa),
-                    T_hi=min(20.0, 1.0 / rate) if rate > 0 else 20.0)
-            except ValidationError:
+            T_hi = min(20.0, 1.0 / rate) if rate > 0 else 20.0
+            if not T_lo < T_hi:
+                print(f"skipped {sweep} sweep point Gamma1 = {ps.Gamma1:.6g}, Gamma2 = "
+                      f"{ps.Gamma2:.6g} rad/ns: no duration window, the memory time "
+                      f"{T_hi:.6g} ns (at most 20) is not above the coupling time "
+                      f"{T_lo:.6g} ns", file=sys.stderr)
                 continue
+            res = optimize.optimize_duration(ps, T_lo=T_lo, T_hi=T_hi)
             rows.append((sweep, ps.Gamma1, ps.Gamma2, res.pulse.T, res.F_worst,
                          res.E_max))
     write_csv(dur_path, ("sweep", "Gamma1_rad_ns", "Gamma2_rad_ns", "T_opt_ns",

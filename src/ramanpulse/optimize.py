@@ -125,8 +125,9 @@ def default_T_range(p: EmitterParams) -> tuple:
     lo = max(1.0 / p.g, 1.0 / p.kappa)
     rates = [r for r in (p.Gamma1, p.Gamma2) if r > 0]
     if not rates:
-        raise ValidationError("Gamma1 = Gamma2 = 0: no memory time bounds the "
-                              "default duration range; pass T_range")
+        raise ValidationError("Gamma1 = Gamma2 = 0: no memory time bounds the pulse "
+                              "duration, as E_max keeps rising toward the slow-pulse "
+                              "bound as T grows (check C2)")
     hi = min(1.0 / r for r in rates)
     if hi <= lo:
         raise ValidationError("decoherence too fast: no duration window")

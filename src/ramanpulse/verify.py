@@ -221,68 +221,6 @@ def _static_dissipators(raw: RawRates) -> list[np.ndarray]:
     return [w * op for w, op in weighted if w > 0]
 
 
-def _k_parts(p: EmitterParams, static_L) -> tuple:
-    """K(t) = -i H(t) - (1/2) sum_k L_k^dag L_k by weight.
-
-    With the capture operator L0 = sqrt(kappa) c + conj(g_v) a and the
-    cascaded term (i sqrt(kappa) / 2)(conj(g_v) c^dag a - g_v a^dag c) of H,
-    the conj(g_v) c^dag a terms cancel, and
-
-        K = K0 - i Omega D - i Omega* D^dag - sqrt(kappa) g_v a^dag c
-            - (1/2) |g_v|^2 a^dag a.
-
-    Returns K's parts at the weights (1, Omega, Omega*, g_v, g_v*, |g_v|^2):
-    (K0, -i D, -i D^dag, -sqrt(kappa) a^dag c, 0, -(1/2) a^dag a).
-    """
-    H_static = p.Delta * _P_E + p.g * (_OP_CAV + _OP_CAV.conj().T)
-    M = sum((L.conj().T @ L for L in static_L), start=p.kappa * OP_C.conj().T @ OP_C)
-    return (-1j * H_static - 0.5 * M, -1j * _OP_DRIVE, -1j * _OP_DRIVE.conj().T,
-            -math.sqrt(p.kappa) * OP_A.conj().T @ OP_C, np.zeros((_DIM, _DIM)),
-            -0.5 * OP_A.conj().T @ OP_A)
-
-
-# Density blocks of the state evolved by _channel. Both share the coherent,
-# anti-commutator and static-jump terms; the capture jump feeds only _TOTAL.
-# The no-jump branch is pure and rides along as the state vectors psi.
-_N_BLOCKS = 2
-_TOTAL, _IN_MODE = range(_N_BLOCKS)
-
-
-def _liouvillian(p: EmitterParams, static_L) -> sparse.csr_matrix:
-    """Superoperators of the weights (1, Omega, Omega*, g_v, g_v*, |g_v|^2).
-
-    Row block k is the weight-k part of d(rho)/dt on both density blocks:
-    K rho + rho K^dag (K from _k_parts) and the static jumps on each, and
-    L0 rho L0^dag with L0 = conj(g_v) a + sqrt(kappa) c on _TOTAL. On the
-    row-major flattened rho, X rho Y is kron(X, Y^T).
-    """
-    dag = lambda op: op.conj().T  # noqa: E731
-    eye = np.eye(_DIM, dtype=complex)
-    K0, K_om, K_om_conj, K_gv, _, K_gv2 = _k_parts(p, static_L)
-    A, C = OP_A, math.sqrt(p.kappa) * OP_C
-    every, total = range(_N_BLOCKS), (_TOTAL,)
-    # (weight, X, Y, blocks) of each term X rho Y
-    terms = ((0, K0, eye, every), (0, eye, dag(K0), every), (0, C, dag(C), total),
-             *((0, L, dag(L), every) for L in static_L),
-             (1, K_om, eye, every), (1, eye, dag(K_om_conj), every),
-             (2, K_om_conj, eye, every), (2, eye, dag(K_om), every),
-             (3, K_gv, eye, every), (3, C, dag(A), total),
-             (4, eye, dag(K_gv), every), (4, A, dag(C), total),
-             (5, K_gv2, eye, every), (5, eye, dag(K_gv2), every), (5, A, dag(A), total))
-    n = _DIM ** 2
-    rows, cols, vals = [], [], []
-    for k, X, Y, blocks in terms:
-        sup = sparse.kron(sparse.coo_matrix(X), sparse.coo_matrix(Y.T), format="coo")
-        for b in blocks:
-            rows.append(sup.row + (k * _N_BLOCKS + b) * n)
-            cols.append(sup.col + b * n)
-            vals.append(sup.data)
-    # duplicate entries are summed
-    return sparse.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(6 * _N_BLOCKS * n, _N_BLOCKS * n))
-
-
 _ERR = np.stack([DOP853.E5, DOP853.E3])
 # stage times as fractions of a step: its 11 (the last is its end), the dense output's 3
 _NODES = np.concatenate([DOP853.C[1:], DOP853.C_EXTRA])
@@ -420,7 +358,8 @@ def lindblad_simulate(p_raw: RawRates, p: EmitterParams, env, Omega,
     (p_raw, p, env, Omega) (lru_cache, one entry), whose nfev it reports
     too; a bound ClosedFormSolution.Omega equals only the same instance's.
     A solve that raises is not cached and evicts nothing. The operator of
-    the solve is built once per emitter (_generator). The rate-consistency
+    the solve, one sparse matrix for both density blocks and the vectors,
+    is built once per emitter (_generator). The rate-consistency
     check runs on every call. Omega must be a hashable pure function of t
     (functions, lambdas, bound methods and partials hash): it is called on
     a 1-d array of times, at t = 0 and once per attempted step on its stage
@@ -475,6 +414,12 @@ def lindblad_simulate(p_raw: RawRates, p: EmitterParams, env, Omega,
                           marker_max=marker_max, nfev=nfev)
 
 
+# Density blocks of each input evolved by _channel: the total state and the
+# branch with no photon outside the target mode. Both share the coherent,
+# anti-commutator and static-jump terms of _generator; the capture jump feeds
+# only _TOTAL. The no-jump branch is pure and rides along as the vectors psi.
+_N_BLOCKS = 2
+_TOTAL, _IN_MODE = range(_N_BLOCKS)
 # (row, column) of the channel's basis inputs E11, E10 and E00
 _BASIS = tuple((_flat_index(m, 0, 0), _flat_index(n, 0, 0))
                for m, n in (("1", "1"), ("1", "0"), ("0", "0")))
@@ -486,18 +431,53 @@ _N_RHO = _N_BLOCKS * _DIM ** 2 * len(_BASIS)
 def _generator(p_raw: RawRates, p: EmitterParams) -> sparse.csr_matrix:
     """The operator S of _channel's right-hand side w(t) @ (S @ y).
 
-    Row block k is the weight-k part on the whole state: kron(L_k, I_3) on
-    the density blocks (L_k, row block k of _liouvillian) and kron(K_k, I_2)
-    on psi (K_k from _k_parts).
-    It depends on the emitter alone, so it is cached for the next call with
-    an equal (p_raw, p) (lru_cache, one entry).
+    Row block k is the part at weight k of (1, Omega, Omega*, g_v, g_v*,
+    |g_v|^2) on the whole 888-entry state, built from the no-jump operator
+    K(t) = -i H(t) - (1/2) sum_k L_k^dag L_k. With the capture operator
+    L0 = sqrt(kappa) c + conj(g_v) a and the cascaded term
+    (i sqrt(kappa) / 2)(conj(g_v) c^dag a - g_v a^dag c) of H, the
+    conj(g_v) c^dag a terms cancel, and
+
+        K = K0 - i Omega D - i Omega* D^dag - sqrt(kappa) g_v a^dag c
+            - (1/2) |g_v|^2 a^dag a,
+
+    K0 = -i H_static - (1/2)(kappa c^dag c + sum of the static L^dag L).
+    Both density blocks of each input get K rho + rho K^dag and the static
+    jumps L rho L^dag, and _TOTAL also L0 rho L0^dag: on the row-major rho
+    with the three inputs innermost, X rho Y is kron(X, Y^T, I_3). The
+    no-jump pair gets K psi, kron(K_k, I_2). S depends on the emitter alone
+    and is cached for an equal (p_raw, p) (lru_cache, one entry).
     """
     static_L = _static_dissipators(p_raw)
-    L = _liouvillian(p, static_L)
-    n, I_3, I_2 = L.shape[1], sparse.identity(len(_BASIS)), sparse.identity(2)
-    return sparse.vstack([sparse.block_diag((sparse.kron(L[k * n:(k + 1) * n], I_3),
-                                             sparse.kron(K_k, I_2, format="csr")))
-                          for k, K_k in enumerate(_k_parts(p, static_L))], format="csr")
+    dag = lambda op: op.conj().T  # noqa: E731
+    H_static = p.Delta * _P_E + p.g * (_OP_CAV + dag(_OP_CAV))
+    M = sum((dag(L) @ L for L in static_L), start=p.kappa * dag(OP_C) @ OP_C)
+    # K's parts at the six weights
+    K = (-1j * H_static - 0.5 * M, -1j * _OP_DRIVE, -1j * dag(_OP_DRIVE),
+         -math.sqrt(p.kappa) * dag(OP_A) @ OP_C, np.zeros((_DIM, _DIM)),
+         -0.5 * dag(OP_A) @ OP_A)
+    eye, A, C = np.eye(_DIM, dtype=complex), OP_A, math.sqrt(p.kappa) * OP_C
+    every, total = range(_N_BLOCKS), (_TOTAL,)
+    # (weight, X, Y, blocks) of each term X rho Y
+    terms = ((0, K[0], eye, every), (0, eye, dag(K[0]), every), (0, C, dag(C), total),
+             *((0, L, dag(L), every) for L in static_L),
+             (1, K[1], eye, every), (1, eye, dag(K[2]), every),
+             (2, K[2], eye, every), (2, eye, dag(K[1]), every),
+             (3, K[3], eye, every), (3, C, dag(A), total),
+             (4, eye, dag(K[3]), every), (4, A, dag(C), total),
+             (5, K[5], eye, every), (5, eye, dag(K[5]), every), (5, A, dag(A), total))
+    # (weight, operator, first row and column) of each part: K psi, then X rho Y
+    parts = [(k, sparse.kron(K_k, np.eye(2), format="coo"), _N_RHO) for k, K_k in enumerate(K)]
+    for k, X, Y, blocks in terms:
+        sup = sparse.kron(sparse.kron(X, Y.T, format="coo"), np.eye(3), format="coo")
+        parts += [(k, sup, b * _N_RHO // _N_BLOCKS) for b in blocks]
+    size = _N_RHO + 2 * _DIM
+    rows, cols, vals = zip(*((op.row + k * size + at, op.col + at, op.data)
+                             for k, op, at in parts))
+    # duplicate entries are summed
+    return sparse.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(len(K) * size, size))
 
 
 @lru_cache(maxsize=1)
@@ -505,15 +485,15 @@ def _channel(p_raw: RawRates, p: EmitterParams, env, Omega):
     """Phi(E11), Phi(E10) and Phi(E00) at the 41 checkpoints, each of shape
     (41, blocks, 12, 12); the no-jump vectors psi_1 and psi_0 at T; the nfev.
 
-    The three density inputs, laid out as (288, 3), and the two vectors
-    from |1;0c;0v> and |0;0c;0v>, laid out as (12, 2), evolve side by side
-    as one 888-vector: the right-hand side is w(t) @ (S @ y) on the sparse
-    operator S of _generator. _dop853 runs at rtol 1e-8, atol 1e-11 and
-    max_step T/64; the checkpoints before T come from its dense output and
-    keep trace and Hermiticity exact to rounding: each stage of E11 and E00
-    is the Liouvillian of a Hermitian state, so Hermitian and traceless on
-    the total block (E10's is traceless), and the interpolant sums stages
-    with real coefficients.
+    The three density inputs, laid out as (blocks, 12, 12, 3), and the two
+    vectors from |1;0c;0v> and |0;0c;0v>, laid out as (12, 2), evolve side
+    by side as one 888-vector: the right-hand side is w(t) @ (S @ y) on the
+    sparse operator S, which _generator assembles in this layout. _dop853
+    runs at rtol 1e-8, atol 1e-11 and max_step T/64; the checkpoints before
+    T come from its dense output and keep trace and Hermiticity exact to
+    rounding: each stage of E11 and E00 is the Liouvillian of a Hermitian
+    state, so Hermitian and traceless on the total block (E10's is
+    traceless), and the interpolant sums stages with real coefficients.
     """
     T = env.T
 

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -319,6 +320,52 @@ def test_figures_checks_every_efficiency_fraction_first(tmp_path, capsys, s_list
     err = capsys.readouterr().err
     assert err.startswith("error: --s-list ") and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["figures", "optimize"])
+def test_no_ground_state_decay_fails_before_writing(tmp_path, capsys, command):
+    # with Gamma1 = Gamma2 = 0 no memory time ends the shape search's window:
+    # the command exits 1 before any file is written, and the reason names
+    # the physics, not an argument the command line does not have
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps({"g_GHz": 6, "kappa_GHz": 30}))
+    out = tmp_path / "out"
+    assert main([command, "--params", str(params), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: Gamma1 = Gamma2 = 0: ") and "Traceback" not in err
+    assert "T_range" not in err
+    assert not out.exists()
+
+
+def test_figures_names_skipped_duration_points(tmp_path, capsys):
+    # g 1, kappa 30, gamma 10 GHz: on the fastest four points of each sweep
+    # the memory time ends before the coupling time; each skipped point gets
+    # one stderr line, and the data file holds every other point
+    data = {"g_GHz": 1, "kappa_GHz": 30, "gamma_GHz": 10, "gamma_1to0_GHz": 0.01,
+            "gamma_0to1_GHz": 0.01}
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps(data))
+    assert main(["figures", "--grid", "desk", "--params", str(params),
+                 "--out", str(tmp_path)]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 12
+    assert all("no duration window" in line for line in err)
+    skipped = {tuple(re.fullmatch(r"skipped (\w+) sweep point Gamma1 = (\S+), "
+                                  r"Gamma2 = (\S+) rad/ns: .*", line).groups())
+               for line in err}
+    rows = (tmp_path / "optimal_duration.csv").read_text().splitlines()[2:]
+    kept = {(sweep, f"{float(g1):.6g}", f"{float(g2):.6g}")
+            for sweep, g1, g2, *_ in (row.split(",") for row in rows)}
+    p = params_from_dict(data)[0]
+    T_lo = max(1.0 / p.g, 1.0 / p.kappa)
+    every = {}
+    for sweep, (u, v) in (("Gamma1", (1, 0)), ("Gamma2", (0, 1)), ("both", (1, 1))):
+        for frac in np.geomspace(0.01, 0.5, 9):
+            G1, G2 = frac * u * p.gamma_tilde, frac * v * p.gamma_tilde
+            every[(sweep, f"{G1:.6g}", f"{G2:.6g}")] = 1.0 / max(G1, G2) <= T_lo
+    assert skipped == {point for point, short in every.items() if short}
+    assert kept == {point for point, short in every.items() if not short}
+    assert len(kept) == 15
 
 
 @pytest.mark.parametrize("text", ["{not json", "5"])

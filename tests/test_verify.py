@@ -287,16 +287,25 @@ def test_static_dissipators_drop_zero_operators():
     assert all(np.any(op != 0.0) for op in ops)
 
 
-def test_precomputed_generator_matches_direct_assembly(siv_raw):
+_EVERY_RATE = RawRates(gamma=ghz(0.1), xi=0.7, gamma_ph_e=ghz(0.03),
+                       gamma_ph_1=ghz(0.02), gamma_1to0=ghz(0.01),
+                       gamma_0to1=ghz(0.01), kappa_tilde=ghz(0.2))
+
+
+@pytest.mark.parametrize("raw, jumps", [(None, 3), (_EVERY_RATE, 7), (RawRates(), 0)],
+                         ids=["siv_raw", "every_rate", "no_static_jump"])
+def test_precomputed_generator_matches_direct_assembly(siv_raw, raw, jumps):
     # the right-hand side assembled term by term here: K rho + rho K^dag with
     # K = -i H - (1/2)(M_static + L0^dag L0) and the static jumps on both
     # density blocks, L0 rho L0^dag on the total, and K psi on the no-jump
     # vectors
+    raw = siv_raw if raw is None else raw
     p = EmitterParams(g=ghz(6), kappa=ghz(30), kappa_tilde=ghz(0.2),
                       gamma_tilde=ghz(0.1), Delta=ghz(0.7))
-    static_L = verify._static_dissipators(siv_raw)
+    static_L = verify._static_dissipators(raw)
+    assert len(static_L) == jumps
     M_static = sum(L.conj().T @ L for L in static_L)
-    S = verify._generator(siv_raw, p)
+    S = verify._generator(raw, p)
     assert S.shape == (6 * 888, 888)
     dag = lambda op: op.conj().T  # noqa: E731
     c_dag_a = dag(verify.OP_C) @ verify.OP_A
@@ -358,14 +367,21 @@ def _rho0(init):
     return np.outer(psi0, psi0.conj()), psi_tgt
 
 
+def _parts(p_raw, p):
+    """Each weight's operator on one input's two density blocks and on one
+    no-jump vector, read off the channel's operator S."""
+    S = verify._generator(p_raw, p)
+    size = S.shape[1]
+    rho, psi = np.arange(0, verify._N_RHO, 3), verify._N_RHO + np.arange(0, 24, 2)
+    return [(S_k[rho][:, rho], S_k[psi][:, psi])
+            for S_k in (S[k * size:(k + 1) * size] for k in range(6))]
+
+
 def _one_state(p_raw, p, init):
     """One state in the channel's layout: the weight-k operators on its two
     density blocks and its no-jump vector, and its start."""
-    static_L = verify._static_dissipators(p_raw)
-    L = verify._liouvillian(p, static_L)
-    n = L.shape[1]
-    S = sparse.vstack([sparse.block_diag((L[k * n:(k + 1) * n], K))
-                       for k, K in enumerate(verify._k_parts(p, static_L))], format="csr")
+    S = sparse.vstack([sparse.block_diag(part) for part in _parts(p_raw, p)],
+                      format="csr")
     rho0, psi_tgt = _rho0(init)
     psi0 = np.zeros(12, dtype=complex)
     psi0[[verify._flat_index("1", 0, 0), verify._flat_index("0", 0, 0)]] = (
@@ -375,18 +391,15 @@ def _one_state(p_raw, p, init):
 
 def _three_blocks(p_raw, p):
     """The weight-k operators on a state held as three density blocks: the
-    two of _liouvillian and the no-jump branch, K rho + rho K^dag."""
-    static_L = verify._static_dissipators(p_raw)
-    L = verify._liouvillian(p, static_L)
-    n, eye = L.shape[1], sparse.identity(12)
-    K = [sparse.coo_matrix(K_k) for K_k in verify._k_parts(p, static_L)]
+    channel's two and the no-jump branch, K rho + rho K^dag."""
+    parts, eye = _parts(p_raw, p), sparse.identity(12)
     # rho K^dag at weight k: K^dag's weight-k part is the conjugate of K's
     # part at the conjugate weight
     conj = (0, 2, 1, 4, 3, 5)
     return sparse.vstack([
-        sparse.block_diag((L[k * n:(k + 1) * n],
-                           sparse.kron(K[k], eye) + sparse.kron(eye, K[conj[k]].conj())))
-        for k in range(6)], format="csr")
+        sparse.block_diag((L, sparse.kron(K, eye)
+                           + sparse.kron(eye, parts[conj[k]][1].conj())))
+        for k, (L, K) in enumerate(parts)], format="csr")
 
 
 @pytest.mark.parametrize("Delta_GHz, chirp", [(0.0, 0.0), (1.0, 0.0), (0.0, 2.5)],
@@ -554,20 +567,17 @@ def test_states_of_one_drive_share_one_solve(monkeypatch, siv_raw, siv_params,
             assert np.array_equal(r.rho.matrix, first.rho.matrix)
 
 
-def test_drives_on_one_emitter_build_one_operator(monkeypatch, siv_raw, siv_params,
-                                                  optimal_sin2, perfect_params):
+def test_drives_on_one_emitter_build_one_operator(siv_raw, siv_params, optimal_sin2,
+                                                  perfect_params):
     # the channel's operator depends on the emitter alone: two drives on one
     # emitter build it once, another emitter builds its own
     verify._generator.cache_clear()
-    calls = []
-    real = verify._liouvillian
-    monkeypatch.setattr(verify, "_liouvillian", lambda *a: calls.append(1) or real(*a))
     init = InitialState(0.6, 0.8)
     for p_raw, p, builds in ((siv_raw, siv_params, 1), (siv_raw, siv_params, 1),
                              (RawRates(gamma=ghz(0.1)), perfect_params, 2)):
         cf = ClosedFormSolution(p, optimal_sin2, 0.99 * max_efficiency(p, optimal_sin2))
         lindblad_simulate(p_raw, p, optimal_sin2, cf.Omega, init)
-        assert len(calls) == builds
+        assert verify._generator.cache_info().misses == builds
 
 
 # the L=3 optimum of the full-grid search
