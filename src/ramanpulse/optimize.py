@@ -130,7 +130,8 @@ def default_T_range(p: EmitterParams) -> tuple:
                               "bound as T grows (check C2)")
     hi = min(1.0 / r for r in rates)
     if hi <= lo:
-        raise ValidationError("decoherence too fast: no duration window")
+        raise ValidationError(f"decoherence too fast: no duration window, the memory time "
+                              f"{hi:.6g} ns is not above the coupling time {lo:.6g} ns")
     return lo, hi
 
 

@@ -27,7 +27,6 @@ from .trajectory import Amplitudes, InitialState, virtual_coupling
 class OdeSolution(Amplitudes):
     """Amplitudes from forward integration of the no-jump equations."""
 
-    err_est: dict
     nfev: int
 
 
@@ -44,9 +43,8 @@ def integrate_nonhermitian(p: EmitterParams, Omega, init: InitialState,
     lambda = alpha0 sqrt(m) puts the initial |1> phase on the photon. The
     solve runs on the stepper of lindblad_simulate (_dop853, error norm on
     the real view of the state) at rtol 1e-10, atol 1e-12, and reads the
-    grid from DOP853's dense output. err_est holds each scaled amplitude's
-    largest difference from a second unit pass at tolerances 100 times
-    looser, scaled alike; the norm check is made per state.
+    grid from DOP853's dense output. It is the only pass: no error estimate
+    is computed. The norm check is made per state.
 
     The unit solve is cached for the next call with an equal (p, Omega,
     grid) (lru_cache, one entry), whose nfev it reports too; a bound
@@ -59,17 +57,11 @@ def integrate_nonhermitian(p: EmitterParams, Omega, init: InitialState,
     grid = time_grid(grid, "grid")
     if grid.size < 2 or np.any(np.diff(grid) <= 0):
         raise ValidationError("grid must hold two or more strictly increasing times")
-    tight, loose, nfev = _unit_amplitudes(p, Omega, grid.tobytes())
+    y, nfev = _unit_amplitudes(p, Omega, grid.tobytes())
     a0, b0 = complex(init.alpha0), complex(init.beta0)
-
-    def scaled(y):
-        a, b, z, e, m = y.T
-        return OdeSolution(grid=grid, alpha=a0 * a, beta=b0 * b, zeta=a0 * z,
-                           eta=a0 * e, lam=a0 * np.sqrt(np.maximum(m.real, 0.0)),
-                           err_est={}, nfev=nfev)
-
-    out = scaled(tight)
-    out.err_est = out.max_dev(scaled(loose))
+    a, b, z, e, m = y.T
+    out = OdeSolution(grid=grid, alpha=a0 * a, beta=b0 * b, zeta=a0 * z, eta=a0 * e,
+                      lam=a0 * np.sqrt(np.maximum(m.real, 0.0)), nfev=nfev)
     if np.any(out.norm() > 1.0 + 1e-9):
         raise NumericError("integrated state norm exceeded one beyond tolerance")
     return out
@@ -77,7 +69,7 @@ def integrate_nonhermitian(p: EmitterParams, Omega, init: InitialState,
 
 @lru_cache(maxsize=1)
 def _unit_amplitudes(p: EmitterParams, Omega, grid: bytes):
-    """The tight and loose unit solves on grid (its float bytes), the tight nfev.
+    """The unit solve on grid (its float bytes) and its nfev.
 
     The right-hand side works on python complex numbers (the state's
     tolist(), the drive samples as a list): on 5 entries they cost less than
@@ -95,13 +87,9 @@ def _unit_amplitudes(p: EmitterParams, Omega, grid: bytes):
                          zeta_rate * z - g * e - om * a,
                          -half_eta_rate * e + g * z, -G2 * m.real + kappa * abs(e) ** 2])
 
-    def solve(rt, at):
-        return _dop853(lambda t: _sample(Omega, t).tolist(), rhs,
-                       np.array([1.0, 1.0, 0.0, 0.0, 0.0], dtype=complex), grid,
-                       np.inf, rt, at)
-
-    tight, nfev = solve(1e-10, 1e-12)
-    return tight, solve(1e-8, 1e-10)[0], nfev
+    return _dop853(lambda t: _sample(Omega, t).tolist(), rhs,
+                   np.array([1.0, 1.0, 0.0, 0.0, 0.0], dtype=complex), grid,
+                   np.inf, 1e-10, 1e-12)
 
 
 @dataclass

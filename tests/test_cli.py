@@ -368,6 +368,22 @@ def test_figures_names_skipped_duration_points(tmp_path, capsys):
     assert len(kept) == 15
 
 
+def test_no_duration_window_names_both_times(tmp_path, capsys):
+    # memory time 1/Gamma1 = 0.080 ns under the coupling time 1/g = 0.159 ns:
+    # the refusal names both, so the user sees which rate to change
+    data = {"g_GHz": 1, "kappa_GHz": 30, "gamma_GHz": 10, "gamma_1to0_GHz": 2,
+            "gamma_0to1_GHz": 2}
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps(data))
+    assert main(["optimize", "--params", str(params), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    p = params_from_dict(data)[0]
+    memory, coupling = 1.0 / max(p.Gamma1, p.Gamma2), max(1.0 / p.g, 1.0 / p.kappa)
+    assert round(memory, 3) == 0.080 and round(coupling, 3) == 0.159
+    assert err.startswith("error: decoherence too fast: no duration window")
+    assert f"memory time {memory:.6g} ns" in err and f"coupling time {coupling:.6g} ns" in err
+
+
 @pytest.mark.parametrize("text", ["{not json", "5"])
 def test_unreadable_params_exit_code(tmp_path, capsys, text):
     bad = tmp_path / "params.json"

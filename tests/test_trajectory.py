@@ -368,7 +368,12 @@ def test_resonant_phase_is_exactly_zero(siv_params, kind):
     assert np.all(cf.phi(grid) == 0.0) and cf.phi(0.2) == 0.0
     om = cf.Omega(grid)
     assert np.all(om.imag == 0.0)
-    assert np.max(np.abs(om.real / _RESONANT_DRIVE - 1.0)) <= 1e-15
+    # the drive's numerator w0 f + w1 f' + w2 f'' cancels to about 1/29 of its
+    # terms at 0.75 T, so each sample's rounding scales with its terms; the
+    # recorded values lie within a fifth of this of a 40-digit evaluation
+    terms = np.array([w * d(grid) for w, d in zip(cf._num_weights, (pl.f, pl.df, pl.d2f))])
+    tol = 8 * np.finfo(float).eps * np.abs(terms).sum(0) / np.abs(terms.sum(0))
+    assert np.all(np.abs(om.real / _RESONANT_DRIVE - 1.0) <= tol)
 
 
 def test_chirped_drive_sample_costs_little_more_than_resonant(monkeypatch):

@@ -44,7 +44,38 @@ def test_ode_norm_monotone(synthesis):
     norm = ode.norm()
     assert np.all(np.diff(norm) <= 1e-12)
     assert norm[0] == pytest.approx(1.0, abs=1e-12)
-    assert all(v < 1e-7 for v in ode.err_est.values())
+
+
+@pytest.mark.parametrize("pl", [
+    pytest.param(sin2_pulse(0.44), id="sin2"),
+    pytest.param(CosineSeriesPulse(0.5, (1.0, 0.1), chirp=2.5).normalize(), id="chirped"),
+    pytest.param(CosineSeriesPulse(0.344942025959689, (1, -0.2, 0.11)).normalize(),
+                 id="L3")])
+def test_ode_matches_a_tighter_reference(siv_params, pl):
+    # the oracle's own error: scipy's DOP853 on the same equations at
+    # rtol 1e-13, atol 1e-15, from the state itself rather than a unit solve
+    p = siv_params
+    cf = ClosedFormSolution(p, pl, 0.99 * max_efficiency(p, pl))
+    grid = np.linspace(0.0, pl.T, 401)
+    init = InitialState(0.6, 0.8j)
+
+    def rhs(t, y):
+        om = complex(cf.Omega(t))
+        a, b, z, e, m = y
+        return [-0.5 * p.Gamma1 * a + om.conjugate() * z, -0.5 * p.Gamma2 * b,
+                (-1j * p.Delta - 0.5 * p.gamma_tilde) * z - p.g * e - om * a,
+                -0.5 * (p.Gamma2 + p.kappa + p.kappa_tilde) * e + p.g * z,
+                -p.Gamma2 * m.real + p.kappa * abs(e) ** 2]
+
+    ref = solve_ivp(rhs, (0.0, pl.T), np.array([init.alpha0, init.beta0, 0, 0, 0],
+                                                dtype=complex),
+                    method="DOP853", rtol=1e-13, atol=1e-15, t_eval=grid)
+    assert ref.success
+    a, b, z, e, m = ref.y
+    ode = integrate_nonhermitian(p, cf.Omega, init, grid)
+    for got, want in ((ode.alpha, a), (ode.beta, b), (ode.zeta, z), (ode.eta, e),
+                      (ode.lam, np.sqrt(np.maximum(m.real, 0.0)))):
+        assert np.max(np.abs(got - want)) <= 1e-9
 
 
 _BAD_GRIDS = {"0-d": np.array(0.2), "2-d": np.zeros((2, 2)),
@@ -633,13 +664,12 @@ def test_each_oracle_keeps_one_solve(monkeypatch, siv_raw, synthesis):
     calls = []
     real = verify._dop853
     monkeypatch.setattr(verify, "_dop853", lambda *a: calls.append(1) or real(*a))
-    for oracle, per_solve in (
-            (lambda drive: lindblad_simulate(siv_raw, p, pl, drive, init), 1),
-            (lambda drive: integrate_nonhermitian(p, drive, init, grid), 2)):
+    for oracle in (lambda drive: lindblad_simulate(siv_raw, p, pl, drive, init),
+                   lambda drive: integrate_nonhermitian(p, drive, init, grid)):
         for drive, solves in ((first, 1), (first, 0), (second, 1), (first, 1)):
             del calls[:]
             oracle(drive)
-            assert len(calls) == solves * per_solve
+            assert len(calls) == solves
 
 
 def test_amplitudes_scale_one_unit_solve(monkeypatch, synthesis):
@@ -648,10 +678,10 @@ def test_amplitudes_scale_one_unit_solve(monkeypatch, synthesis):
     real = verify._dop853
     monkeypatch.setattr(verify, "_dop853", lambda *a: calls.append(1) or real(*a))
     runs = [integrate_nonhermitian(p, cf.Omega, init, grid) for init in _CHANNEL_STATES]
-    assert len(calls) == 2  # the tight and the loose unit pass
+    assert len(calls) == 1  # one unit solve serves every state
     # another grid is another solve
     half = integrate_nonhermitian(p, cf.Omega, _CHANNEL_STATES[2], grid[::2])
-    assert len(calls) == 4 and half.alpha.shape == grid[::2].shape
+    assert len(calls) == 2 and half.alpha.shape == grid[::2].shape
     monkeypatch.setattr(verify, "_dop853", real)
     for init, ode in zip(_CHANNEL_STATES, runs):
         # a direct solve of this state, as the oracle solved before one unit
